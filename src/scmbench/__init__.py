@@ -13,8 +13,8 @@ from .identifier import (IdentificationResult, PenaltyWeights, Regressor,
                          penalty_step, residual_scores, train_regressor)
 from .scm import (Environment, GenConfig, GenerationError, Intervention,
                   LinearGaussianScm, SampleBatch, add_confounders,
-                  analytic_moments, batch_to_csv, four_node_demo_scm,
-                  intervene, parents, random_scm, sample)
+                  analytic_moments, four_node_demo_scm, intervene, parents,
+                  random_scm, sample)
 from .transport import transport_adjust
 
 __version__ = "0.1.0"
@@ -32,8 +32,7 @@ __all__ = [
     "residual_scores", "train_regressor",
     "Environment", "GenConfig", "GenerationError", "Intervention",
     "LinearGaussianScm", "SampleBatch", "add_confounders", "analytic_moments",
-    "batch_to_csv", "four_node_demo_scm", "intervene", "parents", "random_scm",
-    "sample",
+    "four_node_demo_scm", "intervene", "parents", "random_scm", "sample",
     "transport_adjust",
     "__version__",
 ]

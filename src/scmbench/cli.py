@@ -62,6 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_seed(flag_seed: int | None, config_seed: int | None) -> int:
     """Priority: --seed flag, then config file, then WORKBENCH_SEED, then 0."""
     if flag_seed is not None:
+        if flag_seed < 0:
+            raise ConfigError("--seed must be >= 0")
         return flag_seed
     if config_seed is not None:
         return config_seed
@@ -77,14 +79,9 @@ def _resolve_seed(flag_seed: int | None, config_seed: int | None) -> int:
     return value
 
 
-def render_table(cells: dict, methods: list[str] | None = None,
-                 levels: list[int] | None = None) -> str:
-    """Fixed-width table of 'mean_js (fwer)' cells, high confounder counts first."""
-    if methods is None:
-        methods = list(cells)
-    if levels is None:
-        seen = {lvl for by_level in cells.values() for lvl in by_level}
-        levels = sorted(seen, reverse=True)
+def render_table(cells: dict, methods: list[str], levels: list[int]) -> str:
+    """Fixed-width table of 'mean_js (fwer)' cells, one column per level in
+    the given order."""
 
     def fmt(stats: dict | None) -> str:
         if not stats or stats["n"] == 0:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import configparser
-import dataclasses
 from typing import Any, Callable
 
 from .harness import ExperimentConfig
@@ -27,18 +26,15 @@ def _parse_bool(text: str) -> bool:
         raise ValueError(f"expected a boolean, got {text!r}") from None
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    items = [part.strip() for part in text.split(",") if part.strip()]
-    if not items:
-        raise ValueError("expected a comma-separated list")
-    return tuple(int(part) for part in items)
-
-
 def _parse_str_list(text: str) -> tuple[str, ...]:
     items = [part.strip() for part in text.split(",") if part.strip()]
     if not items:
         raise ValueError("expected a comma-separated list")
     return tuple(items)
+
+
+def _parse_int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in _parse_str_list(text))
 
 
 def _optional(parser: Callable[[str], Any]) -> Callable[[str], Any]:
@@ -69,7 +65,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], Any]]]] = {
         "intervention_value_min": ("intervention_value_min", float),
         "intervention_value_max": ("intervention_value_max", float),
         "min_parents": ("min_parents", int),
-        "seed": ("seed", _optional(int)),
     },
     "train": {
         "hidden_width": ("hidden_width", int),
@@ -92,60 +87,20 @@ _SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], Any]]]] = {
     },
 }
 
-DEFAULT_CONFIG = """\
-# scmbench experiment configuration
-
-[experiment]
-num_dags = 50
-samples_per_env = 2000
-# benchmark cells, in report column order
-confounder_levels = 0, 1, 2
-methods = iid, icp
-# omit master_seed to fall back to the WORKBENCH_SEED environment variable
-master_seed = 0
-include_observational = false
-
-[generation]
-nodes_min = 8
-nodes_max = 12
-edge_prob = 0.3
-weight_min = 0.5
-weight_max = 2.0
-sign_flip_prob = 0.5
-noise_std_min = 0.7
-noise_std_max = 1.5
-intervention_value_min = 3.0
-intervention_value_max = 7.0
-min_parents = 2
-# standalone seed for random_scm; the sweep always derives from master_seed
-seed =
-
-[train]
-hidden_width = 16
-lr = 0.01
-epochs_per_round = 600
-batch_size = 256
-# blank means one round per candidate
-rounds =
-holdout_fraction = 0.3
-tau = 0.0
-tau_auto = true
-tau_multiplier = 3.0
-calibration_permutations = 64
-
-[icp]
-alpha = 0.05
-# blank means unlimited subset size
-max_subset_size =
-test = mean-variance
-num_permutations = 199
-enumeration_budget = 4096
-"""
+# comment lines written above a key; the dataclasses hold every default
+_HEADER = "# scmbench experiment configuration"
+_COMMENTS = {
+    ("experiment", "confounder_levels"): "benchmark cells, in report column order",
+    ("experiment", "master_seed"):
+        "omit master_seed to fall back to the WORKBENCH_SEED environment variable",
+    ("train", "rounds"): "blank means one round per candidate",
+    ("icp", "max_subset_size"): "blank means unlimited subset size",
+}
 
 
 def write_default_config(path) -> None:
     with open(path, "w") as fh:
-        fh.write(DEFAULT_CONFIG)
+        fh.write(config_to_ini(ExperimentConfig()))
 
 
 def read_config(path) -> tuple[ExperimentConfig, bool]:
@@ -191,18 +146,20 @@ def read_config(path) -> tuple[ExperimentConfig, bool]:
 
 
 def config_to_ini(cfg: ExperimentConfig) -> str:
-    """Serialize a config back to the INI layout (no comments)."""
+    """Serialize a config to the INI layout that read_config parses."""
     sources = {
         "experiment": cfg,
         "generation": cfg.gen,
         "train": cfg.train,
         "icp": cfg.icp,
     }
-    lines: list[str] = []
+    lines = [_HEADER, ""]
     for section, schema in _SCHEMA.items():
         lines.append(f"[{section}]")
         obj = sources[section]
         for key, (field_name, _) in schema.items():
+            if (section, key) in _COMMENTS:
+                lines.append(f"# {_COMMENTS[section, key]}")
             value = getattr(obj, field_name)
             if value is None:
                 text = ""
@@ -212,21 +169,7 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
                 text = ", ".join(str(v) for v in value)
             else:
                 text = str(value)
-            lines.append(f"{key} = {text}")
+            lines.append(f"{key} = {text}".rstrip())
         lines.append("")
     return "\n".join(lines)
 
-
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig()
-
-
-def _fields_match() -> bool:  # exercised by tests
-    for section, schema in _SCHEMA.items():
-        cls = {"experiment": ExperimentConfig, "generation": GenConfig,
-               "train": TrainConfig, "icp": IcpConfig}[section]
-        names = {f.name for f in dataclasses.fields(cls)}
-        for field_name, _ in schema.values():
-            if field_name not in names:
-                return False
-    return True

@@ -2,8 +2,8 @@
 
 Every random draw derives from (master_seed, dag_id, purpose tag, level), so
 any execution order, worker count, or subset of cells reproduces identical
-numbers. Both methods in a cell consume the same sampled batches; a digest
-check guards against one method mutating them for the other.
+numbers. Both methods in a cell consume the same sampled batches, which are
+read-only.
 """
 
 from __future__ import annotations
@@ -123,14 +123,6 @@ def environments_for(scm: LinearGaussianScm, gen: GenConfig,
     return envs
 
 
-def _batches_digest(batches: list[SampleBatch]) -> str:
-    digest = hashlib.sha256()
-    for b in batches:
-        digest.update(str(b.env).encode())
-        digest.update(np.ascontiguousarray(b.data).tobytes())
-    return digest.hexdigest()
-
-
 def _run_method(method: str, batches: list[SampleBatch], cfg: ExperimentConfig,
                 dag_id: int, level: int) -> frozenset[int]:
     if method == "iid":
@@ -172,7 +164,6 @@ def _dag_task(args: tuple[ExperimentConfig, int]) -> tuple[list[RunRecord], list
             batches = [sample(scm_l, env, cfg.samples_per_env, sample_rng)
                        for env in envs]
             pa0 = parents(scm_l, 0)
-            digest = _batches_digest(batches)
         except Exception as exc:  # noqa: BLE001
             fail(level, cfg.methods, f"setup: {exc}")
             continue
@@ -181,15 +172,9 @@ def _dag_task(args: tuple[ExperimentConfig, int]) -> tuple[list[RunRecord], list
             try:
                 z = _run_method(method, batches, cfg, dag_id, level)
             except Exception as exc:  # noqa: BLE001
-                errors.append({"dag_id": dag_id, "method": method,
-                               "confounders": level, "error": str(exc)})
+                fail(level, (method,), str(exc))
                 continue
             wall = time.perf_counter() - start
-            if _batches_digest(batches) != digest:
-                errors.append({"dag_id": dag_id, "method": method,
-                               "confounders": level,
-                               "error": "shared batches were mutated"})
-                continue
             records.append(RunRecord(
                 dag_id=dag_id, method=method, confounders=level,
                 z=z, pa0=pa0, js=jaccard(z, pa0),
@@ -198,13 +183,8 @@ def _dag_task(args: tuple[ExperimentConfig, int]) -> tuple[list[RunRecord], list
 
 
 def aggregate_cells(records: list[RunRecord] | tuple[RunRecord, ...],
-                    methods: tuple[str, ...] | None = None,
-                    levels: tuple[int, ...] | None = None) -> dict:
+                    methods: tuple[str, ...], levels: tuple[int, ...]) -> dict:
     """Per-(method, level) mean_js, sd_js (ddof=1), fwer, and record count."""
-    if methods is None:
-        methods = tuple(dict.fromkeys(r.method for r in records))
-    if levels is None:
-        levels = tuple(sorted({r.confounders for r in records}))
     cells: dict = {}
     for method in methods:
         cells[method] = {}
@@ -226,7 +206,7 @@ def aggregate_cells(records: list[RunRecord] | tuple[RunRecord, ...],
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    echo = {
+    return {
         "num_dags": cfg.num_dags,
         "samples_per_env": cfg.samples_per_env,
         "confounder_levels": list(cfg.confounder_levels),
@@ -241,7 +221,6 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
             "num_latent": cfg.fixed_scm.num_latent,
         },
     }
-    return echo
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> Report:
@@ -292,6 +271,23 @@ def _parse_set(text: str) -> frozenset[int]:
     return frozenset(int(v) for v in text.split("|"))
 
 
+def _parse_method(text: str) -> str:
+    if text not in KNOWN_METHODS:
+        raise ValueError(f"unknown method {text!r}")
+    return text
+
+
+def _parse_violated(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(f"expected 'true' or 'false', got {text!r}")
+    return text == "true"
+
+
+# one parser per CSV_HEADER column, whose names are RunRecord's fields
+_CSV_PARSERS = (int, _parse_method, int, _parse_set, _parse_set, float,
+                _parse_violated, float)
+
+
 def write_records_csv(records, path) -> None:
     lines = [CSV_HEADER]
     for r in records:
@@ -306,13 +302,16 @@ def write_records_csv(records, path) -> None:
 
 
 def read_records_csv(path) -> list[RunRecord]:
+    """Parse a records CSV; a value it does not understand raises ValueError
+    naming the line and the column."""
     with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
         raise ValueError("empty CSV: expected a header line")
-    if lines[0] != CSV_HEADER:
-        got = lines[0].split(",")
-        want = CSV_HEADER.split(",")
+    want = CSV_HEADER.split(",")
+    header = lines[0][1]
+    if header != CSV_HEADER:
+        got = header.split(",")
         for i, name in enumerate(want):
             if i >= len(got) or got[i] != name:
                 found = got[i] if i < len(got) else "nothing"
@@ -320,15 +319,17 @@ def read_records_csv(path) -> list[RunRecord]:
                     f"header column {i} should be '{name}', found '{found}'")
         raise ValueError(f"header has {len(got)} columns, expected {len(want)}")
     records = []
-    for ln in lines[1:]:
+    for no, ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != 8:
-            raise ValueError(f"malformed record line: {ln!r}")
-        records.append(RunRecord(
-            dag_id=int(parts[0]), method=parts[1], confounders=int(parts[2]),
-            z=_parse_set(parts[3]), pa0=_parse_set(parts[4]),
-            js=float(parts[5]), violated=parts[6] == "true",
-            wall_time=float(parts[7])))
+        if len(parts) != len(want):
+            raise ValueError(f"line {no}: malformed record line: {ln!r}")
+        fields = {}
+        for name, parse, text in zip(want, _CSV_PARSERS, parts):
+            try:
+                fields[name] = parse(text)
+            except ValueError as exc:
+                raise ValueError(f"line {no}, column '{name}': {exc}") from None
+        records.append(RunRecord(**fields))
     return records
 
 

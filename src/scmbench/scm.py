@@ -11,7 +11,6 @@ marginalized out of every sampled batch and every analytic moment.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,7 +46,6 @@ class GenConfig:
     intervention_value_min: float = 3.0
     intervention_value_max: float = 7.0
     min_parents: int = 2
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.nodes_min < 2 or self.nodes_max < self.nodes_min:
@@ -136,7 +134,11 @@ class LinearGaussianScm:
 
 @dataclass(frozen=True, eq=False)
 class SampleBatch:
-    """Rows drawn from one environment; column i holds x_i, latents excluded."""
+    """Rows drawn from one environment; column i holds x_i, latents excluded.
+
+    ``data`` is a read-only view, so the methods that share a batch cannot
+    change it for each other: a write raises where it happens.
+    """
 
     env: int
     data: np.ndarray
@@ -146,6 +148,9 @@ class SampleBatch:
             raise ValueError("data must be 2-D with at least one row")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("data must be finite")
+        view = self.data.view()
+        view.flags.writeable = False
+        object.__setattr__(self, "data", view)
 
     @property
     def n(self) -> int:
@@ -159,7 +164,7 @@ def _draw_weight(rng: np.random.Generator, cfg: GenConfig) -> float:
     return float(w)
 
 
-def random_scm(cfg: GenConfig, rng: np.random.Generator | None = None) -> LinearGaussianScm:
+def random_scm(cfg: GenConfig, rng: np.random.Generator) -> LinearGaussianScm:
     """Draw a random DAG model in which every candidate matters for node 0.
 
     Candidates (nodes 1..m-1) are drawn as direct parents of the outcome with
@@ -181,8 +186,6 @@ def random_scm(cfg: GenConfig, rng: np.random.Generator | None = None) -> Linear
     Raises GenerationError when the parent-count floor cannot be met within
     the retry budget (e.g. edge_prob = 0).
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     m = int(rng.integers(cfg.nodes_min, cfg.nodes_max + 1))
     n_cand = m - 1
     need = min(cfg.min_parents, n_cand)
@@ -296,7 +299,7 @@ def analytic_moments(scm: LinearGaussianScm,
 
 
 def add_confounders(scm: LinearGaussianScm, count: int, rng: np.random.Generator,
-                    gen: GenConfig | None = None) -> LinearGaussianScm:
+                    gen: GenConfig = GenConfig()) -> LinearGaussianScm:
     """Append ``count`` latent root causes, each pointing at node 0 and at one
     uniformly chosen other observed node.
 
@@ -310,8 +313,6 @@ def add_confounders(scm: LinearGaussianScm, count: int, rng: np.random.Generator
         return scm
     if scm.num_observed < 2:
         raise ValueError("need at least two observed nodes to confound")
-    if gen is None:
-        gen = GenConfig()
     p_old = scm.p
     p_new = p_old + count
     weights = np.zeros((p_new, p_new))
@@ -340,17 +341,6 @@ def parents(scm: LinearGaussianScm, node: int) -> frozenset[int]:
         raise ValueError(f"{node} is not a node")
     row = scm.weights[node, :scm.num_observed]
     return frozenset(int(i) for i in np.nonzero(row)[0])
-
-
-def batch_to_csv(batch: SampleBatch, path) -> None:
-    """Write one batch as CSV with header env,x0,x1,..."""
-    width = batch.data.shape[1]
-    header = ["env"] + [f"x{i}" for i in range(width)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in batch.data:
-            writer.writerow([batch.env] + [repr(float(v)) for v in row])
 
 
 def four_node_demo_scm() -> LinearGaussianScm:

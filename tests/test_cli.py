@@ -112,6 +112,14 @@ class TestRun:
         assert SEED_ENV_VAR in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_flag_seed_is_a_config_error(self, tmp_path, capsys):
+        cfg_path = small_config(tmp_path)
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out),
+                     "--seed", "-1"]) == 1
+        assert "error: --seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_exits_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "sweep.ini"
         cfg_path.write_text("[icp]\nalpha = 1.5\n")
@@ -173,6 +181,13 @@ class TestReport:
         assert main(["report", str(path)]) == 1
         assert "'confounders'" in capsys.readouterr().err
 
+    def test_unknown_value_names_the_line_and_column(self, tmp_path, capsys):
+        path = tmp_path / "records.csv"
+        path.write_text(sb.harness.CSV_HEADER + "\n0,iid,0,1,1,1.0,maybe,0.5\n")
+        assert main(["report", str(path)]) == 1
+        assert "line 2, column 'violated'" in capsys.readouterr().err
+        assert not (tmp_path / "table.txt").exists()
+
     def test_missing_csv(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "absent.csv")]) == 1
         assert "error:" in capsys.readouterr().err
@@ -188,6 +203,12 @@ class TestDemo:
         records = sb.read_records_csv(out / "records.csv")
         assert {r.method for r in records} == {"iid", "icp"}
         assert all(r.z == {1, 2} for r in records)
+
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "demo"
+        assert main(["demo", "--out", str(out), "--seed", "-1"]) == 1
+        assert "error: --seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestUsage:

@@ -1,11 +1,12 @@
 """Tests for the INI experiment-configuration round trip."""
 
+import dataclasses
+
 import pytest
 
 import scmbench as sb
-from scmbench.configfile import (ConfigError, DEFAULT_CONFIG, _fields_match,
-                                 config_to_ini, default_config, read_config,
-                                 write_default_config)
+from scmbench.configfile import (_SCHEMA, ConfigError, config_to_ini,
+                                 read_config, write_default_config)
 
 
 def write(tmp_path, text: str):
@@ -19,14 +20,28 @@ class TestDefaults:
         path = tmp_path / "scmbench.ini"
         write_default_config(path)
         cfg, seed_present = read_config(path)
-        assert cfg == default_config() == sb.ExperimentConfig()
+        assert cfg == sb.ExperimentConfig()
         assert seed_present
 
     def test_schema_matches_the_dataclasses(self):
-        assert _fields_match()
+        classes = {"experiment": sb.ExperimentConfig, "generation": sb.GenConfig,
+                   "train": sb.TrainConfig, "icp": sb.IcpConfig}
+        nested = {"gen", "train", "icp", "fixed_scm"}
+        for section, schema in _SCHEMA.items():
+            fields = {f.name for f in dataclasses.fields(classes[section])}
+            assert {name for name, _ in schema.values()} == fields - nested
 
-    def test_default_text_documents_the_seed_fallback(self):
-        assert "WORKBENCH_SEED" in DEFAULT_CONFIG
+    def test_default_text_documents_the_seed_fallback(self, tmp_path):
+        path = tmp_path / "scmbench.ini"
+        write_default_config(path)
+        text = path.read_text()
+        assert "WORKBENCH_SEED" in text
+        assert text.startswith("# scmbench experiment configuration\n")
+
+    def test_generation_seed_is_rejected(self, tmp_path):
+        path = write(tmp_path, "[generation]\nseed = 7\n")
+        with pytest.raises(ConfigError, match=r"unknown key 'seed' in \[generation\]"):
+            read_config(path)
 
 
 class TestRoundTrip:
@@ -34,7 +49,8 @@ class TestRoundTrip:
         cfg = sb.ExperimentConfig(
             num_dags=7, samples_per_env=321, confounder_levels=(2, 0),
             methods=("icp",), master_seed=99, include_observational=True,
-            gen=sb.GenConfig(nodes_min=4, nodes_max=6, edge_prob=0.7, seed=12),
+            gen=sb.GenConfig(nodes_min=4, nodes_max=6, edge_prob=0.7,
+                             min_parents=3),
             train=sb.TrainConfig(hidden_width=8, rounds=3, tau=0.5,
                                  tau_auto=False),
             icp=sb.IcpConfig(alpha=0.01, max_subset_size=2,
@@ -48,7 +64,6 @@ class TestRoundTrip:
         path = tmp_path / "scmbench.ini"
         write_default_config(path)
         cfg, _ = read_config(path)
-        assert cfg.gen.seed is None
         assert cfg.train.rounds is None
         assert cfg.icp.max_subset_size is None
 

@@ -1,5 +1,6 @@
 """Tests for the benchmark sweep harness and its metrics."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -183,6 +184,28 @@ class TestRunExperiment:
         assert report.errors == ()
         assert report.records[0].z == {1, 2}
 
+    def test_a_method_writing_into_a_batch_fails_only_its_own_cell(self, monkeypatch):
+        cfg = sb.ExperimentConfig(num_dags=1, samples_per_env=400,
+                                  confounder_levels=(0,), methods=("iid", "icp"),
+                                  master_seed=0, fixed_scm=sb.four_node_demo_scm())
+        clean = sb.run_experiment(cfg)
+        real = sb.harness.identify_parents
+
+        def mutating(batches, train_cfg, rng):
+            batches[0].data[0, 0] += 1.0
+            return real(batches, train_cfg, rng)
+
+        monkeypatch.setattr(sb.harness, "identify_parents", mutating)
+        report = sb.run_experiment(cfg)
+
+        def masked(records):
+            return [dataclasses.replace(r, wall_time=0.0) for r in records]
+
+        assert [(e["method"], e["confounders"]) for e in report.errors] == [("iid", 0)]
+        assert "read-only" in report.errors[0]["error"]
+        assert masked(report.records) == masked(
+            r for r in clean.records if r.method == "icp")
+
     def test_rejects_bad_thread_count(self):
         with pytest.raises(ValueError, match="threads"):
             sb.run_experiment(self.small_config(), threads=0)
@@ -241,6 +264,20 @@ class TestCsvRoundTrip:
         path = tmp_path / "bad.csv"
         path.write_text(sb.harness.CSV_HEADER + "\n0,iid,0\n")
         with pytest.raises(ValueError, match="malformed record"):
+            sb.read_records_csv(path)
+
+    @pytest.mark.parametrize("line, column", [
+        ("0,iid,0,1,1,1.0,yes,0.5", "violated"),
+        ("0,iid,0,1,1,1.0,True,0.5", "violated"),
+        ("0,gbm,0,1,1,1.0,false,0.5", "method"),
+        ("0,iid,one,1,1,1.0,false,0.5", "confounders"),
+        ("0,iid,0,1|x,1,1.0,false,0.5", "z"),
+    ])
+    def test_unknown_values_name_the_line_and_column(self, tmp_path, line, column):
+        path = tmp_path / "bad.csv"
+        path.write_text(sb.harness.CSV_HEADER + "\n0,icp,0,1,1,1.0,true,0.5\n"
+                        + line + "\n")
+        with pytest.raises(ValueError, match=f"line 3, column '{column}'"):
             sb.read_records_csv(path)
 
 
