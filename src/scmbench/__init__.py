@@ -7,7 +7,7 @@ from .harness import (ExperimentConfig, Report, RunRecord, aggregate_cells,
                       environments_for, fwer, jaccard, read_records_csv,
                       run_experiment, write_records_csv, write_report_json)
 from .icp import (EnumerationBudgetError, IcpConfig, IcpResult,
-                  icp_identify, invariance_pvalue, ols_fit)
+                  icp_identify, invariance_pvalue)
 from .identifier import (IdentificationResult, PenaltyWeights, Regressor,
                          TrainConfig, TrainingDivergedError, identify_parents,
                          penalty_step, residual_scores, train_regressor)
@@ -26,7 +26,7 @@ __all__ = [
     "environments_for", "fwer", "jaccard", "read_records_csv",
     "run_experiment", "write_records_csv", "write_report_json",
     "EnumerationBudgetError", "IcpConfig", "IcpResult", "icp_identify",
-    "invariance_pvalue", "ols_fit",
+    "invariance_pvalue",
     "IdentificationResult", "PenaltyWeights", "Regressor", "TrainConfig",
     "TrainingDivergedError", "identify_parents", "penalty_step",
     "residual_scores", "train_regressor",

@@ -3,7 +3,9 @@
 For every subset S of candidates, x_0 is regressed on S over the pooled rows
 (stabilized normal equations) and the residuals are tested for distributional
 invariance across environments. The estimate is the intersection of all
-accepted subsets, which is empty when nothing is accepted.
+accepted subsets, which is empty when nothing is accepted. Subsets do not
+depend on one another, so they are solved and tested in batches, one batch per
+subset size (see icp_identify).
 """
 
 from __future__ import annotations
@@ -54,34 +56,23 @@ class IcpResult:
     p_values: dict[frozenset[int], float]
 
 
-def ols_fit(features: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Least squares with intercept via (A^T A + 1e-10 I) beta = A^T y.
-
-    Returns the coefficient vector with the intercept last. Raises
-    numpy.linalg.LinAlgError when rank deficiency defeats the stabilizer.
-    """
-    if features.ndim != 2 or target.ndim != 1 or features.shape[0] != target.size:
-        raise ValueError("features must be (n, s) and target (n,)")
-    a = np.hstack([features, np.ones((features.shape[0], 1))])
-    gram = a.T @ a + _RIDGE * np.eye(a.shape[1])
-    beta = np.linalg.solve(gram, a.T @ target)
-    if not np.all(np.isfinite(beta)):
-        raise np.linalg.LinAlgError("rank deficiency beyond the stabilizer")
-    return beta
-
 def _mean_variance_pvalue(sizes: np.ndarray, means: np.ndarray,
-                          variances: np.ndarray) -> float:
+                          variances: np.ndarray) -> np.ndarray:
     """Bonferroni-combined Welch-t and variance-ratio tests, each environment
     against the pooled complement: per-env p = 2*min(p_mean, p_var), overall
-    p = k * min over environments, clipped to 1."""
+    p = k * min over environments, clipped to 1.
+
+    sizes has shape (k,); means and variances have shape (..., k), and the
+    result has the leading shape (...), one p-value per row.
+    """
     k = sizes.size
     n = sizes.astype(float)
     ss = variances * (n - 1.0)
     sums = means * n
     sumsq = ss + n * means ** 2
     comp_n = n.sum() - n
-    comp_mean = (sums.sum() - sums) / comp_n
-    comp_ss = (sumsq.sum() - sumsq) - comp_n * comp_mean ** 2
+    comp_mean = (sums.sum(axis=-1, keepdims=True) - sums) / comp_n
+    comp_ss = (sumsq.sum(axis=-1, keepdims=True) - sumsq) - comp_n * comp_mean ** 2
     comp_var = np.maximum(comp_ss, 0.0) / (comp_n - 1.0)
 
     # variances this small are treated as degenerate point masses
@@ -105,7 +96,7 @@ def _mean_variance_pvalue(sizes: np.ndarray, means: np.ndarray,
     p_var = np.where(zero_own ^ zero_comp, 0.0, p_var)
 
     per_env = 2.0 * np.minimum(p_mean, p_var)
-    return float(min(1.0, k * per_env.min()))
+    return np.minimum(1.0, k * per_env.min(axis=-1))
 
 
 def invariance_pvalue(residuals_by_env: list[EmpiricalSample], cfg: IcpConfig,
@@ -119,7 +110,7 @@ def invariance_pvalue(residuals_by_env: list[EmpiricalSample], cfg: IcpConfig,
         sizes = np.array([g.values.size for g in residuals_by_env])
         means = np.array([g.values.mean() for g in residuals_by_env])
         variances = np.array([g.values.var(ddof=1) for g in residuals_by_env])
-        return _mean_variance_pvalue(sizes, means, variances)
+        return float(_mean_variance_pvalue(sizes, means, variances))
     if rng is None:
         rng = np.random.default_rng(0)
     k = len(residuals_by_env)
@@ -146,11 +137,15 @@ def icp_identify(batches: list[SampleBatch], cfg: IcpConfig,
                  seed: int = 0) -> IcpResult:
     """Exhaustive subset search; see module docstring.
 
-    The mean-variance test is evaluated from per-environment sufficient
-    statistics (Gram matrices), which solves the same stabilized normal
-    equations as ols_fit for every subset. The energy-permutation variant
-    materializes residuals and derives one rng per subset from
-    SeedSequence([seed, subset_index]).
+    Each environment's rows [x_1.., 1, x_0] give one moment matrix. For each
+    subset size s, the pooled (s+1, s+1) Gram blocks of all subsets of that
+    size go to one stacked solve of the stabilized normal equations. Padded
+    with zeros to the full width, the coefficients give every environment's
+    residual sum and sum of squares for all subsets from one matrix product
+    and one einsum, and one mean-variance call tests them all. The
+    energy-permutation variant materializes each subset's residuals and tests
+    them with an rng from SeedSequence([seed, subset_index]). Subsets are
+    indexed and reported in _subsets order.
     """
     if len(batches) < 2:
         raise ValueError("need at least two environments")
@@ -169,49 +164,49 @@ def icp_identify(batches: list[SampleBatch], cfg: IcpConfig,
             f"{total} subsets exceed the budget of {cfg.enumeration_budget}")
     subsets = _subsets(n_cand, cap)
 
-    k = len(batches)
-    width = n_cand + 1  # candidate columns plus intercept
-    gram_env = np.empty((k, width, width))
-    xty_env = np.empty((k, width))
-    yty_env = np.empty(k)
-    sizes = np.array([b.n for b in batches], dtype=np.int64)
+    width = n_cand + 1  # candidate columns plus intercept; x_0 sits at index width
+    moments = np.empty((len(batches), width + 1, width + 1))
     for e, b in enumerate(batches):
-        a = np.hstack([b.data[:, 1:], np.ones((b.n, 1))])
-        y = b.data[:, 0]
-        gram_env[e] = a.T @ a
-        xty_env[e] = a.T @ y
-        yty_env[e] = y @ y
-    gram_all = gram_env.sum(axis=0)
-    xty_all = xty_env.sum(axis=0)
+        a = np.hstack([b.data[:, 1:], np.ones((b.n, 1)), b.data[:, :1]])
+        moments[e] = a.T @ a
+    pooled = moments.sum(axis=0)
 
-    accepted: list[frozenset[int]] = []
-    p_values: dict[frozenset[int], float] = {}
-    for index, subset in enumerate(subsets):
-        rows = [j - 1 for j in subset] + [n_cand]
-        gram = gram_all[np.ix_(rows, rows)] + _RIDGE * np.eye(len(rows))
-        beta = np.linalg.solve(gram, xty_all[rows])
-        if cfg.test == "mean-variance":
-            col_sums = gram_env[:, rows, n_cand]
-            resid_sum = xty_env[:, n_cand] - col_sums @ beta
-            gram_sub = gram_env[:, rows][:, :, rows]
-            resid_sumsq = (yty_env - 2.0 * xty_env[:, rows] @ beta
-                           + np.einsum("kij,i,j->k", gram_sub, beta, beta))
-            means = resid_sum / sizes
-            ss = np.maximum(resid_sumsq - sizes * means ** 2, 0.0)
-            variances = ss / (sizes - 1.0)
-            p = _mean_variance_pvalue(sizes, means, variances)
-        else:
-            groups = []
-            for b in batches:
-                resid = b.data[:, 0] - b.data[:, 1:][:, [j - 1 for j in subset]] @ beta[:-1] - beta[-1]
-                groups.append(EmpiricalSample(resid, label=b.env))
+    # coef row i holds subset i's coefficients, zero off the subset, and -1 at
+    # x_0, so [x_1.., 1, x_0] @ coef[i] is minus subset i's residual
+    coef = np.zeros((total, width + 1))
+    coef[:, width] = -1.0
+    start = 0
+    for size in range(cap + 1):
+        stop = start + math.comb(n_cand, size)
+        cols = np.array(subsets[start:stop], dtype=np.intp).reshape(stop - start, size) - 1
+        cols = np.hstack([cols, np.full((stop - start, 1), n_cand)])
+        gram = pooled[cols[:, :, None], cols[:, None, :]] + _RIDGE * np.eye(size + 1)
+        beta = np.linalg.solve(gram, pooled[cols, width][:, :, None])[:, :, 0]
+        coef[np.arange(start, stop)[:, None], cols] = beta
+        start = stop
+
+    if cfg.test == "mean-variance":
+        sizes = np.array([b.n for b in batches], dtype=np.int64)
+        moment_coef = moments @ coef.T  # (k, width + 1, subsets)
+        resid_sum = -moment_coef[:, n_cand, :].T  # the intercept row holds column sums
+        resid_sumsq = np.einsum("kin,ni->nk", moment_coef, coef)
+        means = resid_sum / sizes
+        ss = np.maximum(resid_sumsq - sizes * means ** 2, 0.0)
+        variances = ss / (sizes - 1.0)
+        p_all = _mean_variance_pvalue(sizes, means, variances).tolist()
+    else:
+        p_all = []
+        for index, subset in enumerate(subsets):
+            cols = [j - 1 for j in subset]
+            beta, intercept = coef[index, cols], coef[index, n_cand]
+            groups = [EmpiricalSample(b.data[:, 0] - b.data[:, 1:][:, cols] @ beta - intercept,
+                                      label=b.env)
+                      for b in batches]
             rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-            p = invariance_pvalue(groups, cfg, rng)
-        key = frozenset(subset)
-        p_values[key] = p
-        if p > cfg.alpha:
-            accepted.append(key)
+            p_all.append(invariance_pvalue(groups, cfg, rng))
 
+    p_values = {frozenset(subset): p for subset, p in zip(subsets, p_all)}
+    accepted = [key for key, p in p_values.items() if p > cfg.alpha]
     if accepted:
         estimate = frozenset.intersection(*accepted)
     else:

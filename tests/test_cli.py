@@ -1,12 +1,18 @@
 """Tests for the command line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import scmbench as sb
 from scmbench.cli import SEED_ENV_VAR, main, render_table
 from scmbench.configfile import config_to_ini, read_config
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def small_config(tmp_path, **overrides):
@@ -154,6 +160,23 @@ class TestRun:
         assert masked_csv(out_a) == masked_csv(out_b)
         assert masked_json(out_a) == masked_json(out_b)
         assert (out_a / "table.txt").read_text() == (out_b / "table.txt").read_text()
+
+    def test_records_do_not_depend_on_blas_threads(self, tmp_path):
+        cfg_path = small_config(tmp_path, methods=("iid", "icp"), confounder_levels=(0, 1),
+                                samples_per_env=400, gen=sb.GenConfig(nodes_min=8, nodes_max=9))
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        bodies = {}
+        for blas_threads in ("1", "2"):
+            out = tmp_path / f"blas-{blas_threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, PYTHONPATH=path)
+            proc = subprocess.run(
+                [sys.executable, "-m", "scmbench.cli", "run", "--config", str(cfg_path),
+                 "--out", str(out)], env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            bodies[blas_threads] = [line.rsplit(",", 1)[0]  # wall_time is measured
+                                    for line in (out / "records.csv").read_text().splitlines()]
+        assert len(bodies["1"]) == 1 + 2 * 2 * 2  # header, dags x levels x methods
+        assert bodies["1"] == bodies["2"]
 
 
 class TestReport:

@@ -4,7 +4,40 @@ import numpy as np
 import pytest
 
 import scmbench as sb
-from scmbench.icp import invariance_pvalue
+from scmbench.icp import _mean_variance_pvalue, _subsets, invariance_pvalue
+
+
+def ols_fit(features: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Least-squares oracle: (A^T A + 1e-10 I) beta = A^T y with A = [X, 1].
+
+    Returns the coefficient vector with the intercept last; icp_identify's
+    batched Gram route must agree with it subset by subset.
+    """
+    if features.ndim != 2 or target.ndim != 1 or features.shape[0] != target.size:
+        raise ValueError("features must be (n, s) and target (n,)")
+    a = np.hstack([features, np.ones((features.shape[0], 1))])
+    gram = a.T @ a + 1e-10 * np.eye(a.shape[1])
+    return np.linalg.solve(gram, a.T @ target)
+
+
+def explicit_residuals(batches, subset):
+    """Per-environment residuals of x0 on ``subset`` under the pooled fit."""
+    pooled = np.vstack([b.data for b in batches])
+    cols = sorted(subset)
+    beta = ols_fit(pooled[:, cols], pooled[:, 0])
+    return [sb.EmpiricalSample(b.data[:, 0] - b.data[:, cols] @ beta[:-1] - beta[-1],
+                               label=b.env)
+            for b in batches]
+
+
+def wide_batches(seed: int = 11, n: int = 400):
+    """One clamp environment per candidate of a random 9-node model with one
+    confounder: 8 candidates, so 256 subsets."""
+    gen = sb.GenConfig(nodes_min=9, nodes_max=9)
+    rng = np.random.default_rng(seed)
+    scm = sb.add_confounders(sb.random_scm(gen, rng), 1, rng, gen)
+    envs = sb.environments_for(scm, gen, rng)
+    return [sb.sample(scm, env, n, rng) for env in envs]
 
 
 def two_mechanism_batches(n: int = 800):
@@ -29,20 +62,20 @@ class TestOlsFit:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(200, 1))
         y = 3.0 * x[:, 0] + 2.0
-        beta = sb.ols_fit(x, y)
+        beta = ols_fit(x, y)
         assert beta == pytest.approx([3.0, 2.0], abs=1e-6)
 
     def test_empty_subset_fits_the_mean(self):
         y = np.array([1.0, 2.0, 3.0, 6.0])
-        beta = sb.ols_fit(np.empty((4, 0)), y)
+        beta = ols_fit(np.empty((4, 0)), y)
         assert beta.shape == (1,)
         assert beta[0] == pytest.approx(3.0, abs=1e-9)
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match=r"\(n, s\)"):
-            sb.ols_fit(np.zeros(4), np.zeros(4))
+            ols_fit(np.zeros(4), np.zeros(4))
         with pytest.raises(ValueError, match=r"\(n, s\)"):
-            sb.ols_fit(np.zeros((4, 2)), np.zeros(5))
+            ols_fit(np.zeros((4, 2)), np.zeros(5))
 
 
 class TestInvariancePvalue:
@@ -99,6 +132,32 @@ class TestInvariancePvalue:
             invariance_pvalue(short, sb.IcpConfig())
 
 
+class TestMeanVariancePvalue:
+    def test_batched_call_equals_row_by_row_calls(self):
+        rng = np.random.default_rng(6)
+        sizes = np.array([40, 55, 70, 40, 90, 60, 45, 80, 50])
+        k = sizes.size
+        means = rng.normal(scale=0.3, size=(12, k))
+        variances = rng.uniform(0.5, 2.0, size=(12, k))
+        means[1], variances[1] = 2.5, 0.0          # all constant, equal means
+        means[2], variances[2] = np.arange(k), 0.0  # all constant, unequal means
+        variances[3, 4] = 0.0                      # one side constant
+        variances[4, :] = 0.0                      # all constant but one
+        variances[4, 7] = 1.0
+        means[5] *= 20.0                           # strong mean shift
+        variances[6, 2] = 9.0                      # variance shift
+        batched = _mean_variance_pvalue(sizes, means, variances)
+        assert batched.shape == (12,)
+        rows = [_mean_variance_pvalue(sizes, means[i], variances[i]) for i in range(12)]
+        assert batched.tolist() == [float(r) for r in rows]
+        assert batched[1] == 1.0 and batched[2] == 0.0
+        assert batched[3] == 0.0 and batched[4] == 0.0
+
+    def test_invariance_pvalue_returns_a_python_float(self):
+        groups = [sb.EmpiricalSample(np.arange(10.0) * (i + 1), label=i) for i in range(3)]
+        assert type(invariance_pvalue(groups, sb.IcpConfig())) is float
+
+
 class TestIcpIdentify:
     def test_recovers_demo_parents(self, demo_batches):
         result = sb.icp_identify(demo_batches(0, n=5000), sb.IcpConfig(), seed=0)
@@ -119,19 +178,37 @@ class TestIcpIdentify:
         assert result.estimated_set == frozenset()
 
     def test_sufficient_statistics_match_explicit_residuals(self, demo_batches):
-        batches = demo_batches(2, n=800)
         cfg = sb.IcpConfig()
-        result = sb.icp_identify(batches, cfg, seed=0)
-        pooled = np.vstack([b.data for b in batches])
-        for subset, p_fast in result.p_values.items():
-            cols = sorted(subset)
-            beta = sb.ols_fit(pooled[:, cols], pooled[:, 0])
-            groups = []
-            for b in batches:
-                resid = b.data[:, 0] - b.data[:, cols] @ beta[:-1] - beta[-1]
-                groups.append(sb.EmpiricalSample(resid, label=b.env))
-            p_explicit = invariance_pvalue(groups, cfg)
-            assert p_fast == pytest.approx(p_explicit, abs=1e-8)
+        for batches, count in ((demo_batches(2, n=800), 8), (wide_batches(), 256)):
+            result = sb.icp_identify(batches, cfg, seed=0)
+            assert len(result.p_values) == count
+            for subset, p_fast in result.p_values.items():
+                p_explicit = invariance_pvalue(explicit_residuals(batches, subset), cfg)
+                assert p_fast == pytest.approx(p_explicit, abs=1e-8)
+
+    def test_capped_subsets_follow_the_enumeration_order(self):
+        batches = wide_batches()
+        full = sb.icp_identify(batches, sb.IcpConfig(), seed=0)
+        assert list(full.p_values) == [frozenset(s) for s in _subsets(8, 8)]
+        for cap, count in ((0, 1), (3, 93)):
+            capped = sb.icp_identify(batches, sb.IcpConfig(max_subset_size=cap), seed=0)
+            keys = [frozenset(s) for s in _subsets(8, cap)]
+            assert len(keys) == count
+            assert list(capped.p_values) == keys
+            for key in keys:
+                assert capped.p_values[key] == pytest.approx(full.p_values[key], abs=1e-12)
+
+    def test_energy_permutation_matches_per_subset_oracle(self, demo_batches):
+        cfg = sb.IcpConfig(test="energy-permutation", num_permutations=99)
+        batches = demo_batches(8, n=120)
+        seed = 3
+        result = sb.icp_identify(batches, cfg, seed=seed)
+        oracle = {}
+        for index, subset in enumerate(_subsets(3, 3)):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
+            oracle[frozenset(subset)] = invariance_pvalue(
+                explicit_residuals(batches, subset), cfg, rng)
+        assert list(result.p_values.items()) == list(oracle.items())
 
     def test_determinism(self, demo_batches):
         batches = demo_batches(3, n=1000)
