@@ -1,8 +1,7 @@
 """scmbench: linear-SCM simulation and parent-identification benchmark."""
 
-from .distmetrics import (EmpiricalSample, Gaussian1D, energy_distance,
-                          fit_gaussian, frechet_gaussian1d,
-                          ksample_equality_test)
+from .distmetrics import (EmpiricalSample, Gaussian1D, fit_gaussian,
+                          frechet_gaussian1d, ksample_equality_test)
 from .harness import (ExperimentConfig, Report, RunRecord, aggregate_cells,
                       environments_for, fwer, jaccard, read_records_csv,
                       run_experiment, write_records_csv, write_report_json)
@@ -20,8 +19,8 @@ from .transport import transport_adjust
 __version__ = "0.1.0"
 
 __all__ = [
-    "EmpiricalSample", "Gaussian1D", "energy_distance", "fit_gaussian",
-    "frechet_gaussian1d", "ksample_equality_test",
+    "EmpiricalSample", "Gaussian1D", "fit_gaussian", "frechet_gaussian1d",
+    "ksample_equality_test",
     "ExperimentConfig", "Report", "RunRecord", "aggregate_cells",
     "environments_for", "fwer", "jaccard", "read_records_csv",
     "run_experiment", "write_records_csv", "write_report_json",

@@ -47,18 +47,6 @@ def frechet_gaussian1d(a: Gaussian1D, b: Gaussian1D) -> float:
     return (a.mean - b.mean) ** 2 + (a.std - b.std) ** 2
 
 
-def energy_distance(a: EmpiricalSample, b: EmpiricalSample) -> float:
-    """2 E|A - B| - E|A - A'| - E|B - B'| with every expectation taken over
-    all ordered pairs (within-terms include the zero diagonal), so identical
-    samples give exactly 0."""
-    x = a.values
-    y = b.values
-    cross = np.abs(x[:, None] - y[None, :]).mean()
-    within_a = np.abs(x[:, None] - x[None, :]).mean()
-    within_b = np.abs(y[:, None] - y[None, :]).mean()
-    return float(2.0 * cross - within_a - within_b)
-
-
 def _pairsum_within(sorted_v: np.ndarray) -> float:
     # sum_{i<j} (v_j - v_i) for ascending v
     n = sorted_v.size

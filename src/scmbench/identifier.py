@@ -48,8 +48,9 @@ class TrainConfig:
     calibration_permutations: int = 64
 
     def __post_init__(self) -> None:
-        if self.hidden_width < 1 or self.epochs_per_round < 1 or self.batch_size < 1:
-            raise ValueError("hidden_width, epochs_per_round, batch_size must be >= 1")
+        for name in ("hidden_width", "epochs_per_round", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.rounds is not None and self.rounds < 1:
@@ -129,6 +130,12 @@ class Regressor:
         return x @ self.ws + np.tanh(x @ self.w1 + self.b1) @ self.w2 + self.b2
 
 
+def _param_views(buf: np.ndarray, l: int, h: int) -> tuple[np.ndarray, ...]:
+    """w1 (l, h), b1 (h,), w2 (h,), b2 () and ws (l,) as views into ``buf``."""
+    w1, b1, w2, b2, ws = np.split(buf, np.cumsum([l * h, h, h, 1]))
+    return w1.reshape(l, h), b1, w2, b2.reshape(()), ws
+
+
 def train_regressor(batches: list[SampleBatch], weights: PenaltyWeights,
                     cfg: TrainConfig, rng: np.random.Generator) -> Regressor:
     """Fit the masked regressor to pooled rows by mini-batch gradient descent.
@@ -140,8 +147,10 @@ def train_regressor(batches: list[SampleBatch], weights: PenaltyWeights,
     updates and then decays linearly to 2 percent so the parameters settle at
     the optimum instead of hovering around it (leftover hover noise on a
     coefficient shows up as a spurious residual shift in whichever environment
-    clamps that input far from its pooled mean). Raises TrainingDivergedError
-    on non-finite loss.
+    clamps that input far from its pooled mean). The five parameters, their
+    gradients and the Adam moments are views into one flat buffer each, and
+    every step's mini-batch rows are drawn at once after the weight init.
+    Raises TrainingDivergedError on non-finite loss.
     """
     if not batches:
         raise ValueError("need at least one batch")
@@ -164,65 +173,66 @@ def train_regressor(batches: list[SampleBatch], weights: PenaltyWeights,
     x = (x_raw - x_mu) / x_sd
     y = (y_raw - y_mu) / y_sd
 
-    w1 = rng.normal(0.0, 1.0 / np.sqrt(max(l, 1)), size=(l, h))
-    b1 = np.zeros(h)
-    w2 = rng.normal(0.0, 0.1 / np.sqrt(h), size=h)
-    b2 = 0.0
+    theta = np.zeros(l * h + 2 * h + 1 + l)
+    grad = np.zeros_like(theta)
+    w1, b1, w2, b2, ws = _param_views(theta, l, h)
+    g_w1, g_b1, g_w2, g_b2, g_ws = _param_views(grad, l, h)
+    w1[...] = rng.normal(0.0, 1.0 / np.sqrt(max(l, 1)), size=(l, h))
+    w2[...] = rng.normal(0.0, 0.1 / np.sqrt(h), size=h)
     # start the linear path at the pooled least-squares solution over active
     # columns; gradient descent then fine-tunes instead of dragging the
     # coefficients from zero, which would leave a transient deficit that
     # masquerades as a residual shift in the strongly clamped environments
-    ws = np.zeros(l)
     act = np.nonzero(mask)[0]
     if act.size:
         xa = x[:, act]
         gram = xa.T @ xa + 1e-8 * n * np.eye(act.size)
         ws[act] = np.linalg.solve(gram, xa.T @ y)
-    params = [w1, b1, w2, np.array(b2), ws]
-    m_state = [np.zeros_like(p) for p in params]
-    v_state = [np.zeros_like(p) for p in params]
+    m_state = np.zeros_like(theta)
+    v_state = np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     total = cfg.epochs_per_round
     flat = int(0.7 * total)
+    # one draw of shape (steps, batch) gives the same stream as a draw per step
+    batch_idx = rng.integers(0, n, size=(total, cfg.batch_size))
     for step in range(1, total + 1):
-        if step <= flat or total == flat:
+        if step <= flat:
             lr = cfg.learning_rate
         else:
             frac = (step - flat) / (total - flat)
             lr = cfg.learning_rate * (1.0 - 0.98 * frac)
-        idx = rng.integers(0, n, size=cfg.batch_size)
-        xb = x[idx]
-        yb = y[idx]
-        hidden = np.tanh(xb @ params[0] + params[1])
-        pred = xb @ params[4] + hidden @ params[2] + params[3]
+        idx = batch_idx[step - 1]
+        xb = np.take(x, idx, axis=0)
+        yb = np.take(y, idx)
+        hidden = np.tanh(xb @ w1 + b1)
+        pred = xb @ ws + hidden @ w2 + b2
         err = pred - yb
-        loss = float(np.mean(err ** 2))
-        if not np.isfinite(loss):
+        # the mean squared error is finite exactly when the sum of squares is
+        if not np.isfinite(np.add.reduce(err * err)):
             raise TrainingDivergedError(f"non-finite loss at step {step}")
         d_pred = 2.0 * err / err.size
-        g_ws = xb.T @ d_pred
-        g_w2 = hidden.T @ d_pred
-        g_b2 = np.array(d_pred.sum())
-        d_hidden = np.outer(d_pred, params[2]) * (1.0 - hidden ** 2)
-        g_w1 = xb.T @ d_hidden
-        g_b1 = d_hidden.sum(axis=0)
-        grads = (g_w1, g_b1, g_w2, g_b2, g_ws)
-        for p, m, v, g in zip(params, m_state, v_state, grads):
-            m *= beta1
-            m += (1 - beta1) * g
-            v *= beta2
-            v += (1 - beta2) * g ** 2
-            m_hat = m / (1 - beta1 ** step)
-            v_hat = v / (1 - beta2 ** step)
-            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        np.matmul(xb.T, d_pred, out=g_ws)
+        np.matmul(hidden.T, d_pred, out=g_w2)
+        d_pred.sum(out=g_b2)
+        d_hidden = d_pred[:, None] * w2
+        d_hidden *= 1.0 - hidden ** 2
+        np.matmul(xb.T, d_hidden, out=g_w1)
+        d_hidden.sum(axis=0, out=g_b1)
+        m_state *= beta1
+        m_state += (1 - beta1) * grad
+        v_state *= beta2
+        v_state += (1 - beta2) * grad ** 2
+        m_hat = m_state / (1 - beta1 ** step)
+        v_hat = v_state / (1 - beta2 ** step)
+        theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
     # fold standardization into the parameters: raw units in, raw units out
-    w1_fold = params[0] / x_sd[:, None]
-    b1_fold = params[1] - (x_mu / x_sd) @ params[0]
-    w2_fold = params[2] * y_sd
-    ws_fold = params[4] / x_sd * y_sd
-    b2_fold = (float(params[3]) - (x_mu / x_sd) @ params[4]) * y_sd + y_mu
+    w1_fold = w1 / x_sd[:, None]
+    b1_fold = b1 - (x_mu / x_sd) @ w1
+    w2_fold = w2 * y_sd
+    ws_fold = ws / x_sd * y_sd
+    b2_fold = (float(b2) - (x_mu / x_sd) @ ws) * y_sd + y_mu
     return Regressor(w1=w1_fold, b1=b1_fold, w2=w2_fold, b2=b2_fold, ws=ws_fold)
 
 

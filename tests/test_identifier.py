@@ -31,6 +31,97 @@ def all_parents_scm():
         topo_order=(1, 2, 3, 4, 5, 0))
 
 
+def _reference_train_regressor(batches, weights, cfg, rng):
+    """Per-parameter trainer oracle: one array and one Adam update per
+    parameter and one index draw per step. train_regressor must return the
+    same bits and leave rng in the same state."""
+    if not batches:
+        raise ValueError("need at least one batch")
+    data = np.vstack([b.data for b in batches])
+    if data.shape[1] != len(weights) + 1:
+        raise ValueError("batch width does not match the number of candidates")
+    mask = weights.as_vector()
+    x_raw = data[:, 1:] * mask
+    y_raw = data[:, 0]
+    n, l = x_raw.shape
+    h = cfg.hidden_width
+
+    x_mu = x_raw.mean(axis=0)
+    x_sd = x_raw.std(axis=0)
+    x_sd[x_sd < 1e-12] = 1.0
+    y_mu = float(y_raw.mean())
+    y_sd = float(y_raw.std())
+    if y_sd < 1e-12:
+        y_sd = 1.0
+    x = (x_raw - x_mu) / x_sd
+    y = (y_raw - y_mu) / y_sd
+
+    w1 = rng.normal(0.0, 1.0 / np.sqrt(max(l, 1)), size=(l, h))
+    b1 = np.zeros(h)
+    w2 = rng.normal(0.0, 0.1 / np.sqrt(h), size=h)
+    b2 = 0.0
+    ws = np.zeros(l)
+    act = np.nonzero(mask)[0]
+    if act.size:
+        xa = x[:, act]
+        gram = xa.T @ xa + 1e-8 * n * np.eye(act.size)
+        ws[act] = np.linalg.solve(gram, xa.T @ y)
+    params = [w1, b1, w2, np.array(b2), ws]
+    m_state = [np.zeros_like(p) for p in params]
+    v_state = [np.zeros_like(p) for p in params]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    total = cfg.epochs_per_round
+    flat = int(0.7 * total)
+    for step in range(1, total + 1):
+        if step <= flat or total == flat:
+            lr = cfg.learning_rate
+        else:
+            frac = (step - flat) / (total - flat)
+            lr = cfg.learning_rate * (1.0 - 0.98 * frac)
+        idx = rng.integers(0, n, size=cfg.batch_size)
+        xb = x[idx]
+        yb = y[idx]
+        hidden = np.tanh(xb @ params[0] + params[1])
+        pred = xb @ params[4] + hidden @ params[2] + params[3]
+        err = pred - yb
+        loss = float(np.mean(err ** 2))
+        if not np.isfinite(loss):
+            raise sb.TrainingDivergedError(f"non-finite loss at step {step}")
+        d_pred = 2.0 * err / err.size
+        g_ws = xb.T @ d_pred
+        g_w2 = hidden.T @ d_pred
+        g_b2 = np.array(d_pred.sum())
+        d_hidden = np.outer(d_pred, params[2]) * (1.0 - hidden ** 2)
+        g_w1 = xb.T @ d_hidden
+        g_b1 = d_hidden.sum(axis=0)
+        grads = (g_w1, g_b1, g_w2, g_b2, g_ws)
+        for p, m, v, g in zip(params, m_state, v_state, grads):
+            m *= beta1
+            m += (1 - beta1) * g
+            v *= beta2
+            v += (1 - beta2) * g ** 2
+            m_hat = m / (1 - beta1 ** step)
+            v_hat = v / (1 - beta2 ** step)
+            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+    w1_fold = params[0] / x_sd[:, None]
+    b1_fold = params[1] - (x_mu / x_sd) @ params[0]
+    w2_fold = params[2] * y_sd
+    ws_fold = params[4] / x_sd * y_sd
+    b2_fold = (float(params[3]) - (x_mu / x_sd) @ params[4]) * y_sd + y_mu
+    return sb.Regressor(w1=w1_fold, b1=b1_fold, w2=w2_fold, b2=b2_fold,
+                        ws=ws_fold)
+
+
+def five_candidate_batches(seed: int, n: int):
+    """One clamp batch per candidate of all_parents_scm, n rows each."""
+    scm = all_parents_scm()
+    rng = np.random.default_rng(seed)
+    envs = sb.environments_for(scm, sb.GenConfig(), rng)
+    return [sb.sample(scm, env, n, rng) for env in envs]
+
+
 class TestPenaltyWeights:
     def test_lifecycle(self):
         w = sb.PenaltyWeights.all_active(3)
@@ -121,9 +212,38 @@ class TestTrainRegressor:
     def test_divergence_is_reported(self):
         train, _ = chain_batches(seed=5, n_train=500, n_eval=10)
         cfg = sb.TrainConfig(learning_rate=1e200, epochs_per_round=5)
-        with np.errstate(over="ignore"), pytest.raises(sb.TrainingDivergedError):
-            sb.train_regressor([train], sb.PenaltyWeights.all_active(1), cfg,
-                               np.random.default_rng(0))
+        w = sb.PenaltyWeights.all_active(1)
+        with np.errstate(over="ignore"):
+            with pytest.raises(sb.TrainingDivergedError) as expected:
+                _reference_train_regressor([train], w, cfg,
+                                           np.random.default_rng(0))
+            with pytest.raises(sb.TrainingDivergedError) as got:
+                sb.train_regressor([train], w, cfg, np.random.default_rng(0))
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith("non-finite loss at step ")
+
+    @pytest.mark.parametrize("masked, overrides, n", [
+        pytest.param((), {}, 700, id="all-active"),
+        pytest.param((2, 4), {}, 700, id="some-masked"),
+        pytest.param((1, 2, 3, 4, 5), {}, 700, id="all-masked"),
+        pytest.param((3,), dict(hidden_width=1), 700, id="hidden-width-1"),
+        pytest.param((), dict(epochs_per_round=1), 700, id="one-step"),
+        pytest.param((5,), dict(batch_size=256, epochs_per_round=40), 9,
+                     id="batch-larger-than-rows"),
+    ])
+    def test_matches_the_per_parameter_oracle(self, masked, overrides, n):
+        batches = five_candidate_batches(seed=11, n=n)
+        w = sb.PenaltyWeights.all_active(5)
+        for j in masked:
+            w.deactivate(j)
+        cfg = sb.TrainConfig(**overrides)
+        rng_ref = np.random.default_rng(12)
+        rng_new = np.random.default_rng(12)
+        ref = _reference_train_regressor(batches, w, cfg, rng_ref)
+        got = sb.train_regressor(batches, w, cfg, rng_new)
+        for field in ("w1", "b1", "w2", "b2", "ws"):
+            assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
     def test_rejects_mismatched_width(self):
         train, _ = chain_batches(seed=6, n_train=100, n_eval=10)
@@ -266,5 +386,6 @@ class TestTrainConfigValidation:
         dict(calibration_permutations=0),
     ])
     def test_rejects_bad_values(self, overrides):
-        with pytest.raises(ValueError):
+        (field,) = overrides
+        with pytest.raises(ValueError, match=f"^{field} must"):
             sb.TrainConfig(**overrides)
