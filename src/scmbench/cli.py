@@ -54,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_demo = sub.add_parser("demo", help="run both methods once on the fixed 4-node model")
     p_demo.add_argument("--out", default="scmbench-demo", help="output directory")
     p_demo.add_argument("--seed", type=int, default=None, help="master seed override")
-    p_demo.add_argument("--threads", type=_positive_int, default=1)
     p_demo.add_argument("--force", action="store_true", help="overwrite existing outputs")
     return parser
 
@@ -83,8 +82,8 @@ def render_table(cells: dict, methods: list[str], levels: list[int]) -> str:
     """Fixed-width table of 'mean_js (fwer)' cells, one column per level in
     the given order."""
 
-    def fmt(stats: dict | None) -> str:
-        if not stats or stats["n"] == 0:
+    def fmt(stats: dict) -> str:
+        if stats["n"] == 0:
             return "-"
         return f"{stats['mean_js']:.3f} ({stats['fwer']:.2f})"
 
@@ -92,7 +91,7 @@ def render_table(cells: dict, methods: list[str], levels: list[int]) -> str:
         return f"{level} confounder" + ("" if level == 1 else "s")
 
     header = ["method"] + [label(lvl) for lvl in levels]
-    rows = [[m] + [fmt(cells.get(m, {}).get(lvl)) for lvl in levels] for m in methods]
+    rows = [[m] + [fmt(cells[m][lvl]) for lvl in levels] for m in methods]
     widths = [max(len(line[i]) for line in [header] + rows) for i in range(len(header))]
     out = ["  ".join(cell.ljust(w) for cell, w in zip(header, widths)).rstrip()]
     for row in rows:
@@ -176,7 +175,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         fixed_scm=four_node_demo_scm(),
     )
     files = _prepare_outputs(Path(args.out), args.force)
-    report = run_experiment(cfg, threads=args.threads)
+    report = run_experiment(cfg)
     table = _emit(report, files)
 
     def show(nodes: frozenset[int]) -> str:
@@ -209,10 +208,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "report":
             return _cmd_report(args)
         return _cmd_demo(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

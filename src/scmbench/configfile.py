@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import configparser
+import dataclasses
 from typing import Any, Callable
 
-from .harness import ExperimentConfig
-from .icp import IcpConfig
-from .identifier import TrainConfig
-from .scm import GenConfig
+from .harness import CONFIG_SECTIONS, ExperimentConfig
 
 
 class ConfigError(ValueError):
@@ -43,49 +41,48 @@ def _optional(parser: Callable[[str], Any]) -> Callable[[str], Any]:
     return parse
 
 
-# section -> key -> (dataclass field, parser)
-_SCHEMA: dict[str, dict[str, tuple[str, Callable[[str], Any]]]] = {
-    "experiment": {
-        "num_dags": ("num_dags", int),
-        "samples_per_env": ("samples_per_env", int),
-        "confounder_levels": ("confounder_levels", _parse_int_list),
-        "methods": ("methods", _parse_str_list),
-        "master_seed": ("master_seed", int),
-        "include_observational": ("include_observational", _parse_bool),
-    },
-    "generation": {
-        "nodes_min": ("nodes_min", int),
-        "nodes_max": ("nodes_max", int),
-        "edge_prob": ("edge_prob", float),
-        "weight_min": ("weight_min", float),
-        "weight_max": ("weight_max", float),
-        "sign_flip_prob": ("sign_flip_prob", float),
-        "noise_std_min": ("noise_std_min", float),
-        "noise_std_max": ("noise_std_max", float),
-        "intervention_value_min": ("intervention_value_min", float),
-        "intervention_value_max": ("intervention_value_max", float),
-        "min_parents": ("min_parents", int),
-    },
-    "train": {
-        "hidden_width": ("hidden_width", int),
-        "lr": ("learning_rate", float),
-        "epochs_per_round": ("epochs_per_round", int),
-        "batch_size": ("batch_size", int),
-        "rounds": ("rounds", _optional(int)),
-        "holdout_fraction": ("holdout_fraction", float),
-        "tau": ("tau", float),
-        "tau_auto": ("tau_auto", _parse_bool),
-        "tau_multiplier": ("tau_multiplier", float),
-        "calibration_permutations": ("calibration_permutations", int),
-    },
-    "icp": {
-        "alpha": ("alpha", float),
-        "max_subset_size": ("max_subset_size", _optional(int)),
-        "test": ("test", str.strip),
-        "num_permutations": ("num_permutations", int),
-        "enumeration_budget": ("enumeration_budget", int),
-    },
+# field annotation (a string: the config modules postpone them) -> parser
+_PARSERS: dict[str, Callable[[str], Any]] = {
+    "int": int,
+    "float": float,
+    "str": str.strip,
+    "bool": _parse_bool,
+    "int | None": _optional(int),
+    "float | None": _optional(float),
+    "tuple[int, ...]": _parse_int_list,
+    "tuple[str, ...]": _parse_str_list,
 }
+# field -> INI key, where the two differ
+_KEYS = {"learning_rate": "lr"}
+# ExperimentConfig fields that are not [experiment] keys: the nested sections,
+# and the fixed model, which only code can set
+_NOT_KEYS = {"fixed_scm", *filter(None, CONFIG_SECTIONS.values())}
+
+
+def _section_schema(cls: type) -> dict[str, tuple[str, Callable[[str], Any]]]:
+    """INI key -> (field, parser) for the settable fields of ``cls``."""
+    schema = {}
+    for f in dataclasses.fields(cls):
+        if f.name in _NOT_KEYS:
+            continue
+        parse = _PARSERS.get(f.type)
+        if parse is None:
+            raise TypeError(f"config field {cls.__name__}.{f.name}: no INI "
+                            f"parser for the annotation {f.type!r}")
+        schema[_KEYS.get(f.name, f.name)] = (f.name, parse)
+    return schema
+
+
+def _sections(cfg: ExperimentConfig) -> dict[str, Any]:
+    """INI section -> the config object that holds its values."""
+    return {section: cfg if attr is None else getattr(cfg, attr)
+            for section, attr in CONFIG_SECTIONS.items()}
+
+
+_CLASSES = {section: type(obj)
+            for section, obj in _sections(ExperimentConfig()).items()}
+# section -> key -> (dataclass field, parser)
+_SCHEMA = {section: _section_schema(cls) for section, cls in _CLASSES.items()}
 
 # comment lines written above a key; the dataclasses hold every default
 _HEADER = "# scmbench experiment configuration"
@@ -94,6 +91,8 @@ _COMMENTS = {
     ("experiment", "master_seed"):
         "omit master_seed to fall back to the WORKBENCH_SEED environment variable",
     ("train", "rounds"): "blank means one round per candidate",
+    ("train", "tau"):
+        "blank means recalibrate each round from label-permuted null scores",
     ("icp", "max_subset_size"): "blank means unlimited subset size",
 }
 
@@ -135,11 +134,9 @@ def read_config(path) -> tuple[ExperimentConfig, bool]:
 
     master_seed_present = "master_seed" in values["experiment"]
     try:
-        gen = GenConfig(**values["generation"])
-        train = TrainConfig(**values["train"])
-        icp = IcpConfig(**values["icp"])
-        cfg = ExperimentConfig(gen=gen, train=train, icp=icp,
-                               **values["experiment"])
+        nested = {attr: _CLASSES[section](**values[section])
+                  for section, attr in CONFIG_SECTIONS.items() if attr}
+        cfg = ExperimentConfig(**values["experiment"], **nested)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg, master_seed_present
@@ -147,17 +144,10 @@ def read_config(path) -> tuple[ExperimentConfig, bool]:
 
 def config_to_ini(cfg: ExperimentConfig) -> str:
     """Serialize a config to the INI layout that read_config parses."""
-    sources = {
-        "experiment": cfg,
-        "generation": cfg.gen,
-        "train": cfg.train,
-        "icp": cfg.icp,
-    }
     lines = [_HEADER, ""]
-    for section, schema in _SCHEMA.items():
+    for section, obj in _sections(cfg).items():
         lines.append(f"[{section}]")
-        obj = sources[section]
-        for key, (field_name, _) in schema.items():
+        for key, (field_name, _) in _SCHEMA[section].items():
             if (section, key) in _COMMENTS:
                 lines.append(f"# {_COMMENTS[section, key]}")
             value = getattr(obj, field_name)

@@ -22,8 +22,11 @@ from .identifier import TrainConfig, identify_parents
 from .scm import (Environment, GenConfig, Intervention, LinearGaussianScm,
                   SampleBatch, add_confounders, parents, random_scm, sample)
 
-CSV_HEADER = "dag_id,method,confounders,z,pa0,js,violated,wall_time"
 KNOWN_METHODS = ("iid", "icp")
+# INI section -> the ExperimentConfig field holding its settings (None: the
+# experiment's own fields); report.json's config echo uses the same names
+CONFIG_SECTIONS = {"experiment": None, "generation": "gen", "train": "train",
+                   "icp": "icp"}
 
 # purpose tags for seed derivation
 _TAG_SCM = 1
@@ -206,21 +209,21 @@ def aggregate_cells(records: list[RunRecord] | tuple[RunRecord, ...],
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    return {
-        "num_dags": cfg.num_dags,
-        "samples_per_env": cfg.samples_per_env,
-        "confounder_levels": list(cfg.confounder_levels),
-        "methods": list(cfg.methods),
-        "master_seed": cfg.master_seed,
-        "include_observational": cfg.include_observational,
-        "generation": dataclasses.asdict(cfg.gen),
-        "train": dataclasses.asdict(cfg.train),
-        "icp": dataclasses.asdict(cfg.icp),
-        "fixed_scm": None if cfg.fixed_scm is None else {
-            "num_observed": cfg.fixed_scm.num_observed,
-            "num_latent": cfg.fixed_scm.num_latent,
-        },
-    }
+    """Every field in order; nested configs under their section names."""
+    sections = {attr: name for name, attr in CONFIG_SECTIONS.items() if attr}
+    echo: dict = {}
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.name in sections:
+            echo[sections[f.name]] = dataclasses.asdict(value)
+        elif f.name == "fixed_scm":
+            echo[f.name] = None if value is None else {
+                "num_observed": value.num_observed,
+                "num_latent": value.num_latent,
+            }
+        else:
+            echo[f.name] = list(value) if isinstance(value, tuple) else value
+    return echo
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> Report:
@@ -283,20 +286,29 @@ def _parse_violated(text: str) -> bool:
     return text == "true"
 
 
-# one parser per CSV_HEADER column, whose names are RunRecord's fields
-_CSV_PARSERS = (int, _parse_method, int, _parse_set, _parse_set, float,
-                _parse_violated, float)
+def _format_float(value: float) -> str:
+    return repr(float(value))
+
+
+# RunRecord field -> (format, parse) of its records.csv column
+_CSV_COLUMNS = {
+    "dag_id": (str, int),
+    "method": (str, _parse_method),
+    "confounders": (str, int),
+    "z": (_format_set, _parse_set),
+    "pa0": (_format_set, _parse_set),
+    "js": (_format_float, float),
+    "violated": (lambda v: "true" if v else "false", _parse_violated),
+    "wall_time": (_format_float, float),
+}
+CSV_HEADER = ",".join(f.name for f in dataclasses.fields(RunRecord))
 
 
 def write_records_csv(records, path) -> None:
+    formats = [(name, _CSV_COLUMNS[name][0]) for name in CSV_HEADER.split(",")]
     lines = [CSV_HEADER]
     for r in records:
-        lines.append(",".join([
-            str(r.dag_id), r.method, str(r.confounders),
-            _format_set(r.z), _format_set(r.pa0),
-            repr(float(r.js)), "true" if r.violated else "false",
-            repr(float(r.wall_time)),
-        ]))
+        lines.append(",".join(fmt(getattr(r, name)) for name, fmt in formats))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -324,9 +336,9 @@ def read_records_csv(path) -> list[RunRecord]:
         if len(parts) != len(want):
             raise ValueError(f"line {no}: malformed record line: {ln!r}")
         fields = {}
-        for name, parse, text in zip(want, _CSV_PARSERS, parts):
+        for name, text in zip(want, parts):
             try:
-                fields[name] = parse(text)
+                fields[name] = _CSV_COLUMNS[name][1](text)
             except ValueError as exc:
                 raise ValueError(f"line {no}, column '{name}': {exc}") from None
         records.append(RunRecord(**fields))

@@ -101,7 +101,8 @@ def _mean_variance_pvalue(sizes: np.ndarray, means: np.ndarray,
 
 def invariance_pvalue(residuals_by_env: list[EmpiricalSample], cfg: IcpConfig,
                       rng: np.random.Generator | None = None) -> float:
-    """P-value for 'these residual groups share one distribution'."""
+    """P-value for 'these residual groups share one distribution'. Only the
+    energy-permutation test draws random numbers, so only it needs ``rng``."""
     if len(residuals_by_env) < 2:
         raise ValueError("need at least two environments")
     if any(g.values.size < 3 for g in residuals_by_env):
@@ -112,7 +113,7 @@ def invariance_pvalue(residuals_by_env: list[EmpiricalSample], cfg: IcpConfig,
         variances = np.array([g.values.var(ddof=1) for g in residuals_by_env])
         return float(_mean_variance_pvalue(sizes, means, variances))
     if rng is None:
-        rng = np.random.default_rng(0)
+        raise ValueError("the energy-permutation test needs an rng")
     k = len(residuals_by_env)
     child_rngs = rng.spawn(k)
     p_min = 1.0

@@ -30,10 +30,10 @@ class TrainConfig:
     """Settings for one training call and for the penalty loop.
 
     ``epochs_per_round`` counts mini-batch updates. ``rounds`` of None means
-    one round per candidate. With ``tau_auto`` the threshold is recalibrated
-    each round from label-permuted null scores: tau = max(tau_multiplier *
-    95th percentile, max) over ``calibration_permutations`` null draws;
-    otherwise the absolute ``tau`` applies.
+    one round per candidate. ``tau`` of None recalibrates the threshold each
+    round from label-permuted null scores: tau = max(tau_multiplier * 95th
+    percentile, max) over ``calibration_permutations`` null draws; a given
+    ``tau`` applies as is.
     """
 
     hidden_width: int = 16
@@ -42,8 +42,7 @@ class TrainConfig:
     batch_size: int = 256
     rounds: int | None = None
     holdout_fraction: float = 0.3
-    tau: float = 0.0
-    tau_auto: bool = True
+    tau: float | None = None
     tau_multiplier: float = 3.0
     calibration_permutations: int = 64
 
@@ -57,8 +56,8 @@ class TrainConfig:
             raise ValueError("rounds must be >= 1 when given")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise ValueError("holdout_fraction must lie in (0, 1)")
-        if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
+        if self.tau is not None and self.tau < 0:
+            raise ValueError("tau must be >= 0 when given")
         if self.tau_multiplier <= 0:
             raise ValueError("tau_multiplier must be positive")
         if self.calibration_permutations < 1:
@@ -358,7 +357,7 @@ def identify_parents(batches: list[SampleBatch], cfg: TrainConfig,
                 fit_gaussian(EmpiricalSample(own, label=j)),
                 fit_gaussian(EmpiricalSample(rest, label=-1)))
             fids.append((j, fid))
-        if cfg.tau_auto:
+        if cfg.tau is None:
             pooled = np.concatenate(list(residuals.values()))
             own_size = min(residuals[j].size for j in active)
             tau = _null_tau(pooled, own_size, cfg, rng_cal)

@@ -245,6 +245,12 @@ class TestUsage:
     def test_bad_thread_count_is_a_usage_error(self, tmp_path, capsys):
         assert main(["run", "--config", "x.ini", "--threads", "0"]) == 1
 
+    def test_demo_has_no_threads_option(self, tmp_path, capsys):
+        out = tmp_path / "demo"
+        assert main(["demo", "--out", str(out), "--threads", "1"]) == 1
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRenderTable:
     def test_layout_and_values(self):

@@ -1,12 +1,15 @@
 """Tests for the INI experiment-configuration round trip."""
 
 import dataclasses
+import json
 
+import numpy as np
 import pytest
 
 import scmbench as sb
-from scmbench.configfile import (_SCHEMA, ConfigError, config_to_ini,
+from scmbench.configfile import (ConfigError, _section_schema, config_to_ini,
                                  read_config, write_default_config)
+from scmbench.harness import CONFIG_SECTIONS, _config_echo
 
 
 def write(tmp_path, text: str):
@@ -23,13 +26,13 @@ class TestDefaults:
         assert cfg == sb.ExperimentConfig()
         assert seed_present
 
-    def test_schema_matches_the_dataclasses(self):
-        classes = {"experiment": sb.ExperimentConfig, "generation": sb.GenConfig,
-                   "train": sb.TrainConfig, "icp": sb.IcpConfig}
-        nested = {"gen", "train", "icp", "fixed_scm"}
-        for section, schema in _SCHEMA.items():
-            fields = {f.name for f in dataclasses.fields(classes[section])}
-            assert {name for name, _ in schema.values()} == fields - nested
+    def test_unsupported_annotation_is_a_type_error(self):
+        @dataclasses.dataclass(frozen=True)
+        class Odd:
+            ratio: complex = 1j
+
+        with pytest.raises(TypeError, match=r"Odd\.ratio"):
+            _section_schema(Odd)
 
     def test_default_text_documents_the_seed_fallback(self, tmp_path):
         path = tmp_path / "scmbench.ini"
@@ -43,6 +46,11 @@ class TestDefaults:
         with pytest.raises(ConfigError, match=r"unknown key 'seed' in \[generation\]"):
             read_config(path)
 
+    def test_tau_auto_is_rejected(self, tmp_path):
+        path = write(tmp_path, "[train]\ntau_auto = false\n")
+        with pytest.raises(ConfigError, match=r"unknown key 'tau_auto' in \[train\]"):
+            read_config(path)
+
 
 class TestRoundTrip:
     def test_custom_config_survives_serialization(self, tmp_path):
@@ -51,12 +59,49 @@ class TestRoundTrip:
             methods=("icp",), master_seed=99, include_observational=True,
             gen=sb.GenConfig(nodes_min=4, nodes_max=6, edge_prob=0.7,
                              min_parents=3),
-            train=sb.TrainConfig(hidden_width=8, rounds=3, tau=0.5,
-                                 tau_auto=False),
+            train=sb.TrainConfig(hidden_width=8, rounds=3, tau=0.5),
             icp=sb.IcpConfig(alpha=0.01, max_subset_size=2,
                              test="energy-permutation"))
         path = write(tmp_path, config_to_ini(cfg))
         parsed, seed_present = read_config(path)
+        assert parsed == cfg
+        assert seed_present
+
+    def test_every_settable_field_round_trips(self, tmp_path):
+        cfg = sb.ExperimentConfig(
+            num_dags=7, samples_per_env=321, confounder_levels=(2, 0),
+            methods=("icp",), master_seed=99, include_observational=True,
+            gen=sb.GenConfig(
+                nodes_min=4, nodes_max=6, edge_prob=0.7, weight_min=0.25,
+                weight_max=1.5, sign_flip_prob=0.125, noise_std_min=0.5,
+                noise_std_max=2.5, intervention_value_min=-1.5,
+                intervention_value_max=2.25, min_parents=3),
+            train=sb.TrainConfig(
+                hidden_width=8, learning_rate=0.003, epochs_per_round=50,
+                batch_size=64, rounds=3, holdout_fraction=0.25, tau=0.5,
+                tau_multiplier=2.5, calibration_permutations=16),
+            icp=sb.IcpConfig(alpha=0.01, max_subset_size=2,
+                             test="energy-permutation", num_permutations=499,
+                             enumeration_budget=100))
+        default = sb.ExperimentConfig()
+        echo = _config_echo(cfg)
+        not_keys = {"fixed_scm", *CONFIG_SECTIONS.values()}
+        settable = 0
+        for section, attr in CONFIG_SECTIONS.items():
+            if attr is None:
+                obj, base, shown = cfg, default, echo
+            else:
+                obj, base = getattr(cfg, attr), getattr(default, attr)
+                shown = echo[section]
+            for f in dataclasses.fields(obj):
+                if f.name in not_keys:
+                    continue
+                value = getattr(obj, f.name)
+                assert value != getattr(base, f.name), (section, f.name)
+                assert json.dumps(shown[f.name]) == json.dumps(value)
+                settable += 1
+        assert settable == 31
+        parsed, seed_present = read_config(write(tmp_path, config_to_ini(cfg)))
         assert parsed == cfg
         assert seed_present
 
@@ -65,7 +110,17 @@ class TestRoundTrip:
         write_default_config(path)
         cfg, _ = read_config(path)
         assert cfg.train.rounds is None
+        assert cfg.train.tau is None
         assert cfg.icp.max_subset_size is None
+
+    def test_infinite_tau_from_a_file_disables_elimination(self, tmp_path,
+                                                          demo_batches):
+        cfg, _ = read_config(write(tmp_path, "[train]\ntau = inf\n"))
+        assert cfg.train.tau == np.inf
+        result = sb.identify_parents(demo_batches(7), cfg.train,
+                                     np.random.default_rng(7))
+        assert result.estimated_set == {1, 2, 3}
+        assert result.rounds_run == 1
 
     def test_missing_keys_fall_back_to_defaults(self, tmp_path):
         path = write(tmp_path, "[experiment]\nnum_dags = 3\n")

@@ -122,6 +122,13 @@ class TestInvariancePvalue:
         p_null = invariance_pvalue(same, cfg, np.random.default_rng(1))
         assert p_null > 0.05
 
+    def test_energy_permutation_requires_an_rng(self):
+        groups = [sb.EmpiricalSample(np.arange(5.0), label=0),
+                  sb.EmpiricalSample(np.arange(5.0) + 1.0, label=1)]
+        cfg = sb.IcpConfig(test="energy-permutation")
+        with pytest.raises(ValueError, match="rng"):
+            invariance_pvalue(groups, cfg)
+
     def test_rejects_bad_inputs(self):
         one = [sb.EmpiricalSample(np.arange(5.0))]
         with pytest.raises(ValueError, match="two environments"):

@@ -309,7 +309,7 @@ class TestIdentifyParents:
         assert a.rounds_run == b.rounds_run
 
     def test_infinite_threshold_disables_elimination(self, demo_batches):
-        cfg = sb.TrainConfig(tau=np.inf, tau_auto=False)
+        cfg = sb.TrainConfig(tau=np.inf)
         result = sb.identify_parents(demo_batches(7), cfg,
                                      np.random.default_rng(7))
         assert result.estimated_set == {1, 2, 3}
