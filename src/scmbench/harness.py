@@ -14,13 +14,15 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
 from .icp import IcpConfig, icp_identify
 from .identifier import TrainConfig, identify_parents
 from .scm import (Environment, GenConfig, Intervention, LinearGaussianScm,
-                  SampleBatch, add_confounders, parents, random_scm, sample)
+                  SampleBatch, _bounded, _check_bound, _check_bounds,
+                  add_confounders, parents, random_scm, sample)
 
 KNOWN_METHODS = ("iid", "icp")
 # INI section -> the ExperimentConfig field holding its settings (None: the
@@ -39,11 +41,11 @@ _TAG_ICP = 6
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    num_dags: int = 50
-    samples_per_env: int = 2000
-    confounder_levels: tuple[int, ...] = (0, 1, 2)
+    num_dags: int = _bounded(50, "[1, inf)")
+    samples_per_env: int = _bounded(2000, "[10, inf)")
+    confounder_levels: tuple[int, ...] = _bounded((0, 1, 2), "[0, inf)")
     methods: tuple[str, ...] = ("iid", "icp")
-    master_seed: int = 0
+    master_seed: int = _bounded(0, "[0, inf)")
     include_observational: bool = False
     gen: GenConfig = field(default_factory=GenConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -51,21 +53,15 @@ class ExperimentConfig:
     fixed_scm: LinearGaussianScm | None = None
 
     def __post_init__(self) -> None:
-        if self.num_dags < 1:
-            raise ValueError("num_dags must be >= 1")
-        if self.samples_per_env < 10:
-            raise ValueError("samples_per_env must be >= 10")
-        if not self.confounder_levels or len(set(self.confounder_levels)) != len(self.confounder_levels):
-            raise ValueError("confounder_levels must be non-empty and unique")
-        if any(lvl < 0 for lvl in self.confounder_levels):
-            raise ValueError("confounder levels must be >= 0")
-        if not self.methods or len(set(self.methods)) != len(self.methods):
-            raise ValueError("methods must be non-empty and unique")
+        _check_bounds(self)
+        for name in ("confounder_levels", "methods"):
+            values = getattr(self, name)
+            if not values or len(set(values)) != len(values):
+                raise ValueError(f"{name} must be non-empty and unique")
         unknown = set(self.methods) - set(KNOWN_METHODS)
         if unknown:
-            raise ValueError(f"unknown methods: {sorted(unknown)}")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be >= 0")
+            raise ValueError(f"methods must be among {KNOWN_METHODS}, "
+                             f"got {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -209,20 +205,13 @@ def aggregate_cells(records: list[RunRecord] | tuple[RunRecord, ...],
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    """Every field in order; nested configs under their section names."""
+    """Every field in order; nested configs under their section names, and a
+    fixed model as its node counts."""
     sections = {attr: name for name, attr in CONFIG_SECTIONS.items() if attr}
-    echo: dict = {}
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        if f.name in sections:
-            echo[sections[f.name]] = dataclasses.asdict(value)
-        elif f.name == "fixed_scm":
-            echo[f.name] = None if value is None else {
-                "num_observed": value.num_observed,
-                "num_latent": value.num_latent,
-            }
-        else:
-            echo[f.name] = list(value) if isinstance(value, tuple) else value
+    echo = {sections.get(k, k): v for k, v in dataclasses.asdict(cfg).items()}
+    if cfg.fixed_scm is not None:
+        echo["fixed_scm"] = {"num_observed": cfg.fixed_scm.num_observed,
+                             "num_latent": cfg.fixed_scm.num_latent}
     return echo
 
 
@@ -268,22 +257,31 @@ def _format_set(nodes: frozenset[int]) -> str:
     return "|".join(str(v) for v in sorted(nodes))
 
 
+def _parse_index(text: str) -> int:
+    # int() would also take '+1', ' 1', '1_0' and non-ASCII digits
+    if not (text.isascii() and text.isdecimal()):
+        raise ValueError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_set(text: str) -> frozenset[int]:
     if not text:
         return frozenset()
-    return frozenset(int(v) for v in text.split("|"))
+    return frozenset(_parse_index(v) for v in text.split("|"))
 
 
-def _parse_method(text: str) -> str:
-    if text not in KNOWN_METHODS:
-        raise ValueError(f"unknown method {text!r}")
-    return text
+def _parse_choice(choices: dict):
+    def parse(text: str):
+        if text not in choices:
+            raise ValueError(f"expected one of {list(choices)}, got {text!r}")
+        return choices[text]
+    return parse
 
 
-def _parse_violated(text: str) -> bool:
-    if text not in ("true", "false"):
-        raise ValueError(f"expected 'true' or 'false', got {text!r}")
-    return text == "true"
+def _parse_wall_time(text: str) -> float:
+    value = float(text)
+    _check_bound("wall_time", value, "[0, inf)")
+    return value
 
 
 def _format_float(value: float) -> str:
@@ -292,14 +290,15 @@ def _format_float(value: float) -> str:
 
 # RunRecord field -> (format, parse) of its records.csv column
 _CSV_COLUMNS = {
-    "dag_id": (str, int),
-    "method": (str, _parse_method),
-    "confounders": (str, int),
+    "dag_id": (str, _parse_index),
+    "method": (str, _parse_choice({m: m for m in KNOWN_METHODS})),
+    "confounders": (str, _parse_index),
     "z": (_format_set, _parse_set),
     "pa0": (_format_set, _parse_set),
     "js": (_format_float, float),
-    "violated": (lambda v: "true" if v else "false", _parse_violated),
-    "wall_time": (_format_float, float),
+    "violated": (lambda v: "true" if v else "false",
+                 _parse_choice({"true": True, "false": False})),
+    "wall_time": (_format_float, _parse_wall_time),
 }
 CSV_HEADER = ",".join(f.name for f in dataclasses.fields(RunRecord))
 
@@ -314,22 +313,18 @@ def write_records_csv(records, path) -> None:
 
 
 def read_records_csv(path) -> list[RunRecord]:
-    """Parse a records CSV; a value it does not understand raises ValueError
+    """Parse a records CSV; a value it does not understand, or a js or
+    violated that disagrees with the row's z and pa0, raises ValueError
     naming the line and the column."""
     with open(path) as fh:
         lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
         raise ValueError("empty CSV: expected a header line")
     want = CSV_HEADER.split(",")
-    header = lines[0][1]
-    if header != CSV_HEADER:
-        got = header.split(",")
-        for i, name in enumerate(want):
-            if i >= len(got) or got[i] != name:
-                found = got[i] if i < len(got) else "nothing"
-                raise ValueError(
-                    f"header column {i} should be '{name}', found '{found}'")
-        raise ValueError(f"header has {len(got)} columns, expected {len(want)}")
+    got = lines[0][1].split(",")
+    for i, (name, found) in enumerate(zip_longest(want, got, fillvalue="nothing")):
+        if name != found:
+            raise ValueError(f"header column {i} should be '{name}', found '{found}'")
     records = []
     for no, ln in lines[1:]:
         parts = ln.split(",")
@@ -341,6 +336,12 @@ def read_records_csv(path) -> list[RunRecord]:
                 fields[name] = _CSV_COLUMNS[name][1](text)
             except ValueError as exc:
                 raise ValueError(f"line {no}, column '{name}': {exc}") from None
+        # repr(float) round-trips, so a row the writer made matches exactly
+        z, pa0 = fields["z"], fields["pa0"]
+        for name, implied in (("js", jaccard(z, pa0)), ("violated", not z <= pa0)):
+            if fields[name] != implied:
+                raise ValueError(f"line {no}, column '{name}': z and pa0 give "
+                                 f"{name} = {implied!r}, found {fields[name]!r}")
         records.append(RunRecord(**fields))
     return records
 

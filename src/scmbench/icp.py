@@ -18,7 +18,7 @@ import numpy as np
 from scipy import stats
 
 from .distmetrics import EmpiricalSample, ksample_equality_test
-from .scm import SampleBatch
+from .scm import SampleBatch, _bounded, _check_bounds
 
 _RIDGE = 1e-10
 _TESTS = ("mean-variance", "energy-permutation")
@@ -30,23 +30,16 @@ class EnumerationBudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class IcpConfig:
-    alpha: float = 0.05
-    max_subset_size: int | None = None
+    alpha: float = _bounded(0.05, "(0, 1)")
+    max_subset_size: int | None = _bounded(None, "[0, inf)")
     test: str = "mean-variance"
-    num_permutations: int = 199
-    enumeration_budget: int = 4096
+    num_permutations: int = _bounded(199, "[99, inf)")
+    enumeration_budget: int = _bounded(4096, "[1, inf)")
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.max_subset_size is not None and self.max_subset_size < 0:
-            raise ValueError("max_subset_size must be >= 0 when given")
+        _check_bounds(self)
         if self.test not in _TESTS:
             raise ValueError(f"test must be one of {_TESTS}")
-        if self.num_permutations < 99:
-            raise ValueError("num_permutations must be >= 99")
-        if self.enumeration_budget < 1:
-            raise ValueError("enumeration_budget must be >= 1")
 
 
 @dataclass(frozen=True, eq=False)

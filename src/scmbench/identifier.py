@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distmetrics import EmpiricalSample, fit_gaussian, frechet_gaussian1d
-from .scm import SampleBatch
+from .scm import SampleBatch, _bounded, _check_bounds
 
 
 class TrainingDivergedError(RuntimeError):
@@ -33,35 +33,21 @@ class TrainConfig:
     one round per candidate. ``tau`` of None recalibrates the threshold each
     round from label-permuted null scores: tau = max(tau_multiplier * 95th
     percentile, max) over ``calibration_permutations`` null draws; a given
-    ``tau`` applies as is.
+    ``tau`` applies as is, and inf disables elimination.
     """
 
-    hidden_width: int = 16
-    learning_rate: float = 1e-2
-    epochs_per_round: int = 600
-    batch_size: int = 256
-    rounds: int | None = None
-    holdout_fraction: float = 0.3
-    tau: float | None = None
-    tau_multiplier: float = 3.0
-    calibration_permutations: int = 64
+    hidden_width: int = _bounded(16, "[1, inf)")
+    learning_rate: float = _bounded(1e-2, "(0, inf)")
+    epochs_per_round: int = _bounded(600, "[1, inf)")
+    batch_size: int = _bounded(256, "[1, inf)")
+    rounds: int | None = _bounded(None, "[1, inf)")
+    holdout_fraction: float = _bounded(0.3, "(0, 1)")
+    tau: float | None = _bounded(None, "[0, inf]")
+    tau_multiplier: float = _bounded(3.0, "(0, inf)")
+    calibration_permutations: int = _bounded(64, "[1, inf)")
 
     def __post_init__(self) -> None:
-        for name in ("hidden_width", "epochs_per_round", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.rounds is not None and self.rounds < 1:
-            raise ValueError("rounds must be >= 1 when given")
-        if not 0.0 < self.holdout_fraction < 1.0:
-            raise ValueError("holdout_fraction must lie in (0, 1)")
-        if self.tau is not None and self.tau < 0:
-            raise ValueError("tau must be >= 0 when given")
-        if self.tau_multiplier <= 0:
-            raise ValueError("tau_multiplier must be positive")
-        if self.calibration_permutations < 1:
-            raise ValueError("calibration_permutations must be >= 1")
+        _check_bounds(self)
 
 
 class PenaltyWeights:

@@ -11,11 +11,40 @@ marginalized out of every sampled batch and every analytic moment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
+from numbers import Integral
 
 import numpy as np
 
 _MAX_RETRIES = 64
+
+
+def _bounded(default, interval: str):
+    """A config field whose value must lie in ``interval``, written like
+    "[1, inf)" or "(0, 1)"; only a closed end at inf admits inf."""
+    return field(default=default, metadata={"interval": interval})
+
+
+def _check_bound(name: str, value, interval: str, integer: bool = False) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` lies in ``interval``
+    (and, if ``integer``, is an integer). NaN fails every comparison."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    if integer and not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if (not (lo <= value <= hi) or (interval[0] == "(" and value == lo)
+            or (interval[-1] == ")" and value == hi)):
+        raise ValueError(f"{name} must lie in {interval}, got {value!r}")
+
+
+def _check_bounds(config) -> None:
+    """Check every field of a config dataclass declared with _bounded. A
+    None value is not checked; each entry of a tuple is checked."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if "interval" in f.metadata and value is not None:
+            integer = f.type.startswith(("int", "tuple[int"))
+            for v in value if isinstance(value, tuple) else (value,):
+                _check_bound(f.name, v, f.metadata["interval"], integer)
 
 
 class GenerationError(RuntimeError):
@@ -35,33 +64,23 @@ class GenConfig:
     pass by resampling with bounded retries.
     """
 
-    nodes_min: int = 8
-    nodes_max: int = 12
-    edge_prob: float = 0.3
-    weight_min: float = 0.5
-    weight_max: float = 2.0
-    sign_flip_prob: float = 0.5
-    noise_std_min: float = 0.7
-    noise_std_max: float = 1.5
-    intervention_value_min: float = 3.0
-    intervention_value_max: float = 7.0
-    min_parents: int = 2
+    nodes_min: int = _bounded(8, "[2, inf)")
+    nodes_max: int = _bounded(12, "[2, inf)")
+    edge_prob: float = _bounded(0.3, "[0, 1]")
+    weight_min: float = _bounded(0.5, "(0, inf)")
+    weight_max: float = _bounded(2.0, "(0, inf)")
+    sign_flip_prob: float = _bounded(0.5, "[0, 1]")
+    noise_std_min: float = _bounded(0.7, "(0, inf)")
+    noise_std_max: float = _bounded(1.5, "(0, inf)")
+    intervention_value_min: float = _bounded(3.0, "(-inf, inf)")
+    intervention_value_max: float = _bounded(7.0, "(-inf, inf)")
+    min_parents: int = _bounded(2, "[1, inf)")
 
     def __post_init__(self) -> None:
-        if self.nodes_min < 2 or self.nodes_max < self.nodes_min:
-            raise ValueError("need 2 <= nodes_min <= nodes_max")
-        if not 0.0 <= self.edge_prob <= 1.0:
-            raise ValueError("edge_prob must lie in [0, 1]")
-        if not 0.0 < self.weight_min <= self.weight_max:
-            raise ValueError("need 0 < weight_min <= weight_max")
-        if not 0.0 <= self.sign_flip_prob <= 1.0:
-            raise ValueError("sign_flip_prob must lie in [0, 1]")
-        if not 0.0 < self.noise_std_min <= self.noise_std_max:
-            raise ValueError("need 0 < noise_std_min <= noise_std_max")
-        if self.intervention_value_min > self.intervention_value_max:
-            raise ValueError("intervention value range is empty")
-        if self.min_parents < 1:
-            raise ValueError("min_parents must be >= 1")
+        _check_bounds(self)
+        for stem in ("nodes", "weight", "noise_std", "intervention_value"):
+            if not getattr(self, f"{stem}_min") <= getattr(self, f"{stem}_max"):
+                raise ValueError(f"{stem}_max must be >= {stem}_min")
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,19 @@ class TestRun:
                      "--out", str(tmp_path / "r")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, field", [
+        ("[train]\nlr = nan\n", "learning_rate"),
+        ("[generation]\nweight_max = inf\n", "weight_max"),
+    ])
+    def test_out_of_range_setting_exits_one_naming_the_field(self, tmp_path,
+                                                             capsys, text, field):
+        cfg_path = tmp_path / "sweep.ini"
+        cfg_path.write_text(text)
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert f"error: {field} must" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failing_cells_exit_two_with_partial_outputs(self, tmp_path, capsys):
         cfg_path = small_config(tmp_path, gen=sb.GenConfig(edge_prob=0.0))
         out = tmp_path / "results"
@@ -209,6 +222,13 @@ class TestReport:
         path.write_text(sb.harness.CSV_HEADER + "\n0,iid,0,1,1,1.0,maybe,0.5\n")
         assert main(["report", str(path)]) == 1
         assert "line 2, column 'violated'" in capsys.readouterr().err
+        assert not (tmp_path / "table.txt").exists()
+
+    def test_row_disagreeing_with_its_sets_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "records.csv"
+        path.write_text(sb.harness.CSV_HEADER + "\n0,iid,0,1,1,nan,false,0.5\n")
+        assert main(["report", str(path)]) == 1
+        assert "line 2, column 'js'" in capsys.readouterr().err
         assert not (tmp_path / "table.txt").exists()
 
     def test_missing_csv(self, tmp_path, capsys):

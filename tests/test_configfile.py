@@ -169,3 +169,41 @@ class TestErrors:
         path = write(tmp_path, "num_dags = 3\n")  # key before any section
         with pytest.raises(ConfigError, match="cannot parse"):
             read_config(path)
+
+
+CONFIG_CLASSES = (sb.ExperimentConfig, sb.GenConfig, sb.TrainConfig,
+                  sb.IcpConfig)
+FLOAT_TYPES = ("float", "float | None")
+INT_TYPES = ("int", "int | None")
+
+
+def numeric_field_cases():
+    """(class, field, value) for every value a numeric field must refuse, and
+    the one it may take: tau = inf, which disables elimination."""
+    for cls in CONFIG_CLASSES:
+        for f in dataclasses.fields(cls):
+            values = ((np.nan, np.inf, -np.inf) if f.type in FLOAT_TYPES
+                      else (2.5, np.nan, np.inf) if f.type in INT_TYPES
+                      else ())
+            for value in values:
+                yield pytest.param(cls, f.name, value,
+                                   id=f"{cls.__name__}.{f.name}={value}")
+
+
+class TestDeclaredRanges:
+    """A numeric config field added without a declared range fails here."""
+
+    def test_every_field_type_is_known(self):
+        types = {f.type for cls in CONFIG_CLASSES for f in dataclasses.fields(cls)}
+        assert types - {*FLOAT_TYPES, *INT_TYPES} <= {
+            "bool", "str", "tuple[int, ...]", "tuple[str, ...]", "GenConfig",
+            "TrainConfig", "IcpConfig", "LinearGaussianScm | None"}
+
+    @pytest.mark.parametrize("cls, name, value", numeric_field_cases())
+    def test_nonfinite_or_fractional_value_names_the_field(self, cls, name,
+                                                           value):
+        if (name, value) == ("tau", np.inf):
+            assert cls(tau=value).tau == np.inf
+            return
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            cls(**{name: value})

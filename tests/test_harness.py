@@ -222,9 +222,11 @@ class TestExperimentConfigValidation:
         dict(methods=("iid", "iid")),
         dict(methods=("gradient-boosting",)),
         dict(master_seed=-1),
+        dict(confounder_levels=(1.5,)),
     ])
     def test_rejects_bad_values(self, overrides):
-        with pytest.raises(ValueError):
+        (field,) = overrides
+        with pytest.raises(ValueError, match=f"^{field} must"):
             sb.ExperimentConfig(**overrides)
 
 
@@ -256,6 +258,9 @@ class TestCsvRoundTrip:
         path.write_text("dag_id,method,conf,z,pa0,js,violated,wall_time\nx\n")
         with pytest.raises(ValueError, match="column 2 should be 'confounders'"):
             sb.read_records_csv(path)
+        path.write_text(sb.harness.CSV_HEADER + ",extra\n")
+        with pytest.raises(ValueError, match="column 8 should be 'nothing', found 'extra'"):
+            sb.read_records_csv(path)
         path.write_text("")
         with pytest.raises(ValueError, match="empty CSV"):
             sb.read_records_csv(path)
@@ -272,10 +277,23 @@ class TestCsvRoundTrip:
         ("0,gbm,0,1,1,1.0,false,0.5", "method"),
         ("0,iid,one,1,1,1.0,false,0.5", "confounders"),
         ("0,iid,0,1|x,1,1.0,false,0.5", "z"),
+        # js and violated must agree with z and pa0
+        ("0,iid,0,1,1,nan,false,0.5", "js"),
+        ("0,iid,0,1,1,7.5,false,0.5", "js"),
+        ("0,iid,0,1|2,1,0.5,false,0.5", "violated"),
+        # wall_time must be finite and >= 0
+        ("0,iid,0,1,1,1.0,false,inf", "wall_time"),
+        ("0,iid,0,1,1,1.0,false,-3", "wall_time"),
+        ("0,iid,0,1,1,1.0,false,nan", "wall_time"),
+        # integers must be plain non-negative ASCII decimals
+        ("0,iid,0,1_0,1,0.0,true,0.5", "z"),
+        ("+0,iid,0,1,1,1.0,false,0.5", "dag_id"),
+        ("0,iid,-1,1,1,1.0,false,0.5", "confounders"),
+        ("0,iid,0,1,\u0661,1.0,false,0.5", "pa0"),
     ])
     def test_unknown_values_name_the_line_and_column(self, tmp_path, line, column):
         path = tmp_path / "bad.csv"
-        path.write_text(sb.harness.CSV_HEADER + "\n0,icp,0,1,1,1.0,true,0.5\n"
+        path.write_text(sb.harness.CSV_HEADER + "\n0,icp,0,1,1,1.0,false,0.5\n"
                         + line + "\n")
         with pytest.raises(ValueError, match=f"line 3, column '{column}'"):
             sb.read_records_csv(path)

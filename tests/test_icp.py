@@ -268,5 +268,6 @@ class TestIcpConfigValidation:
         dict(enumeration_budget=0),
     ])
     def test_rejects_bad_values(self, overrides):
-        with pytest.raises(ValueError):
+        (field,) = overrides
+        with pytest.raises(ValueError, match=f"^{field} must"):
             sb.IcpConfig(**overrides)

@@ -331,9 +331,11 @@ class TestValidation:
         dict(intervention_value_min=5.0, intervention_value_max=4.0),
         dict(min_parents=0),
         dict(sign_flip_prob=-0.1),
+        dict(noise_std_min=2.0, noise_std_max=1.0),
     ])
     def test_genconfig_rejects_bad_values(self, overrides):
-        with pytest.raises(ValueError):
+        *_, field = overrides  # the last key names the field to blame
+        with pytest.raises(ValueError, match=f"^{field} must"):
             sb.GenConfig(**overrides)
 
     def test_sample_batch_rejects_bad_data(self):
