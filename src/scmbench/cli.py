@@ -12,20 +12,13 @@ import os
 import sys
 from pathlib import Path
 
-from .configfile import ConfigError, read_config, write_default_config
-from .harness import (ExperimentConfig, Report, aggregate_cells,
-                      read_records_csv, run_experiment, write_records_csv,
-                      write_report_json)
+from .configfile import ConfigError, _blaming, read_config, write_default_config
+from .harness import (ExperimentConfig, Report, _check_threads, _parse_int,
+                      aggregate_cells, read_records_csv, run_experiment,
+                      write_records_csv, write_report_json)
 from .scm import four_node_demo_scm
 
 SEED_ENV_VAR = "WORKBENCH_SEED"
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,9 +34,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the configured sweep")
     p_run.add_argument("--config", required=True, help="config file from 'init'")
     p_run.add_argument("--out", default="scmbench-out", help="output directory")
-    p_run.add_argument("--seed", type=int, default=None,
+    p_run.add_argument("--seed", default=None,
                        help="master seed override (wins over config and environment)")
-    p_run.add_argument("--threads", type=_positive_int, default=1,
+    p_run.add_argument("--threads", default="1",
                        help="worker processes; results are identical for any value")
     p_run.add_argument("--force", action="store_true", help="overwrite existing outputs")
 
@@ -53,29 +46,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo", help="run both methods once on the fixed 4-node model")
     p_demo.add_argument("--out", default="scmbench-demo", help="output directory")
-    p_demo.add_argument("--seed", type=int, default=None, help="master seed override")
+    p_demo.add_argument("--seed", default=None, help="master seed override")
     p_demo.add_argument("--force", action="store_true", help="overwrite existing outputs")
     return parser
 
 
-def _resolve_seed(flag_seed: int | None, config_seed: int | None) -> int:
-    """Priority: --seed flag, then config file, then WORKBENCH_SEED, then 0."""
-    if flag_seed is not None:
-        if flag_seed < 0:
-            raise ConfigError("--seed must be >= 0")
-        return flag_seed
-    if config_seed is not None:
-        return config_seed
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ConfigError(f"{SEED_ENV_VAR} must be >= 0")
-    return value
+def _resolve_seed(cfg: ExperimentConfig, flag: str | None,
+                  in_config: bool) -> ExperimentConfig:
+    """cfg with its master seed from, in priority order, the --seed flag, the
+    config file, WORKBENCH_SEED, or 0; ExperimentConfig checks the bound."""
+    if flag is None and in_config:
+        return cfg
+    source, text = (("--seed", flag) if flag is not None
+                    else (SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, "0")))
+    with _blaming(source):
+        return dataclasses.replace(cfg, master_seed=_parse_int(text))
 
 
 def render_table(cells: dict, methods: list[str], levels: list[int]) -> str:
@@ -131,11 +116,13 @@ def _cmd_init(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    with _blaming("--threads"):
+        threads = _parse_int(args.threads)
+        _check_threads(threads)
     cfg, seed_present = read_config(args.config)
-    seed = _resolve_seed(args.seed, cfg.master_seed if seed_present else None)
-    cfg = dataclasses.replace(cfg, master_seed=seed)
+    cfg = _resolve_seed(cfg, args.seed, seed_present)
     files = _prepare_outputs(Path(args.out), args.force)
-    report = run_experiment(cfg, threads=args.threads)
+    report = run_experiment(cfg, threads=threads)
     table = _emit(report, files)
     print(table)
     if report.errors:
@@ -165,15 +152,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed, None)
-    cfg = ExperimentConfig(
-        num_dags=1,
-        samples_per_env=2000,
-        confounder_levels=(0,),
-        methods=("iid", "icp"),
-        master_seed=seed,
-        fixed_scm=four_node_demo_scm(),
-    )
+    demo = ExperimentConfig(num_dags=1, samples_per_env=2000,
+                            confounder_levels=(0,), methods=("iid", "icp"),
+                            fixed_scm=four_node_demo_scm())
+    cfg = _resolve_seed(demo, args.seed, in_config=False)
     files = _prepare_outputs(Path(args.out), args.force)
     report = run_experiment(cfg)
     table = _emit(report, files)

@@ -4,13 +4,23 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+from contextlib import contextmanager
 from typing import Any, Callable
 
-from .harness import CONFIG_SECTIONS, ExperimentConfig
+from .harness import CONFIG_SECTIONS, ExperimentConfig, _parse_int
 
 
 class ConfigError(ValueError):
     """Unreadable or invalid configuration file."""
+
+
+@contextmanager
+def _blaming(source: str):
+    """Re-raise a ValueError as a ConfigError that names its source."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
 
 
 _BOOLEANS = {"true": True, "false": False, "1": True, "0": False,
@@ -31,10 +41,6 @@ def _parse_str_list(text: str) -> tuple[str, ...]:
     return tuple(items)
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in _parse_str_list(text))
-
-
 def _optional(parser: Callable[[str], Any]) -> Callable[[str], Any]:
     def parse(text: str) -> Any:
         return None if text.strip() == "" else parser(text)
@@ -43,13 +49,13 @@ def _optional(parser: Callable[[str], Any]) -> Callable[[str], Any]:
 
 # field annotation (a string: the config modules postpone them) -> parser
 _PARSERS: dict[str, Callable[[str], Any]] = {
-    "int": int,
+    "int": _parse_int,
     "float": float,
     "str": str.strip,
     "bool": _parse_bool,
-    "int | None": _optional(int),
+    "int | None": _optional(_parse_int),
     "float | None": _optional(float),
-    "tuple[int, ...]": _parse_int_list,
+    "tuple[int, ...]": lambda text: tuple(map(_parse_int, _parse_str_list(text))),
     "tuple[str, ...]": _parse_str_list,
 }
 # field -> INI key, where the two differ
@@ -102,6 +108,16 @@ def write_default_config(path) -> None:
         fh.write(config_to_ini(ExperimentConfig()))
 
 
+def _build(section: str, values: dict[str, Any]) -> Any:
+    """Construct a section's config; its ValueError, which starts with the
+    field it blames, gains the section and the INI key of that field."""
+    try:
+        return _CLASSES[section](**values)
+    except ValueError as exc:
+        blamed = str(exc).split(" ", 1)[0]
+        raise ConfigError(f"[{section}] {_KEYS.get(blamed, blamed)}: {exc}") from exc
+
+
 def read_config(path) -> tuple[ExperimentConfig, bool]:
     """Parse a config file; returns (config, whether master_seed was given).
 
@@ -127,19 +143,13 @@ def read_config(path) -> tuple[ExperimentConfig, bool]:
             if entry is None:
                 raise ConfigError(f"unknown key '{key}' in [{section}]")
             field_name, parse = entry
-            try:
+            with _blaming(f"[{section}] {key}"):
                 values[section][field_name] = parse(raw)
-            except ValueError as exc:
-                raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
     master_seed_present = "master_seed" in values["experiment"]
-    try:
-        nested = {attr: _CLASSES[section](**values[section])
-                  for section, attr in CONFIG_SECTIONS.items() if attr}
-        cfg = ExperimentConfig(**values["experiment"], **nested)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg, master_seed_present
+    nested = {attr: _build(section, values[section])
+              for section, attr in CONFIG_SECTIONS.items() if attr}
+    return _build("experiment", {**values["experiment"], **nested}), master_seed_present
 
 
 def config_to_ini(cfg: ExperimentConfig) -> str:

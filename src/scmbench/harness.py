@@ -215,12 +215,17 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     return echo
 
 
+def _check_threads(threads) -> None:
+    """Check the worker-process count, which never changes the numbers."""
+    _check_bound("threads", threads, "[1, inf)", integer=True)
+
+
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> Report:
-    """Run the full sweep; cell failures land in Report.errors instead of
-    aborting. ``threads`` sets the worker-process count and never changes the
-    numbers."""
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
+    """Run the full sweep on ``threads`` worker processes; cell failures land
+    in Report.errors instead of aborting. Records and errors come in (dag,
+    level, method) order with levels and methods as configured, because
+    pool.map keeps task order and _dag_task appends in that order."""
+    _check_threads(threads)
     tasks = [(cfg, dag_id) for dag_id in range(cfg.num_dags)]
     if threads == 1 or cfg.num_dags == 1:
         outcomes = [_dag_task(t) for t in tasks]
@@ -228,16 +233,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> Report:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(_dag_task, tasks))
 
-    records: list[RunRecord] = []
-    errors: list[dict] = []
-    for recs, errs in outcomes:
-        records.extend(recs)
-        errors.extend(errs)
-    level_index = {lvl: i for i, lvl in enumerate(cfg.confounder_levels)}
-    method_index = {m: i for i, m in enumerate(cfg.methods)}
-    records.sort(key=lambda r: (r.dag_id, level_index[r.confounders], method_index[r.method]))
-    errors.sort(key=lambda e: (e["dag_id"], level_index[e["confounders"]], method_index[e["method"]]))
-
+    records = [r for recs, _ in outcomes for r in recs]
+    errors = [e for _, errs in outcomes for e in errs]
     echo = _config_echo(cfg)
     config_hash = hashlib.sha256(
         json.dumps(echo, sort_keys=True).encode()).hexdigest()
@@ -257,11 +254,19 @@ def _format_set(nodes: frozenset[int]) -> str:
     return "|".join(str(v) for v in sorted(nodes))
 
 
-def _parse_index(text: str) -> int:
-    # int() would also take '+1', ' 1', '1_0' and non-ASCII digits
-    if not (text.isascii() and text.isdecimal()):
-        raise ValueError(f"expected a non-negative integer, got {text!r}")
+def _parse_int(text: str) -> int:
+    """The one reader of integers from outside the program: an optional '-'
+    and ASCII digits (int() would also take '+1', ' 1', '1_0', '\u0661')."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdecimal()):
+        raise ValueError(f"expected an integer, got {text!r}")
     return int(text)
+
+
+def _parse_index(text: str) -> int:
+    value = _parse_int(text)
+    _check_bound("index", value, "[0, inf)")
+    return value
 
 
 def _parse_set(text: str) -> frozenset[int]:

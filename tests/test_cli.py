@@ -123,7 +123,33 @@ class TestRun:
         out = tmp_path / "results"
         assert main(["run", "--config", str(cfg_path), "--out", str(out),
                      "--seed", "-1"]) == 1
-        assert "error: --seed must be >= 0" in capsys.readouterr().err
+        assert ("error: --seed: master_seed must lie in [0, inf), got -1"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source, value, message", [
+        ("--seed", "1_0", "expected an integer, got '1_0'"),
+        ("--seed", " 1", "expected an integer, got ' 1'"),
+        ("--threads", "1_0", "expected an integer, got '1_0'"),
+        ("--threads", "+2", "expected an integer, got '+2'"),
+        ("--threads", "-1", "threads must lie in [1, inf), got -1"),
+        (SEED_ENV_VAR, "1_0", "expected an integer, got '1_0'"),
+        (SEED_ENV_VAR, " 0_1", "expected an integer, got ' 0_1'"),
+        (SEED_ENV_VAR, "-1", "master_seed must lie in [0, inf), got -1"),
+    ], ids=["--seed=1_0", "--seed=space-1", "--threads=1_0", "--threads=+2",
+            "--threads=-1", "env=1_0", "env=space-0_1", "env=-1"])
+    def test_integers_from_flags_and_environment_are_read_strictly(
+            self, tmp_path, monkeypatch, capsys, source, value, message):
+        cfg_path = small_config(tmp_path)
+        out = tmp_path / "results"
+        argv = ["run", "--config", str(cfg_path), "--out", str(out)]
+        if source == SEED_ENV_VAR:
+            strip_seed(cfg_path)
+            monkeypatch.setenv(SEED_ENV_VAR, value)
+        else:
+            argv += [source, value]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {source}: {message}\n"
         assert not out.exists()
 
     def test_bad_config_exits_one(self, tmp_path, capsys):
@@ -136,6 +162,7 @@ class TestRun:
     @pytest.mark.parametrize("text, field", [
         ("[train]\nlr = nan\n", "learning_rate"),
         ("[generation]\nweight_max = inf\n", "weight_max"),
+        ("[experiment]\nnum_dags = -1\n", "num_dags"),
     ])
     def test_out_of_range_setting_exits_one_naming_the_field(self, tmp_path,
                                                              capsys, text, field):
@@ -143,7 +170,10 @@ class TestRun:
         cfg_path.write_text(text)
         out = tmp_path / "results"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
-        assert f"error: {field} must" in capsys.readouterr().err
+        section, setting = text.splitlines()
+        key = setting.split(" = ")[0]
+        assert (f"error: {section} {key}: {field} must lie in"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_failing_cells_exit_two_with_partial_outputs(self, tmp_path, capsys):
@@ -250,7 +280,8 @@ class TestDemo:
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
         out = tmp_path / "demo"
         assert main(["demo", "--out", str(out), "--seed", "-1"]) == 1
-        assert "error: --seed must be >= 0" in capsys.readouterr().err
+        assert ("error: --seed: master_seed must lie in [0, inf), got -1"
+                in capsys.readouterr().err)
         assert not out.exists()
 
 
@@ -264,6 +295,8 @@ class TestUsage:
 
     def test_bad_thread_count_is_a_usage_error(self, tmp_path, capsys):
         assert main(["run", "--config", "x.ini", "--threads", "0"]) == 1
+        assert ("error: --threads: threads must lie in [1, inf), got 0"
+                in capsys.readouterr().err)
 
     def test_demo_has_no_threads_option(self, tmp_path, capsys):
         out = tmp_path / "demo"

@@ -151,6 +151,35 @@ class TestErrors:
         with pytest.raises(ConfigError, match=r"\[train\] lr"):
             read_config(path)
 
+    @pytest.mark.parametrize("text, where, message", [
+        # integers are an optional '-' and ASCII digits, as the writer makes them
+        ("[experiment]\nnum_dags = 1_0\n", "[experiment] num_dags",
+         "expected an integer, got '1_0'"),
+        ("[experiment]\nsamples_per_env = +500\n", "[experiment] samples_per_env",
+         "expected an integer, got '+500'"),
+        ("[experiment]\nconfounder_levels = 0, \u0661\n",
+         "[experiment] confounder_levels", "expected an integer, got '\u0661'"),
+        ("[train]\nrounds = 1_0\n", "[train] rounds",
+         "expected an integer, got '1_0'"),
+        # master_seed is omitted, not left blank, to defer to WORKBENCH_SEED
+        ("[experiment]\nmaster_seed =\n", "[experiment] master_seed",
+         "expected an integer, got ''"),
+        # a constructor's error gains the section and the key
+        ("[experiment]\nnum_dags = -1\n", "[experiment] num_dags",
+         "num_dags must lie in [1, inf), got -1"),
+        ("[train]\nlr = nan\n", "[train] lr",
+         "learning_rate must lie in (0, inf), got nan"),
+        ("[generation]\nnodes_min = 13\n", "[generation] nodes_max",
+         "nodes_max must be >= nodes_min"),
+    ], ids=["num_dags=1_0", "samples_per_env=+500", "confounder_levels=arabic-1",
+            "rounds=1_0", "master_seed=blank", "num_dags=-1", "lr=nan",
+            "nodes_min=13"])
+    def test_bad_value_names_section_and_key(self, tmp_path, text, where,
+                                             message):
+        with pytest.raises(ConfigError) as info:
+            read_config(write(tmp_path, text))
+        assert str(info.value) == f"{where}: {message}"
+
     def test_malformed_boolean(self, tmp_path):
         path = write(tmp_path, "[experiment]\ninclude_observational = maybe\n")
         with pytest.raises(ConfigError, match="expected a boolean"):

@@ -175,6 +175,14 @@ class TestRunExperiment:
             assert err["error"].startswith("generation:")
         assert report.cells["iid"][0]["n"] == 0
 
+    def test_errors_come_in_dag_level_method_order_from_workers(self):
+        cfg = self.small_config(gen=sb.GenConfig(edge_prob=0.0),
+                                confounder_levels=(0, 1))
+        report = sb.run_experiment(cfg, threads=2)
+        keys = [(e["dag_id"], e["confounders"], e["method"]) for e in report.errors]
+        assert keys == [(d, lvl, m) for d in range(2) for lvl in (0, 1)
+                        for m in ("iid", "icp")]
+
     def test_observational_environment_round_trip(self):
         cfg = sb.ExperimentConfig(num_dags=1, samples_per_env=1500,
                                   confounder_levels=(0,), methods=("iid",),
