@@ -7,9 +7,9 @@ from .harness import (ExperimentConfig, Report, RunRecord, aggregate_cells,
                       run_experiment, write_records_csv, write_report_json)
 from .icp import (EnumerationBudgetError, IcpConfig, IcpResult,
                   icp_identify, invariance_pvalue)
-from .identifier import (IdentificationResult, PenaltyWeights, Regressor,
-                         TrainConfig, TrainingDivergedError, identify_parents,
-                         penalty_step, residual_scores, train_regressor)
+from .identifier import (IdentificationResult, Regressor, TrainConfig,
+                         TrainingDivergedError, identify_parents, penalty_step,
+                         train_regressor)
 from .scm import (Environment, GenConfig, GenerationError, Intervention,
                   LinearGaussianScm, SampleBatch, add_confounders,
                   analytic_moments, four_node_demo_scm, intervene, parents,
@@ -26,9 +26,9 @@ __all__ = [
     "run_experiment", "write_records_csv", "write_report_json",
     "EnumerationBudgetError", "IcpConfig", "IcpResult", "icp_identify",
     "invariance_pvalue",
-    "IdentificationResult", "PenaltyWeights", "Regressor", "TrainConfig",
+    "IdentificationResult", "Regressor", "TrainConfig",
     "TrainingDivergedError", "identify_parents", "penalty_step",
-    "residual_scores", "train_regressor",
+    "train_regressor",
     "Environment", "GenConfig", "GenerationError", "Intervention",
     "LinearGaussianScm", "SampleBatch", "add_confounders", "analytic_moments",
     "four_node_demo_scm", "intervene", "parents", "random_scm", "sample",

@@ -7,7 +7,8 @@ import dataclasses
 from contextlib import contextmanager
 from typing import Any, Callable
 
-from .harness import CONFIG_SECTIONS, ExperimentConfig, _parse_int
+from .harness import (CONFIG_SECTIONS, ExperimentConfig, _parse_bool,
+                      _parse_float, _parse_int)
 
 
 class ConfigError(ValueError):
@@ -21,17 +22,6 @@ def _blaming(source: str):
         yield
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}") from exc
-
-
-_BOOLEANS = {"true": True, "false": False, "1": True, "0": False,
-             "yes": True, "no": False, "on": True, "off": False}
-
-
-def _parse_bool(text: str) -> bool:
-    try:
-        return _BOOLEANS[text.strip().lower()]
-    except KeyError:
-        raise ValueError(f"expected a boolean, got {text!r}") from None
 
 
 def _parse_str_list(text: str) -> tuple[str, ...]:
@@ -50,11 +40,11 @@ def _optional(parser: Callable[[str], Any]) -> Callable[[str], Any]:
 # field annotation (a string: the config modules postpone them) -> parser
 _PARSERS: dict[str, Callable[[str], Any]] = {
     "int": _parse_int,
-    "float": float,
+    "float": _parse_float,
     "str": str.strip,
     "bool": _parse_bool,
     "int | None": _optional(_parse_int),
-    "float | None": _optional(float),
+    "float | None": _optional(_parse_float),
     "tuple[int, ...]": lambda text: tuple(map(_parse_int, _parse_str_list(text))),
     "tuple[str, ...]": _parse_str_list,
 }

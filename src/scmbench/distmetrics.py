@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .scm import _check_bound
+
 
 @dataclass(frozen=True)
 class Gaussian1D:
@@ -95,8 +97,7 @@ def ksample_equality_test(groups: list[EmpiricalSample], num_permutations: int,
     """
     if len(groups) < 2:
         raise ValueError("need at least two groups")
-    if num_permutations < 99:
-        raise ValueError("need at least 99 permutations")
+    _check_bound("num_permutations", num_permutations, "[99, inf)", integer=True)
     k = len(groups)
     pooled = np.concatenate([g.values for g in groups])
     labels = np.concatenate(

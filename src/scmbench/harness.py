@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -263,6 +264,15 @@ def _parse_int(text: str) -> int:
     return int(text)
 
 
+def _parse_float(text: str) -> float:
+    """The one reader of floats from outside the program: the forms str and
+    repr of a float write, and integers (float() would also take '+1', '.5',
+    '1E-3', '1_0.5', 'infinity', '\uff11.0')."""
+    if not re.fullmatch(r"-?(?:[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?|inf)|nan", text):
+        raise ValueError(f"expected a number, got {text!r}")
+    return float(text)
+
+
 def _parse_index(text: str) -> int:
     value = _parse_int(text)
     _check_bound("index", value, "[0, inf)")
@@ -283,8 +293,11 @@ def _parse_choice(choices: dict):
     return parse
 
 
+_parse_bool = _parse_choice({"true": True, "false": False})
+
+
 def _parse_wall_time(text: str) -> float:
-    value = float(text)
+    value = _parse_float(text)
     _check_bound("wall_time", value, "[0, inf)")
     return value
 
@@ -300,9 +313,8 @@ _CSV_COLUMNS = {
     "confounders": (str, _parse_index),
     "z": (_format_set, _parse_set),
     "pa0": (_format_set, _parse_set),
-    "js": (_format_float, float),
-    "violated": (lambda v: "true" if v else "false",
-                 _parse_choice({"true": True, "false": False})),
+    "js": (_format_float, _parse_float),
+    "violated": (lambda v: "true" if v else "false", _parse_bool),
     "wall_time": (_format_float, _parse_wall_time),
 }
 CSV_HEADER = ",".join(f.name for f in dataclasses.fields(RunRecord))

@@ -50,49 +50,6 @@ class TrainConfig:
         _check_bounds(self)
 
 
-class PenaltyWeights:
-    """Binary mask over candidates x_1..x_l; entries only ever flip 1 -> 0."""
-
-    def __init__(self, mask: np.ndarray):
-        mask = np.asarray(mask)
-        if mask.ndim != 1 or not np.all(np.isin(mask, (0, 1))):
-            raise ValueError("mask must be a 1-D binary vector")
-        self._mask = mask.astype(np.int8)
-
-    @classmethod
-    def all_active(cls, length: int) -> "PenaltyWeights":
-        if length < 1:
-            raise ValueError("need at least one candidate")
-        return cls(np.ones(length, dtype=np.int8))
-
-    @property
-    def mask(self) -> np.ndarray:
-        return self._mask.copy()
-
-    def as_vector(self) -> np.ndarray:
-        return self._mask.astype(float)
-
-    def active_candidates(self) -> list[int]:
-        """Candidate node ids (1-based) still carrying weight 1."""
-        return [int(i) + 1 for i in np.nonzero(self._mask)[0]]
-
-    def deactivate(self, candidate: int) -> None:
-        idx = candidate - 1
-        if not 0 <= idx < self._mask.size:
-            raise ValueError(f"candidate {candidate} out of range")
-        if self._mask[idx] == 0:
-            raise ValueError(f"candidate {candidate} is already inactive")
-        self._mask[idx] = 0
-
-    def __len__(self) -> int:
-        return int(self._mask.size)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PenaltyWeights):
-            return NotImplemented
-        return np.array_equal(self._mask, other._mask)
-
-
 @dataclass(frozen=True, eq=False)
 class Regressor:
     """One-hidden-layer network with a parallel linear path, in raw units.
@@ -121,9 +78,10 @@ def _param_views(buf: np.ndarray, l: int, h: int) -> tuple[np.ndarray, ...]:
     return w1.reshape(l, h), b1, w2, b2.reshape(()), ws
 
 
-def train_regressor(batches: list[SampleBatch], weights: PenaltyWeights,
+def train_regressor(batches: list[SampleBatch], mask: np.ndarray,
                     cfg: TrainConfig, rng: np.random.Generator) -> Regressor:
-    """Fit the masked regressor to pooled rows by mini-batch gradient descent.
+    """Fit the regressor to pooled rows by mini-batch gradient descent, using
+    the candidates that ``mask`` (0/1 or boolean, one per x_1..x_l) keeps.
 
     Inputs and target are standardized on the pooled rows and the affine maps
     are folded back into the returned parameters, so ``predict`` works in raw
@@ -139,10 +97,12 @@ def train_regressor(batches: list[SampleBatch], weights: PenaltyWeights,
     """
     if not batches:
         raise ValueError("need at least one batch")
+    mask = np.asarray(mask)
+    if mask.ndim != 1 or not np.all(np.isin(mask, (0, 1))):
+        raise ValueError("mask must be a 1-D binary vector")
     data = np.vstack([b.data for b in batches])
-    if data.shape[1] != len(weights) + 1:
+    if data.shape[1] != mask.size + 1:
         raise ValueError("batch width does not match the number of candidates")
-    mask = weights.as_vector()
     x_raw = data[:, 1:] * mask
     y_raw = data[:, 0]
     n, l = x_raw.shape
@@ -221,16 +181,6 @@ def train_regressor(batches: list[SampleBatch], weights: PenaltyWeights,
     return Regressor(w1=w1_fold, b1=b1_fold, w2=w2_fold, b2=b2_fold, ws=ws_fold)
 
 
-def residual_scores(reg: Regressor, weights: PenaltyWeights,
-                    batch: SampleBatch) -> EmpiricalSample:
-    """|prediction - x_0| on the masked candidates of one batch."""
-    if batch.data.shape[1] != len(weights) + 1:
-        raise ValueError("batch width does not match the number of candidates")
-    x = batch.data[:, 1:] * weights.as_vector()
-    res = np.abs(reg.predict(x) - batch.data[:, 0])
-    return EmpiricalSample(values=res, label=batch.env)
-
-
 def penalty_step(per_candidate_fids: list[tuple[int, float]],
                  tau: float) -> int | None:
     """Candidate with the largest score if it exceeds tau, else None.
@@ -249,7 +199,7 @@ def penalty_step(per_candidate_fids: list[tuple[int, float]],
 @dataclass(frozen=True, eq=False)
 class IdentificationResult:
     estimated_set: frozenset[int]
-    final_weights: PenaltyWeights
+    final_weights: np.ndarray  # boolean mask over x_1..x_l when the loop stopped
     fid_trace: np.ndarray
     tau_trace: np.ndarray
     rounds_run: int
@@ -309,32 +259,28 @@ def identify_parents(batches: list[SampleBatch], cfg: TrainConfig,
     if set(ids) & required != required or extra - {0}:
         raise ValueError(f"environment ids must cover 1..{l} exactly once (plus optional 0)")
 
-    train_batches: list[SampleBatch] = []
-    holdout: dict[int, SampleBatch] = {}
+    # env id -> (training rows, holdout rows); its candidate keys are the
+    # active set, and eliminating a candidate deletes its entry
+    split: dict[int, tuple[SampleBatch, np.ndarray]] = {}
     for b in batches:
-        n_hold = int(round(b.n * cfg.holdout_fraction))
-        n_hold = min(max(n_hold, 2), b.n - 1)
         if b.n < 3:
             raise ValueError("each batch needs at least 3 rows for a train/holdout split")
-        train_batches.append(SampleBatch(env=b.env, data=b.data[:b.n - n_hold]))
-        holdout[b.env] = SampleBatch(env=b.env, data=b.data[b.n - n_hold:])
+        n_hold = min(max(int(round(b.n * cfg.holdout_fraction)), 2), b.n - 1)
+        split[b.env] = (SampleBatch(env=b.env, data=b.data[:b.n - n_hold]),
+                        b.data[b.n - n_hold:])
 
-    weights = PenaltyWeights.all_active(l)
+    candidates = np.arange(1, l + 1)
     max_rounds = cfg.rounds if cfg.rounds is not None else l
     fid_rows: list[np.ndarray] = []
     taus: list[float] = []
-    rounds_run = 0
-    for _ in range(max_rounds):
-        active = weights.active_candidates()
-        if not active:
-            break
-        if len(holdout) < 2:
-            # a lone environment has no complement to compare against
-            break
+    # a lone environment has no complement to compare against
+    while len(taus) < max_rounds and len(split) >= 2:
+        active = sorted(e for e in split if e)
+        mask = np.isin(candidates, active)
         rng_train, rng_cal = rng.spawn(2)
-        reg = train_regressor(train_batches, weights, cfg, rng_train)
-        residuals = {env: residual_scores(reg, weights, hb).values
-                     for env, hb in holdout.items()}
+        reg = train_regressor([t for t, _ in split.values()], mask, cfg, rng_train)
+        residuals = {env: np.abs(reg.predict(h[:, 1:] * mask) - h[:, 0])
+                     for env, (_, h) in split.items()}
         fids: list[tuple[int, float]] = []
         for j in active:
             own = residuals[j]
@@ -354,19 +300,16 @@ def identify_parents(batches: list[SampleBatch], cfg: TrainConfig,
             row[j - 1] = fid
         fid_rows.append(row)
         taus.append(tau)
-        rounds_run += 1
         victim = penalty_step(fids, tau)
         if victim is None:
             break
-        weights.deactivate(victim)
-        train_batches = [b for b in train_batches if b.env != victim]
-        del holdout[victim]
+        del split[victim]
 
-    trace = np.vstack(fid_rows) if fid_rows else np.empty((0, l))
+    survivors = [e for e in split if e]
     return IdentificationResult(
-        estimated_set=frozenset(weights.active_candidates()),
-        final_weights=weights,
-        fid_trace=trace,
+        estimated_set=frozenset(survivors),
+        final_weights=np.isin(candidates, survivors),
+        fid_trace=np.vstack(fid_rows),
         tau_trace=np.asarray(taus),
-        rounds_run=rounds_run,
+        rounds_run=len(taus),
     )

@@ -134,6 +134,15 @@ class TestRoundTrip:
         assert cfg == sb.ExperimentConfig()
         assert not seed_present
 
+    def test_floats_may_be_written_as_integers(self, tmp_path):
+        path = write(tmp_path, "[generation]\nintervention_value_min = -3\n"
+                               "intervention_value_max = 1e+1\n"
+                               "[train]\nlr = 1e-05\n")
+        cfg, _ = read_config(path)
+        assert cfg.gen.intervention_value_min == -3.0
+        assert cfg.gen.intervention_value_max == 10.0
+        assert cfg.train.learning_rate == 1e-05
+
 
 class TestErrors:
     def test_unknown_section(self, tmp_path):
@@ -171,9 +180,20 @@ class TestErrors:
          "learning_rate must lie in (0, inf), got nan"),
         ("[generation]\nnodes_min = 13\n", "[generation] nodes_max",
          "nodes_max must be >= nodes_min"),
+        # floats are the forms str and repr of a float write, and integers
+        ("[train]\nlr = 0_0.5\n", "[train] lr", "expected a number, got '0_0.5'"),
+        ("[train]\nlr = +1\n", "[train] lr", "expected a number, got '+1'"),
+        ("[train]\ntau = infinity\n", "[train] tau",
+         "expected a number, got 'infinity'"),
+        ("[train]\nlr = 1E-3\n", "[train] lr", "expected a number, got '1E-3'"),
+        ("[generation]\nedge_prob = .5\n", "[generation] edge_prob",
+         "expected a number, got '.5'"),
+        ("[icp]\nalpha = \uff11.0\n", "[icp] alpha",
+         "expected a number, got '\uff11.0'"),
     ], ids=["num_dags=1_0", "samples_per_env=+500", "confounder_levels=arabic-1",
             "rounds=1_0", "master_seed=blank", "num_dags=-1", "lr=nan",
-            "nodes_min=13"])
+            "nodes_min=13", "lr=0_0.5", "lr=+1", "tau=infinity", "lr=1E-3",
+            "edge_prob=.5", "alpha=fullwidth-1.0"])
     def test_bad_value_names_section_and_key(self, tmp_path, text, where,
                                              message):
         with pytest.raises(ConfigError) as info:
@@ -181,9 +201,13 @@ class TestErrors:
         assert str(info.value) == f"{where}: {message}"
 
     def test_malformed_boolean(self, tmp_path):
-        path = write(tmp_path, "[experiment]\ninclude_observational = maybe\n")
-        with pytest.raises(ConfigError, match="expected a boolean"):
-            read_config(path)
+        # booleans are spelled as config_to_ini writes them
+        for text in ("maybe", "yes", "True", "1"):
+            path = write(tmp_path, f"[experiment]\ninclude_observational = {text}\n")
+            with pytest.raises(ConfigError) as info:
+                read_config(path)
+            assert str(info.value) == ("[experiment] include_observational: expected "
+                                       f"one of ['true', 'false'], got '{text}'")
 
     def test_semantic_error_propagates(self, tmp_path):
         path = write(tmp_path, "[icp]\nalpha = 1.5\n")

@@ -161,3 +161,7 @@ class TestKSampleTest:
         with pytest.raises(ValueError, match="99"):
             sb.ksample_equality_test([sample, sample], 50,
                                      np.random.default_rng(0))
+        for count in (150.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="^num_permutations must"):
+                sb.ksample_equality_test([sample, sample], count,
+                                         np.random.default_rng(0))

@@ -293,6 +293,12 @@ class TestCsvRoundTrip:
         ("0,iid,0,1,1,1.0,false,inf", "wall_time"),
         ("0,iid,0,1,1,1.0,false,-3", "wall_time"),
         ("0,iid,0,1,1,1.0,false,nan", "wall_time"),
+        # floats must be spelled as repr writes them
+        ("0,iid,0,1,1,1.0,false,1_0.5", "wall_time"),
+        ("0,iid,0,1,1,1.0,false,.5", "wall_time"),
+        ("0,iid,0,1,1,1.0,false,5E-1", "wall_time"),
+        ("0,iid,0,1,1,+1.0,false,0.5", "js"),
+        ("0,iid,0,1,1,1.0 ,false,0.5", "js"),
         # integers must be plain non-negative ASCII decimals
         ("0,iid,0,1_0,1,0.0,true,0.5", "z"),
         ("+0,iid,0,1,1,1.0,false,0.5", "dag_id"),

@@ -1,5 +1,7 @@
 """Tests for the invariance-penalty parent identifier."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -31,16 +33,16 @@ def all_parents_scm():
         topo_order=(1, 2, 3, 4, 5, 0))
 
 
-def _reference_train_regressor(batches, weights, cfg, rng):
+def _reference_train_regressor(batches, mask, cfg, rng):
     """Per-parameter trainer oracle: one array and one Adam update per
     parameter and one index draw per step. train_regressor must return the
     same bits and leave rng in the same state."""
     if not batches:
         raise ValueError("need at least one batch")
     data = np.vstack([b.data for b in batches])
-    if data.shape[1] != len(weights) + 1:
+    mask = np.asarray(mask, dtype=float)
+    if data.shape[1] != mask.size + 1:
         raise ValueError("batch width does not match the number of candidates")
-    mask = weights.as_vector()
     x_raw = data[:, 1:] * mask
     y_raw = data[:, 0]
     n, l = x_raw.shape
@@ -122,38 +124,36 @@ def five_candidate_batches(seed: int, n: int):
     return [sb.sample(scm, env, n, rng) for env in envs]
 
 
-class TestPenaltyWeights:
-    def test_lifecycle(self):
-        w = sb.PenaltyWeights.all_active(3)
-        assert len(w) == 3
-        assert w.active_candidates() == [1, 2, 3]
-        w.deactivate(2)
-        assert w.active_candidates() == [1, 3]
-        assert w.as_vector().tolist() == [1.0, 0.0, 1.0]
-
-    def test_mask_accessor_returns_a_copy(self):
-        w = sb.PenaltyWeights.all_active(2)
-        w.mask[0] = 0
-        assert w.active_candidates() == [1, 2]
-
-    def test_equality(self):
-        a = sb.PenaltyWeights.all_active(2)
-        b = sb.PenaltyWeights.all_active(2)
-        assert a == b
-        b.deactivate(1)
-        assert a != b
-
-    def test_rejects_bad_operations(self):
-        w = sb.PenaltyWeights.all_active(2)
-        w.deactivate(1)
-        with pytest.raises(ValueError, match="already inactive"):
-            w.deactivate(1)
-        with pytest.raises(ValueError, match="out of range"):
-            w.deactivate(3)
-        with pytest.raises(ValueError, match="binary"):
-            sb.PenaltyWeights(np.array([1, 2, 0]))
-        with pytest.raises(ValueError, match="at least one"):
-            sb.PenaltyWeights.all_active(0)
+# identify_parents on the demo model (batch seed 21, rng seed 22), by case:
+# (observational batch?, TrainConfig overrides, sorted estimated set,
+# rounds_run, sha256 of fid_trace.tobytes(), sha256 of tau_trace.tobytes())
+PINNED_RESULTS = {
+    "default": (
+        False, {}, [1, 2], 2,
+        "f0d31d3ccfcc5971464ae3234180a2f0ef79fc0e1a9672a94346ef83b0c765ea",
+        "c856b0043fd3055276975ff458219fa645daea5c48e101ad2da1280ebbc6a1fe"),
+    "observational": (
+        True, {}, [1, 2], 2,
+        "d323da1d5f912497b6c9c0eaa0b1afa781fb4a76b155b248277128aabc0edb5c",
+        "6da35190daa7008548f95fa64f9d20c5485f7e8500f68781f7a15ef8f8518bf4"),
+    "rounds=1": (
+        False, dict(rounds=1), [1, 2], 1,
+        "9290aa2107e90388556a1e5247117bb52640c648077c7e7f7e6f7e6e832d7720",
+        "896bb2eb8d4af74e314f628d7945f52b5f3444e8db9978bef0c91983019d3d7a"),
+    "tau=0.01": (
+        False, dict(tau=0.01), [1, 2], 2,
+        "f0d31d3ccfcc5971464ae3234180a2f0ef79fc0e1a9672a94346ef83b0c765ea",
+        "c5e1f4c71c3d389d29391287c19eaf39177d2480d44005da232ffacac7b6b001"),
+    # tau = 0 evicts until one environment is left
+    "tau=0": (
+        False, dict(tau=0.0), [2], 2,
+        "f0d31d3ccfcc5971464ae3234180a2f0ef79fc0e1a9672a94346ef83b0c765ea",
+        "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb"),
+    "observational-tau=0": (
+        True, dict(tau=0.0), [], 3,
+        "f91c13de0f9525f29ca0240dc836809bad0c26fc693c2b68a8330e5d463c8413",
+        "9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0"),
+}
 
 
 class TestPenaltyStep:
@@ -181,20 +181,17 @@ class TestTrainRegressor:
         rng = np.random.default_rng(0)
         train = sb.sample(scm, OBS, 6000, rng)
         hold = sb.sample(scm, OBS, 4000, rng)
-        w = sb.PenaltyWeights.all_active(3)
-        for j in (1, 2, 3):
-            w.deactivate(j)
-        reg = sb.train_regressor([train], w, sb.TrainConfig(),
+        mask = np.zeros(3)
+        reg = sb.train_regressor([train], mask, sb.TrainConfig(),
                                  np.random.default_rng(1))
-        x = hold.data[:, 1:] * w.as_vector()
+        x = hold.data[:, 1:] * mask
         mse = float(np.mean((reg.predict(x) - hold.data[:, 0]) ** 2))
         # Var(x0) = 2^2 + 1.5^2 + 1 = 7.25; a constant predictor can do no better
         assert mse == pytest.approx(7.25, rel=0.05)
 
     def test_chain_reaches_the_noise_floor(self):
         train, hold = chain_batches(seed=2)
-        w = sb.PenaltyWeights.all_active(1)
-        reg = sb.train_regressor([train], w, sb.TrainConfig(),
+        reg = sb.train_regressor([train], np.ones(1), sb.TrainConfig(),
                                  np.random.default_rng(3))
         mse = float(np.mean((reg.predict(hold.data[:, 1:])
                              - hold.data[:, 0]) ** 2))
@@ -202,23 +199,23 @@ class TestTrainRegressor:
 
     def test_determinism(self):
         train, _ = chain_batches(seed=4, n_train=1500, n_eval=10)
-        w = sb.PenaltyWeights.all_active(1)
+        mask = np.ones(1)
         cfg = sb.TrainConfig(epochs_per_round=50)
-        a = sb.train_regressor([train], w, cfg, np.random.default_rng(9))
-        b = sb.train_regressor([train], w, cfg, np.random.default_rng(9))
+        a = sb.train_regressor([train], mask, cfg, np.random.default_rng(9))
+        b = sb.train_regressor([train], mask, cfg, np.random.default_rng(9))
         for field in ("w1", "b1", "w2", "b2", "ws"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_divergence_is_reported(self):
         train, _ = chain_batches(seed=5, n_train=500, n_eval=10)
         cfg = sb.TrainConfig(learning_rate=1e200, epochs_per_round=5)
-        w = sb.PenaltyWeights.all_active(1)
+        mask = np.ones(1)
         with np.errstate(over="ignore"):
             with pytest.raises(sb.TrainingDivergedError) as expected:
-                _reference_train_regressor([train], w, cfg,
+                _reference_train_regressor([train], mask, cfg,
                                            np.random.default_rng(0))
             with pytest.raises(sb.TrainingDivergedError) as got:
-                sb.train_regressor([train], w, cfg, np.random.default_rng(0))
+                sb.train_regressor([train], mask, cfg, np.random.default_rng(0))
         assert str(got.value) == str(expected.value)
         assert str(got.value).startswith("non-finite loss at step ")
 
@@ -233,56 +230,68 @@ class TestTrainRegressor:
     ])
     def test_matches_the_per_parameter_oracle(self, masked, overrides, n):
         batches = five_candidate_batches(seed=11, n=n)
-        w = sb.PenaltyWeights.all_active(5)
-        for j in masked:
-            w.deactivate(j)
+        active = ~np.isin(np.arange(1, 6), masked)
         cfg = sb.TrainConfig(**overrides)
         rng_ref = np.random.default_rng(12)
-        rng_new = np.random.default_rng(12)
-        ref = _reference_train_regressor(batches, w, cfg, rng_ref)
-        got = sb.train_regressor(batches, w, cfg, rng_new)
-        for field in ("w1", "b1", "w2", "b2", "ws"):
-            assert np.array_equal(getattr(got, field), getattr(ref, field)), field
-        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        ref = _reference_train_regressor(batches, active.astype(float), cfg, rng_ref)
+        # identify_parents passes a boolean mask; a 0/1 integer one is the same
+        for mask in (active, active.astype(np.int8)):
+            rng_new = np.random.default_rng(12)
+            got = sb.train_regressor(batches, mask, cfg, rng_new)
+            for field in ("w1", "b1", "w2", "b2", "ws"):
+                assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
     def test_rejects_mismatched_width(self):
         train, _ = chain_batches(seed=6, n_train=100, n_eval=10)
         with pytest.raises(ValueError, match="width"):
-            sb.train_regressor([train], sb.PenaltyWeights.all_active(3),
-                               sb.TrainConfig(), np.random.default_rng(0))
+            sb.train_regressor([train], np.ones(3), sb.TrainConfig(),
+                               np.random.default_rng(0))
         with pytest.raises(ValueError, match="at least one batch"):
-            sb.train_regressor([], sb.PenaltyWeights.all_active(1),
-                               sb.TrainConfig(), np.random.default_rng(0))
+            sb.train_regressor([], np.ones(1), sb.TrainConfig(),
+                               np.random.default_rng(0))
+
+    @pytest.mark.parametrize("mask, message", [
+        pytest.param([1, 2, 0], "mask must be a 1-D binary vector", id="non-binary"),
+        pytest.param([1.0, 0.5, 1.0], "mask must be a 1-D binary vector",
+                     id="fractional"),
+        pytest.param([[1, 1, 1]], "mask must be a 1-D binary vector", id="2-d"),
+        pytest.param([1, 1], "batch width does not match the number of candidates",
+                     id="wrong-length"),
+    ])
+    def test_rejects_a_bad_mask(self, mask, message):
+        train = sb.sample(sb.four_node_demo_scm(), OBS, 50, np.random.default_rng(0))
+        with pytest.raises(ValueError) as info:
+            sb.train_regressor([train], np.array(mask), sb.TrainConfig(),
+                               np.random.default_rng(0))
+        assert str(info.value) == message
 
 
 class TestResidualScores:
+    """identify_parents scores |predict(x * mask) - x_0| on holdout rows."""
+
     def test_magnitudes_match_folded_gaussian_mean(self):
         train, hold = chain_batches(seed=7)
-        w = sb.PenaltyWeights.all_active(1)
-        reg = sb.train_regressor([train], w, sb.TrainConfig(),
+        mask = np.ones(1)
+        reg = sb.train_regressor([train], mask, sb.TrainConfig(),
                                  np.random.default_rng(8))
-        scores = sb.residual_scores(reg, w, hold)
-        assert scores.label == hold.env
-        assert np.all(scores.values >= 0.0)
+        scores = np.abs(reg.predict(hold.data[:, 1:] * mask) - hold.data[:, 0])
+        assert np.all(scores >= 0.0)
         expected = np.sqrt(2.0 / np.pi)  # E|N(0, 1)|
-        assert float(scores.values.mean()) == pytest.approx(expected, rel=0.20)
+        assert float(scores.mean()) == pytest.approx(expected, rel=0.20)
 
     def test_perfect_predictor_gives_zero_scores(self):
         reg = sb.Regressor(w1=np.zeros((1, 2)), b1=np.zeros(2),
                            w2=np.zeros(2), b2=0.0, ws=np.array([2.0]))
         data = np.column_stack([np.arange(5.0) * 2.0, np.arange(5.0)])
-        batch = sb.SampleBatch(env=1, data=data)
-        scores = sb.residual_scores(reg, sb.PenaltyWeights.all_active(1), batch)
-        assert np.all(scores.values == 0.0)
+        assert np.all(reg.predict(data[:, 1:]) == data[:, 0])
 
     def test_rejects_mismatched_width(self):
-        batch = sb.SampleBatch(env=1, data=np.zeros((4, 2)))
         reg = sb.Regressor(w1=np.zeros((1, 2)), b1=np.zeros(2),
                            w2=np.zeros(2), b2=0.0, ws=np.zeros(1))
-        with pytest.raises(ValueError, match="width"):
-            sb.residual_scores(reg, sb.PenaltyWeights.all_active(3), batch)
-        with pytest.raises(ValueError, match="width"):
-            reg.predict(np.zeros((4, 3)))
+        for x in (np.zeros((4, 3)), np.zeros(4)):
+            with pytest.raises(ValueError, match="width"):
+                reg.predict(x)
 
 
 class TestIdentifyParents:
@@ -324,9 +333,22 @@ class TestIdentifyParents:
         active_sets = [set(np.nonzero(~np.isnan(row))[0]) for row in trace]
         for before, after in zip(active_sets, active_sets[1:]):
             assert after < before, "active set must shrink every round"
-        assert result.estimated_set == set(result.final_weights.active_candidates())
+        assert result.final_weights.dtype == bool
+        assert result.estimated_set == set(np.flatnonzero(result.final_weights) + 1)
         assert 0 not in result.estimated_set
         assert result.estimated_set <= {1, 2, 3}
+
+    @pytest.mark.parametrize("case", PINNED_RESULTS)
+    def test_matches_the_pinned_results(self, demo_batches, case):
+        observational, overrides, *expected = PINNED_RESULTS[case]
+        batches = demo_batches(21, include_observational=observational)
+        result = sb.identify_parents(batches, sb.TrainConfig(**overrides),
+                                     np.random.default_rng(22))
+        assert [sorted(result.estimated_set), result.rounds_run,
+                hashlib.sha256(result.fid_trace.tobytes()).hexdigest(),
+                hashlib.sha256(result.tau_trace.tobytes()).hexdigest()] == expected
+        assert result.final_weights.tolist() == [j in result.estimated_set
+                                                 for j in (1, 2, 3)]
 
     def test_rounds_cap_limits_eliminations(self, demo_batches):
         cfg = sb.TrainConfig(rounds=1)
