@@ -7,8 +7,8 @@ import dataclasses
 from contextlib import contextmanager
 from typing import Any, Callable
 
-from .harness import (CONFIG_SECTIONS, ExperimentConfig, _parse_bool,
-                      _parse_float, _parse_int)
+from .harness import (CONFIG_SECTIONS, ExperimentConfig, _format_bool,
+                      _parse_bool, _parse_float, _parse_int)
 
 
 class ConfigError(ValueError):
@@ -154,7 +154,7 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
             if value is None:
                 text = ""
             elif isinstance(value, bool):
-                text = "true" if value else "false"
+                text = _format_bool(value)
             elif isinstance(value, tuple):
                 text = ", ".join(str(v) for v in value)
             else:

@@ -49,40 +49,38 @@ def frechet_gaussian1d(a: Gaussian1D, b: Gaussian1D) -> float:
     return (a.mean - b.mean) ** 2 + (a.std - b.std) ** 2
 
 
-def _pairsum_within(sorted_v: np.ndarray) -> float:
-    # sum_{i<j} (v_j - v_i) for ascending v
-    n = sorted_v.size
-    if n < 2:
-        return 0.0
-    idx = np.arange(n, dtype=float)
-    csum = np.cumsum(sorted_v)
-    return float(np.sum(sorted_v * idx - (csum - sorted_v)))
-
-def _pairsum_cross(sorted_a: np.ndarray, sorted_b: np.ndarray) -> float:
-    # sum_i sum_j |a_i - b_j| for ascending a and b
-    m = sorted_b.size
-    prefix = np.concatenate(([0.0], np.cumsum(sorted_b)))
-    total_b = prefix[-1]
-    pos = np.searchsorted(sorted_b, sorted_a, side="right")
-    below = sorted_a * pos - prefix[pos]
-    above = (total_b - prefix[pos]) - sorted_a * (m - pos)
-    return float(np.sum(below + above))
+# Permuted label rows are scored in blocks of at most this many labels.
+_BLOCK_LABELS = 2 ** 17
 
 
-def _ksample_stat(sorted_pooled: np.ndarray, labels: np.ndarray, k: int) -> float:
-    # labels align with sorted_pooled positions; groups stay sorted when sliced
-    groups = [sorted_pooled[labels == g] for g in range(k)]
-    sizes = [g.size for g in groups]
-    stat = 0.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            cross = _pairsum_cross(groups[i], groups[j])
-            wi = _pairsum_within(groups[i])
-            wj = _pairsum_within(groups[j])
-            stat += (2.0 * cross / (sizes[i] * sizes[j])
-                     - 2.0 * wi / sizes[i] ** 2
-                     - 2.0 * wj / sizes[j] ** 2)
-    return stat
+def _ksample_stats(sorted_pooled: np.ndarray, labels: np.ndarray,
+                   sizes: list[int]) -> np.ndarray:
+    """The statistic for each row of ``labels``, the group of each position of
+    ``sorted_pooled``. For ascending v, sum_{i<j} (v_j - v_i) = v . (2 arange(m)
+    - (m - 1)); a row-major flatnonzero keeps each group ascending. Each row is
+    summed alone, not by BLAS (whose rounding depends on the block), and the
+    symmetric pair terms are added in sorted order, so rows with the same groups,
+    even relabelled among equal sizes, tie exactly."""
+    rows, n = labels.shape
+    offsets = n * np.arange(rows)[:, None]
+
+    def within(v):
+        return (v * (2.0 * np.arange(v.shape[1]) - (v.shape[1] - 1))).sum(axis=1)
+
+    def within_of(mask):
+        return within(sorted_pooled[np.flatnonzero(mask).reshape(rows, -1) - offsets])
+
+    k = len(sizes)
+    w = [within_of(labels == g) for g in range(k)]
+    terms = []
+    for a in range(k):
+        for b in range(a + 1, k):
+            union = (within(sorted_pooled[None, :]) if k == 2
+                     else within_of((labels == a) | (labels == b)))
+            cross = union - (w[a] + w[b])
+            terms.append(2.0 * cross / (sizes[a] * sizes[b])
+                         - (2.0 * w[a] / sizes[a] ** 2 + 2.0 * w[b] / sizes[b] ** 2))
+    return np.sort(np.stack(terms, axis=1), axis=1).sum(axis=1)
 
 
 def ksample_equality_test(groups: list[EmpiricalSample], num_permutations: int,
@@ -93,24 +91,24 @@ def ksample_equality_test(groups: list[EmpiricalSample], num_permutations: int,
     ``num_permutations`` times; p = (1 + #{perm >= observed}) / (1 + B), so p
     is 1.0 when all groups hold literally identical values. Each permutation
     draws from its own spawned generator, which makes the result independent
-    of evaluation order.
+    of evaluation order; the permuted labels are scored a block at a time.
     """
     if len(groups) < 2:
         raise ValueError("need at least two groups")
     _check_bound("num_permutations", num_permutations, "[99, inf)", integer=True)
-    k = len(groups)
+    sizes = [g.values.size for g in groups]
     pooled = np.concatenate([g.values for g in groups])
-    labels = np.concatenate(
-        [np.full(g.values.size, i, dtype=np.int64) for i, g in enumerate(groups)])
-    order = np.argsort(pooled, kind="stable")
-    sorted_pooled = pooled[order]
-    observed = _ksample_stat(sorted_pooled, labels[order], k)
+    labels = np.repeat(np.arange(len(sizes), dtype=np.min_scalar_type(len(sizes))), sizes)
     if np.ptp(pooled) == 0.0:
         return 0.0, 1.0
-    child_rngs = rng.spawn(num_permutations)
+    order = np.argsort(pooled, kind="stable")
+    sorted_pooled = pooled[order]
+    observed = _ksample_stats(sorted_pooled, labels[None, order], sizes)[0]
+    children = rng.spawn(num_permutations)
+    rows = max(1, _BLOCK_LABELS // labels.size)
     exceed = 0
-    for child in child_rngs:
-        perm_labels = labels[child.permutation(labels.size)]
-        if _ksample_stat(sorted_pooled, perm_labels, k) >= observed:
-            exceed += 1
-    return observed, (1 + exceed) / (1 + num_permutations)
+    for start in range(0, num_permutations, rows):
+        block = np.stack([labels[child.permutation(labels.size)]
+                          for child in children[start:start + rows]])
+        exceed += int(np.count_nonzero(_ksample_stats(sorted_pooled, block, sizes) >= observed))
+    return float(observed), (1 + exceed) / (1 + num_permutations)

@@ -293,7 +293,9 @@ def _parse_choice(choices: dict):
     return parse
 
 
-_parse_bool = _parse_choice({"true": True, "false": False})
+_BOOLS = {"true": True, "false": False}
+_parse_bool = _parse_choice(_BOOLS)
+_format_bool = {value: text for text, value in _BOOLS.items()}.__getitem__
 
 
 def _parse_wall_time(text: str) -> float:
@@ -314,7 +316,7 @@ _CSV_COLUMNS = {
     "z": (_format_set, _parse_set),
     "pa0": (_format_set, _parse_set),
     "js": (_format_float, _parse_float),
-    "violated": (lambda v: "true" if v else "false", _parse_bool),
+    "violated": (_format_bool, _parse_bool),
     "wall_time": (_format_float, _parse_wall_time),
 }
 CSV_HEADER = ",".join(f.name for f in dataclasses.fields(RunRecord))

@@ -27,9 +27,9 @@ def _bounded(default, interval: str):
 
 def _check_bound(name: str, value, interval: str, integer: bool = False) -> None:
     """Raise ValueError naming ``name`` unless ``value`` lies in ``interval``
-    (and, if ``integer``, is an integer). NaN fails every comparison."""
+    (and, if ``integer``, is an integer, not a bool). NaN fails every comparison."""
     lo, hi = (float(end) for end in interval[1:-1].split(","))
-    if integer and not isinstance(value, Integral):
+    if integer and (isinstance(value, bool) or not isinstance(value, Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if (not (lo <= value <= hi) or (interval[0] == "(" and value == lo)
             or (interval[-1] == ")" and value == hi)):

@@ -252,6 +252,12 @@ class TestDeclaredRanges:
             "bool", "str", "tuple[int, ...]", "tuple[str, ...]", "GenConfig",
             "TrainConfig", "IcpConfig", "LinearGaussianScm | None"}
 
+    @pytest.mark.parametrize("cls, name", [(sb.ExperimentConfig, "num_dags"),
+                                           (sb.TrainConfig, "hidden_width")])
+    def test_bool_is_not_an_integer(self, cls, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got True$"):
+            cls(**{name: True})
+
     @pytest.mark.parametrize("cls, name, value", numeric_field_cases())
     def test_nonfinite_or_fractional_value_names_the_field(self, cls, name,
                                                            value):

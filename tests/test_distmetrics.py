@@ -1,11 +1,14 @@
 """Tests for 1-D distribution distances and the k-sample permutation test."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import scmbench as sb
+from scmbench import distmetrics
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 widths = st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False)
@@ -24,6 +27,64 @@ def energy_distance(a: sb.EmpiricalSample, b: sb.EmpiricalSample) -> float:
     within_a = np.abs(x[:, None] - x[None, :]).mean()
     within_b = np.abs(y[:, None] - y[None, :]).mean()
     return float(2.0 * cross - within_a - within_b)
+
+
+
+def _pairsum_within(sorted_v: np.ndarray) -> float:
+    # sum_{i<j} (v_j - v_i) for ascending v
+    n = sorted_v.size
+    if n < 2:
+        return 0.0
+    idx = np.arange(n, dtype=float)
+    csum = np.cumsum(sorted_v)
+    return float(np.sum(sorted_v * idx - (csum - sorted_v)))
+
+
+def _pairsum_cross(sorted_a: np.ndarray, sorted_b: np.ndarray) -> float:
+    # sum_i sum_j |a_i - b_j| for ascending a and b
+    m = sorted_b.size
+    prefix = np.concatenate(([0.0], np.cumsum(sorted_b)))
+    total_b = prefix[-1]
+    pos = np.searchsorted(sorted_b, sorted_a, side="right")
+    below = sorted_a * pos - prefix[pos]
+    above = (total_b - prefix[pos]) - sorted_a * (m - pos)
+    return float(np.sum(below + above))
+
+
+def _ksample_stat(sorted_pooled: np.ndarray, labels: np.ndarray, k: int) -> float:
+    """One permutation's statistic, the oracle for the block scoring.
+
+    labels align with sorted_pooled positions; groups stay sorted when sliced.
+    """
+    groups = [sorted_pooled[labels == g] for g in range(k)]
+    sizes = [g.size for g in groups]
+    stat = 0.0
+    for i in range(k):
+        for j in range(i + 1, k):
+            cross = _pairsum_cross(groups[i], groups[j])
+            wi = _pairsum_within(groups[i])
+            wj = _pairsum_within(groups[j])
+            stat += (2.0 * cross / (sizes[i] * sizes[j])
+                     - 2.0 * wi / sizes[i] ** 2
+                     - 2.0 * wj / sizes[j] ** 2)
+    return stat
+
+
+def ksample_oracle(groups, num_permutations, rng):
+    """ksample_equality_test one permutation at a time, with the same draws."""
+    k = len(groups)
+    pooled = np.concatenate([g.values for g in groups])
+    labels = np.concatenate(
+        [np.full(g.values.size, i, dtype=np.int64) for i, g in enumerate(groups)])
+    order = np.argsort(pooled, kind="stable")
+    sorted_pooled = pooled[order]
+    observed = _ksample_stat(sorted_pooled, labels[order], k)
+    if np.ptp(pooled) == 0.0:
+        return 0.0, 1.0
+    exceed = sum(
+        _ksample_stat(sorted_pooled, labels[child.permutation(labels.size)], k) >= observed
+        for child in rng.spawn(num_permutations))
+    return observed, (1 + exceed) / (1 + num_permutations)
 
 
 class TestGaussianFit:
@@ -165,3 +226,86 @@ class TestKSampleTest:
             with pytest.raises(ValueError, match="^num_permutations must"):
                 sb.ksample_equality_test([sample, sample], count,
                                          np.random.default_rng(0))
+
+
+def _normal_groups(seed, sizes, shift=0.0):
+    rng = np.random.default_rng(seed)
+    return [sb.EmpiricalSample(rng.normal(shift * i, size=m), label=i)
+            for i, m in enumerate(sizes)]
+
+
+def _integer_groups(seed, sizes, levels):
+    rng = np.random.default_rng(seed)
+    return [sb.EmpiricalSample(rng.integers(0, levels, size=m).astype(float), label=i)
+            for i, m in enumerate(sizes)]
+
+
+class TestBlockScoringMatchesOracle:
+    """The block scoring returns the per-permutation loop's p exactly."""
+
+    @pytest.mark.parametrize("groups, permutations", [
+        (_normal_groups(0, (40, 40)), 99),
+        (_normal_groups(1, (30, 70), shift=0.3), 199),
+        (_normal_groups(2, (25, 60, 15), shift=0.2), 199),
+        (_normal_groups(3, (12, 30, 7, 50), shift=0.1), 150),
+        (_integer_groups(4, (20, 35), levels=3), 199),
+        (_integer_groups(5, (9, 17, 30), levels=4), 199),
+        (_integer_groups(6, (5, 8, 11, 6), levels=2), 99),
+        (_normal_groups(7, (1, 1, 6)), 99),
+        (_integer_groups(8, (1, 4, 1), levels=2), 99),
+        (_normal_groups(9, (400, 1000), shift=0.05), 199),
+    ], ids=["k2-equal", "k2-unequal", "k3", "k4", "k2-ties", "k3-ties",
+            "k4-ties", "size-1", "size-1-ties", "three-blocks"])
+    def test_same_p_and_statistic(self, groups, permutations):
+        got = sb.ksample_equality_test(groups, permutations, np.random.default_rng(11))
+        want = ksample_oracle(groups, permutations, np.random.default_rng(11))
+        assert got[1] == want[1]
+        assert got[0] == pytest.approx(want[0], rel=1e-9)
+
+    def test_three_blocks_case_needs_three_blocks(self):
+        rows = distmetrics._BLOCK_LABELS // 1400
+        assert (rows, -(-199 // rows)) == (93, 3)
+
+    @pytest.mark.parametrize("sizes, relabel", [
+        ((6, 6), (1, 0)), ((1, 1, 6), (1, 0, 2)), ((5, 9, 5, 9), (2, 3, 0, 1))])
+    def test_swapping_equal_sized_groups_ties_exactly(self, sizes, relabel):
+        # swapping the labels of equal-sized groups keeps the statistic, so
+        # the two rows must tie exactly whatever the rounding
+        pooled = np.sort(np.concatenate([g.values for g in _normal_groups(13, sizes)]))
+        labels = np.random.default_rng(14).permutation(np.repeat(np.arange(len(sizes)), sizes))
+        rows = np.stack([labels, np.array(relabel)[labels]])
+        stats = distmetrics._ksample_stats(pooled, rows, list(sizes))
+        assert stats[0] == stats[1]
+
+    def test_a_row_scores_the_same_alone_and_in_a_block(self):
+        # the observed labels are scored as a one-row block; a permutation
+        # that leaves every group's values in place must tie with it exactly
+        sizes = [400, 1000]
+        pooled = np.sort(np.concatenate([g.values for g in _normal_groups(15, sizes)]))
+        labels = np.random.default_rng(16).permutation(np.repeat([0, 1], sizes))
+        alone = distmetrics._ksample_stats(pooled, labels[None, :], sizes)
+        block = distmetrics._ksample_stats(pooled, np.tile(labels, (93, 1)), sizes)
+        assert np.all(block == alone)
+
+    def test_oracle_statistic_is_sum_of_pairwise_energy_distances(self):
+        groups = _normal_groups(12, (9, 14, 5), shift=0.5)
+        pooled = np.concatenate([g.values for g in groups])
+        labels = np.repeat(np.arange(3), [9, 14, 5])
+        order = np.argsort(pooled, kind="stable")
+        brute = sum(energy_distance(groups[i], groups[j])
+                    for i in range(3) for j in range(i + 1, 3))
+        assert _ksample_stat(pooled[order], labels[order], 3) == pytest.approx(brute, rel=1e-9)
+
+    def test_criterion_8_p_values_are_pinned(self):
+        # sha256 of the 200 p-values of test_criterion_08_test_calibration,
+        # recorded from the per-permutation loop
+        pvals = []
+        for run in range(200):
+            data_rng = np.random.default_rng(np.random.SeedSequence((8, run)))
+            groups = [sb.EmpiricalSample(data_rng.normal(size=250), label=e)
+                      for e in range(3)]
+            _, p = sb.ksample_equality_test(
+                groups, 199, np.random.default_rng(np.random.SeedSequence((8, run, 1))))
+            pvals.append(p)
+        assert hashlib.sha256(np.array(pvals).tobytes()).hexdigest() == (
+            "df865573199ed06d3ade6c64913e66b61d3ab74daff79de57d8adcc2b320e5a6")

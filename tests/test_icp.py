@@ -1,5 +1,7 @@
 """Tests for the invariant-causal-prediction baseline."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,15 @@ class TestIcpIdentify:
             oracle[frozenset(subset)] = invariance_pvalue(
                 explicit_residuals(batches, subset), cfg, rng)
         assert list(result.p_values.items()) == list(oracle.items())
+
+    def test_energy_permutation_p_values_are_pinned(self, demo_batches):
+        # sha256 of the p-values in subset order, recorded from the
+        # per-permutation loop of ksample_equality_test
+        result = sb.icp_identify(demo_batches(0, n=500),
+                                 sb.IcpConfig(test="energy-permutation"), seed=0)
+        pvals = list(result.p_values.values())
+        assert hashlib.sha256(np.array(pvals).tobytes()).hexdigest() == (
+            "3294b46e8cd9f390489c6f9da6803dbe99ef956054214a1a0091d4c19c7230c9")
 
     def test_determinism(self, demo_batches):
         batches = demo_batches(3, n=1000)
