@@ -12,10 +12,10 @@ import os
 import sys
 from pathlib import Path
 
-from .configfile import ConfigError, _blaming, read_config, write_default_config
-from .harness import (ExperimentConfig, Report, _check_threads, _parse_int,
-                      aggregate_cells, read_records_csv, run_experiment,
-                      write_records_csv, write_report_json)
+from .configfile import ConfigError, read_config, write_default_config
+from .harness import (ExperimentConfig, Report, _blaming, _check_threads,
+                      _parse_int, aggregate_cells, read_records_csv,
+                      run_experiment, write_records_csv, write_report_json)
 from .scm import four_node_demo_scm
 
 SEED_ENV_VAR = "WORKBENCH_SEED"
@@ -59,7 +59,7 @@ def _resolve_seed(cfg: ExperimentConfig, flag: str | None,
         return cfg
     source, text = (("--seed", flag) if flag is not None
                     else (SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, "0")))
-    with _blaming(source):
+    with _blaming(source, ConfigError):
         return dataclasses.replace(cfg, master_seed=_parse_int(text))
 
 
@@ -116,7 +116,7 @@ def _cmd_init(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    with _blaming("--threads"):
+    with _blaming("--threads", ConfigError):
         threads = _parse_int(args.threads)
         _check_threads(threads)
     cfg, seed_present = read_config(args.config)

@@ -4,50 +4,15 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-from contextlib import contextmanager
 from typing import Any, Callable
 
-from .harness import (CONFIG_SECTIONS, ExperimentConfig, _format_bool,
-                      _parse_bool, _parse_float, _parse_int)
+from .harness import CONFIG_SECTIONS, ExperimentConfig, _blaming, _text_form
 
 
 class ConfigError(ValueError):
     """Unreadable or invalid configuration file."""
 
 
-@contextmanager
-def _blaming(source: str):
-    """Re-raise a ValueError as a ConfigError that names its source."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
-
-
-def _parse_str_list(text: str) -> tuple[str, ...]:
-    items = [part.strip() for part in text.split(",") if part.strip()]
-    if not items:
-        raise ValueError("expected a comma-separated list")
-    return tuple(items)
-
-
-def _optional(parser: Callable[[str], Any]) -> Callable[[str], Any]:
-    def parse(text: str) -> Any:
-        return None if text.strip() == "" else parser(text)
-    return parse
-
-
-# field annotation (a string: the config modules postpone them) -> parser
-_PARSERS: dict[str, Callable[[str], Any]] = {
-    "int": _parse_int,
-    "float": _parse_float,
-    "str": str.strip,
-    "bool": _parse_bool,
-    "int | None": _optional(_parse_int),
-    "float | None": _optional(_parse_float),
-    "tuple[int, ...]": lambda text: tuple(map(_parse_int, _parse_str_list(text))),
-    "tuple[str, ...]": _parse_str_list,
-}
 # field -> INI key, where the two differ
 _KEYS = {"learning_rate": "lr"}
 # ExperimentConfig fields that are not [experiment] keys: the nested sections,
@@ -55,18 +20,10 @@ _KEYS = {"learning_rate": "lr"}
 _NOT_KEYS = {"fixed_scm", *filter(None, CONFIG_SECTIONS.values())}
 
 
-def _section_schema(cls: type) -> dict[str, tuple[str, Callable[[str], Any]]]:
-    """INI key -> (field, parser) for the settable fields of ``cls``."""
-    schema = {}
-    for f in dataclasses.fields(cls):
-        if f.name in _NOT_KEYS:
-            continue
-        parse = _PARSERS.get(f.type)
-        if parse is None:
-            raise TypeError(f"config field {cls.__name__}.{f.name}: no INI "
-                            f"parser for the annotation {f.type!r}")
-        schema[_KEYS.get(f.name, f.name)] = (f.name, parse)
-    return schema
+def _section_schema(cls: type) -> dict[str, tuple[str, Callable, Callable]]:
+    """INI key -> (field, format, parse) for the settable fields of ``cls``."""
+    return {_KEYS.get(f.name, f.name): (f.name, *_text_form(cls, f))
+            for f in dataclasses.fields(cls) if f.name not in _NOT_KEYS}
 
 
 def _sections(cfg: ExperimentConfig) -> dict[str, Any]:
@@ -77,7 +34,7 @@ def _sections(cfg: ExperimentConfig) -> dict[str, Any]:
 
 _CLASSES = {section: type(obj)
             for section, obj in _sections(ExperimentConfig()).items()}
-# section -> key -> (dataclass field, parser)
+# section -> key -> (dataclass field, format, parse)
 _SCHEMA = {section: _section_schema(cls) for section, cls in _CLASSES.items()}
 
 # comment lines written above a key; the dataclasses hold every default
@@ -99,23 +56,22 @@ def write_default_config(path) -> None:
 
 
 def _build(section: str, values: dict[str, Any]) -> Any:
-    """Construct a section's config; its ValueError, which starts with the
-    field it blames, gains the section and the INI key of that field."""
-    try:
+    """A section's config; its ValueError gains the section and blamed key."""
+    with _blaming(lambda name: f"[{section}] {_KEYS.get(name, name)}", ConfigError):
         return _CLASSES[section](**values)
-    except ValueError as exc:
-        blamed = str(exc).split(" ", 1)[0]
-        raise ConfigError(f"[{section}] {_KEYS.get(blamed, blamed)}: {exc}") from exc
 
 
 def read_config(path) -> tuple[ExperimentConfig, bool]:
     """Parse a config file; returns (config, whether master_seed was given).
 
-    Missing sections or keys fall back to defaults; unknown sections or keys
-    and malformed values raise ConfigError naming the offender.
+    Missing sections or keys fall back to defaults. Unknown sections (no
+    header names "", so [DEFAULT] is one), unknown keys (case-sensitive, set
+    with '=') and malformed values raise ConfigError naming the offender.
     """
-    parser = configparser.ConfigParser(interpolation=None,
-                                       inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(interpolation=None, delimiters=("=",),
+                                       inline_comment_prefixes=("#",),
+                                       default_section="")
+    parser.optionxform = str
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -132,8 +88,8 @@ def read_config(path) -> tuple[ExperimentConfig, bool]:
             entry = _SCHEMA[section].get(key)
             if entry is None:
                 raise ConfigError(f"unknown key '{key}' in [{section}]")
-            field_name, parse = entry
-            with _blaming(f"[{section}] {key}"):
+            field_name, _, parse = entry
+            with _blaming(f"[{section}] {key}", ConfigError):
                 values[section][field_name] = parse(raw)
 
     master_seed_present = "master_seed" in values["experiment"]
@@ -147,19 +103,10 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
     lines = [_HEADER, ""]
     for section, obj in _sections(cfg).items():
         lines.append(f"[{section}]")
-        for key, (field_name, _) in _SCHEMA[section].items():
+        for key, (field_name, fmt, _) in _SCHEMA[section].items():
             if (section, key) in _COMMENTS:
                 lines.append(f"# {_COMMENTS[section, key]}")
-            value = getattr(obj, field_name)
-            if value is None:
-                text = ""
-            elif isinstance(value, bool):
-                text = _format_bool(value)
-            elif isinstance(value, tuple):
-                text = ", ".join(str(v) for v in value)
-            else:
-                text = str(value)
-            lines.append(f"{key} = {text}".rstrip())
+            lines.append(f"{key} = {fmt(getattr(obj, field_name))}".rstrip())
         lines.append("")
     return "\n".join(lines)
 

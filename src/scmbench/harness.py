@@ -14,7 +14,8 @@ import json
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, field
 from itertools import zip_longest
 
 import numpy as np
@@ -67,14 +68,28 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RunRecord:
-    dag_id: int
+    """One cell's outcome; it checks itself as records.csv rows are checked."""
+
+    dag_id: int = _bounded(MISSING, "[0, inf)")
     method: str
-    confounders: int
-    z: frozenset[int]
-    pa0: frozenset[int]
+    confounders: int = _bounded(MISSING, "[0, inf)")
+    z: frozenset[int] = _bounded(MISSING, "[0, inf)")
+    pa0: frozenset[int] = _bounded(MISSING, "[0, inf)")
     js: float
     violated: bool
-    wall_time: float
+    wall_time: float = _bounded(MISSING, "[0, inf)")
+
+    def __post_init__(self) -> None:
+        _check_bounds(self)
+        if self.method not in KNOWN_METHODS:
+            raise ValueError(f"method must be one of {KNOWN_METHODS}, "
+                             f"got {self.method!r}")
+        # repr(float) round-trips, so a row the writer made matches exactly
+        for name, implied in (("js", jaccard(self.z, self.pa0)),
+                              ("violated", not self.z <= self.pa0)):
+            if getattr(self, name) != implied:
+                raise ValueError(f"{name} must be {implied!r}, as z and pa0 "
+                                 f"give, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,8 +266,16 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> Report:
     )
 
 
-def _format_set(nodes: frozenset[int]) -> str:
-    return "|".join(str(v) for v in sorted(nodes))
+@contextmanager
+def _blaming(where, error: type[ValueError] = ValueError):
+    """Re-raise a ValueError as ``error`` with ``where`` in front, or with
+    where(field) for the field blamed by the message's first word."""
+    try:
+        yield
+    except ValueError as exc:
+        if callable(where):
+            where = where(str(exc).split(" ", 1)[0])
+        raise error(f"{where}: {exc}") from exc
 
 
 def _parse_int(text: str) -> int:
@@ -273,68 +296,74 @@ def _parse_float(text: str) -> float:
     return float(text)
 
 
-def _parse_index(text: str) -> int:
-    value = _parse_int(text)
-    _check_bound("index", value, "[0, inf)")
-    return value
-
-
-def _parse_set(text: str) -> frozenset[int]:
-    if not text:
-        return frozenset()
-    return frozenset(_parse_index(v) for v in text.split("|"))
-
-
-def _parse_choice(choices: dict):
-    def parse(text: str):
-        if text not in choices:
-            raise ValueError(f"expected one of {list(choices)}, got {text!r}")
-        return choices[text]
-    return parse
-
-
 _BOOLS = {"true": True, "false": False}
-_parse_bool = _parse_choice(_BOOLS)
-_format_bool = {value: text for text, value in _BOOLS.items()}.__getitem__
 
 
-def _parse_wall_time(text: str) -> float:
-    value = _parse_float(text)
-    _check_bound("wall_time", value, "[0, inf)")
-    return value
+def _parse_bool(text: str) -> bool:
+    if text not in _BOOLS:
+        raise ValueError(f"expected one of {list(_BOOLS)}, got {text!r}")
+    return _BOOLS[text]
 
 
-def _format_float(value: float) -> str:
-    return repr(float(value))
+def _parse_list(text: str) -> tuple[str, ...]:
+    items = tuple(part.strip() for part in text.split(",") if part.strip())
+    if not items:
+        raise ValueError("expected a comma-separated list")
+    return items
+
+
+def _optional(fmt, parse) -> tuple:
+    """The text form of a value or of None, which is blank."""
+    return (lambda v: "" if v is None else fmt(v),
+            lambda text: None if text == "" else parse(text))
+
+
+_INT = (str, _parse_int)
+_FLOAT = (lambda v: repr(float(v)), _parse_float)
+# field annotation (a string: the modules postpone them) -> (format, parse):
+# the one text form of a value, in config.ini and in records.csv alike
+_TEXT_FORMS = {
+    "int": _INT,
+    "float": _FLOAT,
+    "str": (str, str),
+    "bool": ({v: t for t, v in _BOOLS.items()}.__getitem__, _parse_bool),
+    "int | None": _optional(*_INT),
+    "float | None": _optional(*_FLOAT),
+    "tuple[int, ...]": (lambda v: ", ".join(map(str, v)),
+                        lambda text: tuple(map(_parse_int, _parse_list(text)))),
+    "tuple[str, ...]": (", ".join, _parse_list),
+    # a node set, as records.csv writes z and pa0
+    "frozenset[int]": (lambda v: "|".join(map(str, sorted(v))),
+                       lambda text: frozenset(map(_parse_int, text.split("|")))
+                       if text else frozenset()),
+}
+
+
+def _text_form(cls: type, f: dataclasses.Field) -> tuple:
+    """(format, parse) of the text form of field ``f`` of ``cls``."""
+    form = _TEXT_FORMS.get(f.type)
+    if form is None:
+        raise TypeError(f"{cls.__name__}.{f.name}: no text form for {f.type!r}")
+    return form
 
 
 # RunRecord field -> (format, parse) of its records.csv column
-_CSV_COLUMNS = {
-    "dag_id": (str, _parse_index),
-    "method": (str, _parse_choice({m: m for m in KNOWN_METHODS})),
-    "confounders": (str, _parse_index),
-    "z": (_format_set, _parse_set),
-    "pa0": (_format_set, _parse_set),
-    "js": (_format_float, _parse_float),
-    "violated": (_format_bool, _parse_bool),
-    "wall_time": (_format_float, _parse_wall_time),
-}
-CSV_HEADER = ",".join(f.name for f in dataclasses.fields(RunRecord))
+_RECORD_FORMS = {f.name: _text_form(RunRecord, f)
+                 for f in dataclasses.fields(RunRecord)}
+CSV_HEADER = ",".join(_RECORD_FORMS)
 
 
 def write_records_csv(records, path) -> None:
-    formats = [(name, _CSV_COLUMNS[name][0]) for name in CSV_HEADER.split(",")]
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(",".join(fmt(getattr(r, name)) for name, fmt in formats))
+    rows = [",".join(fmt(getattr(r, name)) for name, (fmt, _) in _RECORD_FORMS.items())
+            for r in records]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([CSV_HEADER, *rows]) + "\n")
 
 
 def read_records_csv(path) -> list[RunRecord]:
-    """Parse a records CSV; a value it does not understand, or a js or
-    violated that disagrees with the row's z and pa0, raises ValueError
-    naming the line and the column."""
+    """Parse a records CSV. A value it cannot parse, a row RunRecord refuses,
+    or a second row for one (dag_id, method, confounders) cell raises
+    ValueError naming the line (and the column)."""
     with open(path) as fh:
         lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
     if not lines:
@@ -345,23 +374,22 @@ def read_records_csv(path) -> list[RunRecord]:
         if name != found:
             raise ValueError(f"header column {i} should be '{name}', found '{found}'")
     records = []
+    cells: dict[tuple, int] = {}
     for no, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != len(want):
             raise ValueError(f"line {no}: malformed record line: {ln!r}")
         fields = {}
-        for name, text in zip(want, parts):
-            try:
-                fields[name] = _CSV_COLUMNS[name][1](text)
-            except ValueError as exc:
-                raise ValueError(f"line {no}, column '{name}': {exc}") from None
-        # repr(float) round-trips, so a row the writer made matches exactly
-        z, pa0 = fields["z"], fields["pa0"]
-        for name, implied in (("js", jaccard(z, pa0)), ("violated", not z <= pa0)):
-            if fields[name] != implied:
-                raise ValueError(f"line {no}, column '{name}': z and pa0 give "
-                                 f"{name} = {implied!r}, found {fields[name]!r}")
-        records.append(RunRecord(**fields))
+        for (name, (_, parse)), text in zip(_RECORD_FORMS.items(), parts):
+            with _blaming(f"line {no}, column '{name}'"):
+                fields[name] = parse(text)
+        with _blaming(lambda name: f"line {no}, column '{name}'"):
+            record = RunRecord(**fields)
+        first = cells.setdefault((record.dag_id, record.method, record.confounders), no)
+        if first != no:
+            raise ValueError(f"line {no}: dag_id, method and confounders "
+                             f"repeat line {first}")
+        records.append(record)
     return records
 
 

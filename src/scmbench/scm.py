@@ -20,8 +20,8 @@ _MAX_RETRIES = 64
 
 
 def _bounded(default, interval: str):
-    """A config field whose value must lie in ``interval``, written like
-    "[1, inf)" or "(0, 1)"; only a closed end at inf admits inf."""
+    """A field (with no default if ``default`` is MISSING) whose value must lie
+    in ``interval``, like "[1, inf)" or "(0, 1)"; only "inf]" admits inf."""
     return field(default=default, metadata={"interval": interval})
 
 
@@ -36,14 +36,14 @@ def _check_bound(name: str, value, interval: str, integer: bool = False) -> None
         raise ValueError(f"{name} must lie in {interval}, got {value!r}")
 
 
-def _check_bounds(config) -> None:
-    """Check every field of a config dataclass declared with _bounded. A
-    None value is not checked; each entry of a tuple is checked."""
-    for f in fields(config):
-        value = getattr(config, f.name)
+def _check_bounds(obj) -> None:
+    """Check every field of a dataclass declared with _bounded. A None value
+    is not checked; each entry of a tuple or frozenset is checked."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
         if "interval" in f.metadata and value is not None:
-            integer = f.type.startswith(("int", "tuple[int"))
-            for v in value if isinstance(value, tuple) else (value,):
+            integer = f.type.startswith(("int", "tuple[int", "frozenset[int"))
+            for v in value if isinstance(value, (tuple, frozenset)) else (value,):
                 _check_bound(f.name, v, f.metadata["interval"], integer)
 
 

@@ -261,6 +261,15 @@ class TestReport:
         assert "line 2, column 'js'" in capsys.readouterr().err
         assert not (tmp_path / "table.txt").exists()
 
+    def test_repeated_cell_is_rejected(self, tmp_path, capsys):
+        path = tmp_path / "records.csv"
+        row = "0,iid,0,1,1,1.0,false,0.5\n"
+        path.write_text(sb.harness.CSV_HEADER + "\n" + row * 3)
+        assert main(["report", str(path)]) == 1
+        assert "line 3: dag_id, method and confounders repeat line 2" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "table.txt").exists()
+
     def test_missing_csv(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "absent.csv")]) == 1
         assert "error:" in capsys.readouterr().err

@@ -9,7 +9,7 @@ import pytest
 import scmbench as sb
 from scmbench.configfile import (ConfigError, _section_schema, config_to_ini,
                                  read_config, write_default_config)
-from scmbench.harness import CONFIG_SECTIONS, _config_echo
+from scmbench.harness import _TEXT_FORMS, CONFIG_SECTIONS, _config_echo
 
 
 def write(tmp_path, text: str):
@@ -214,6 +214,28 @@ class TestErrors:
         with pytest.raises(ConfigError, match="alpha"):
             read_config(path)
 
+    @pytest.mark.parametrize("text", [
+        "[DEFAULT]\nnum_dags = 3\n",
+        "[DEFAULT]\nnum_dags = 3\n[generation]\nnodes_min = 4\n",
+    ], ids=["alone", "beside-generation"])
+    def test_default_section_is_unknown(self, tmp_path, text):
+        with pytest.raises(ConfigError, match=r"^unknown section \[DEFAULT\]$"):
+            read_config(write(tmp_path, text))
+
+    @pytest.mark.parametrize("text, message", [
+        ("[train]\nLR = 0.5\n", "unknown key 'LR' in [train]"),
+        ("[experiment]\nNUM_DAGS = 3\n", "unknown key 'NUM_DAGS' in [experiment]"),
+    ], ids=["LR", "NUM_DAGS"])
+    def test_keys_are_case_sensitive(self, tmp_path, text, message):
+        with pytest.raises(ConfigError) as info:
+            read_config(write(tmp_path, text))
+        assert str(info.value) == message
+
+    def test_keys_take_only_equals(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"cannot parse config: (?s:.*)"
+                                              r"\[line +2\]: 'num_dags: 3"):
+            read_config(write(tmp_path, "[experiment]\nnum_dags: 3\n"))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             read_config(tmp_path / "absent.ini")
@@ -266,3 +288,35 @@ class TestDeclaredRanges:
             return
         with pytest.raises(ValueError, match=f"^{name} must"):
             cls(**{name: value})
+
+
+class TestTextForms:
+    """config.ini and records.csv spell every value through one table."""
+
+    SAMPLES = {
+        "int": (0, -3, 12), "float": (0.1, -2.5e-07, 1e300, np.inf, 3),
+        "str": ("iid", "mean-variance"), "bool": (True, False),
+        "int | None": (None, 4), "float | None": (None, 0.5, np.inf),
+        "tuple[int, ...]": ((2, 0), (7,)), "tuple[str, ...]": (("iid", "icp"),),
+        "frozenset[int]": (frozenset(), frozenset({3, 1, 10})),
+    }
+
+    def test_every_record_and_settable_config_field_has_a_text_form(self):
+        not_keys = {"fixed_scm", *CONFIG_SECTIONS.values()}
+        walked = [(cls, f) for cls in (sb.RunRecord, *CONFIG_CLASSES)
+                  for f in dataclasses.fields(cls) if f.name not in not_keys]
+        assert len(walked) == 8 + 31
+        for cls, f in walked:
+            assert f.type in _TEXT_FORMS, f"{cls.__name__}.{f.name}"
+
+    @pytest.mark.parametrize("annotation", list(SAMPLES))
+    def test_every_form_round_trips(self, annotation):
+        assert set(self.SAMPLES) == set(_TEXT_FORMS)
+        fmt, parse = _TEXT_FORMS[annotation]
+        for value in self.SAMPLES[annotation]:
+            assert parse(fmt(value)) == value
+
+    def test_node_sets_are_written_sorted(self):
+        fmt, _ = _TEXT_FORMS["frozenset[int]"]
+        assert fmt(frozenset({10, 3, 1})) == "1|3|10"
+        assert fmt(frozenset()) == ""

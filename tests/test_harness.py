@@ -238,6 +238,38 @@ class TestExperimentConfigValidation:
             sb.ExperimentConfig(**overrides)
 
 
+class TestRunRecordValidation:
+    """A record built in code is refused for what the records reader refuses."""
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(js=7.5), r"js must be 1\.0, as z and pa0 give, got 7\.5$"),
+        (dict(js=float("nan")), "js must"),
+        (dict(violated=True), "violated must be False, as z and pa0 give, got True$"),
+        (dict(z=frozenset({1, 2}), js=0.5, violated=False), "violated must be True"),
+        (dict(z=frozenset({1, 2}), js=1.0, violated=True), "js must be 0.5"),
+        (dict(dag_id=-1), r"dag_id must lie in \[0, inf\), got -1$"),
+        (dict(dag_id=True), "dag_id must be an integer, got True$"),
+        (dict(confounders=2.0), "confounders must be an integer, got 2.0$"),
+        (dict(method="gbm"), "method must be one of \\('iid', 'icp'\\), got 'gbm'$"),
+        (dict(method=" iid"), "method must"),
+        (dict(z=frozenset({-1}), js=0.0, violated=True),
+         r"z must lie in \[0, inf\), got -1$"),
+        (dict(pa0=frozenset({1, -1}), js=0.5, violated=False),
+         r"pa0 must lie in \[0, inf\), got -1$"),
+        (dict(wall_time=float("nan")), r"wall_time must lie in \[0, inf\), got nan$"),
+        (dict(wall_time=float("inf")), r"wall_time must lie in \[0, inf\), got inf$"),
+        (dict(wall_time=-0.5), "wall_time must"),
+    ], ids=["js=7.5", "js=nan", "violated=True", "violated=False", "js=1.0",
+            "dag_id=-1", "dag_id=True", "confounders=2.0", "method=gbm",
+            "method=space-iid", "z-node=-1", "pa0-node=-1", "wall_time=nan",
+            "wall_time=inf", "wall_time=-0.5"])
+    def test_rejects_a_record_the_reader_would_refuse(self, overrides, message):
+        fields = dict(dag_id=0, method="iid", confounders=0, z=frozenset({1}),
+                      pa0=frozenset({1}), js=1.0, violated=False, wall_time=0.1)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            sb.RunRecord(**{**fields, **overrides})
+
+
 class TestCsvRoundTrip:
     def test_records_survive_a_round_trip(self, tmp_path):
         records = [record(dag_id=0, z=frozenset(), pa0=frozenset({1, 2}),
@@ -273,6 +305,15 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="empty CSV"):
             sb.read_records_csv(path)
 
+    def test_repeated_cell_names_both_lines(self, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text(sb.harness.CSV_HEADER + "\n0,iid,0,1,1,1.0,false,0.5\n"
+                        "0,icp,0,1,1,1.0,false,0.5\n1,iid,0,1,1,1.0,false,0.5\n"
+                        "0,iid,0,,1,0.0,false,0.7\n")
+        with pytest.raises(ValueError, match="^line 5: dag_id, method and "
+                                             "confounders repeat line 2$"):
+            sb.read_records_csv(path)
+
     def test_malformed_record_line_is_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(sb.harness.CSV_HEADER + "\n0,iid,0\n")
@@ -283,6 +324,7 @@ class TestCsvRoundTrip:
         ("0,iid,0,1,1,1.0,yes,0.5", "violated"),
         ("0,iid,0,1,1,1.0,True,0.5", "violated"),
         ("0,gbm,0,1,1,1.0,false,0.5", "method"),
+        ("0,iid ,0,1,1,1.0,false,0.5", "method"),
         ("0,iid,one,1,1,1.0,false,0.5", "confounders"),
         ("0,iid,0,1|x,1,1.0,false,0.5", "z"),
         # js and violated must agree with z and pa0
@@ -303,6 +345,7 @@ class TestCsvRoundTrip:
         ("0,iid,0,1_0,1,0.0,true,0.5", "z"),
         ("+0,iid,0,1,1,1.0,false,0.5", "dag_id"),
         ("0,iid,-1,1,1,1.0,false,0.5", "confounders"),
+        ("0,iid,0,1|-1,1,0.5,true,0.5", "z"),
         ("0,iid,0,1,\u0661,1.0,false,0.5", "pa0"),
     ])
     def test_unknown_values_name_the_line_and_column(self, tmp_path, line, column):
