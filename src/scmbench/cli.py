@@ -84,17 +84,6 @@ def render_table(cells: dict, methods: list[str], levels: list[int]) -> str:
     return "\n".join(out)
 
 
-def _prepare_outputs(out_dir: Path, force: bool) -> dict[str, Path]:
-    files = {name: out_dir / name
-             for name in ("records.csv", "report.json", "table.txt")}
-    clashes = [str(p) for p in files.values() if p.exists()]
-    if clashes and not force:
-        raise ConfigError(
-            "outputs exist (use --force): " + ", ".join(clashes))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return files
-
-
 def _emit(report: Report, files: dict[str, Path]) -> str:
     write_records_csv(report.records, files["records.csv"])
     write_report_json(report, files["report.json"])
@@ -103,6 +92,28 @@ def _emit(report: Report, files: dict[str, Path]) -> str:
                          levels=sorted(report.config["confounder_levels"], reverse=True))
     files["table.txt"].write_text(table + "\n")
     return table
+
+
+def _sweep(cfg: ExperimentConfig, args: argparse.Namespace, threads: int = 1,
+           preamble=lambda report: ()) -> int:
+    """Run ``cfg`` and write its outputs into ``args.out``, which must not hold
+    them already unless ``args.force``; print the lines of preamble(report)
+    and the table. Returns 2 if any cell failed, else 0."""
+    out_dir = Path(args.out)
+    files = {name: out_dir / name
+             for name in ("records.csv", "report.json", "table.txt")}
+    clashes = [str(p) for p in files.values() if p.exists()]
+    if clashes and not args.force:
+        raise ConfigError("outputs exist (use --force): " + ", ".join(clashes))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    report = run_experiment(cfg, threads=threads)
+    table = _emit(report, files)
+    print("\n".join([*preamble(report), table]))
+    if report.errors:
+        print(f"warning: {len(report.errors)} cell(s) failed; see report.json",
+              file=sys.stderr)
+        return 2
+    return 0
 
 
 def _cmd_init(args: argparse.Namespace) -> int:
@@ -120,16 +131,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         threads = _parse_int(args.threads)
         _check_threads(threads)
     cfg, seed_present = read_config(args.config)
-    cfg = _resolve_seed(cfg, args.seed, seed_present)
-    files = _prepare_outputs(Path(args.out), args.force)
-    report = run_experiment(cfg, threads=threads)
-    table = _emit(report, files)
-    print(table)
-    if report.errors:
-        print(f"warning: {len(report.errors)} cell(s) failed; see report.json",
-              file=sys.stderr)
-        return 2
-    return 0
+    return _sweep(_resolve_seed(cfg, args.seed, seed_present), args, threads)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -155,24 +157,17 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     demo = ExperimentConfig(num_dags=1, samples_per_env=2000,
                             confounder_levels=(0,), methods=("iid", "icp"),
                             fixed_scm=four_node_demo_scm())
-    cfg = _resolve_seed(demo, args.seed, in_config=False)
-    files = _prepare_outputs(Path(args.out), args.force)
-    report = run_experiment(cfg)
-    table = _emit(report, files)
 
     def show(nodes: frozenset[int]) -> str:
         return "{" + ", ".join(str(v) for v in sorted(nodes)) + "}"
 
-    truth = next((r.pa0 for r in report.records), frozenset())
-    print(f"truth: {show(truth)}")
-    for record in report.records:
-        print(f"{record.method}:   {show(record.z)}")
-    print()
-    print(table)
-    if report.errors:
-        print(f"warning: {len(report.errors)} cell(s) failed", file=sys.stderr)
-        return 2
-    return 0
+    def estimates(report: Report) -> list[str]:
+        truth = next((r.pa0 for r in report.records), frozenset())
+        return [f"truth: {show(truth)}",
+                *(f"{r.method}:   {show(r.z)}" for r in report.records), ""]
+
+    return _sweep(_resolve_seed(demo, args.seed, in_config=False), args,
+                  preamble=estimates)
 
 
 def main(argv: list[str] | None = None) -> int:

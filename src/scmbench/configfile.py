@@ -66,7 +66,8 @@ def read_config(path) -> tuple[ExperimentConfig, bool]:
 
     Missing sections or keys fall back to defaults. Unknown sections (no
     header names "", so [DEFAULT] is one), unknown keys (case-sensitive, set
-    with '=') and malformed values raise ConfigError naming the offender.
+    with '='), values continued on an indented line and malformed values
+    raise ConfigError naming the offender.
     """
     parser = configparser.ConfigParser(interpolation=None, delimiters=("=",),
                                        inline_comment_prefixes=("#",),
@@ -90,6 +91,9 @@ def read_config(path) -> tuple[ExperimentConfig, bool]:
                 raise ConfigError(f"unknown key '{key}' in [{section}]")
             field_name, _, parse = entry
             with _blaming(f"[{section}] {key}", ConfigError):
+                # configparser joins an indented line onto the value above
+                if "\n" in raw:
+                    raise ValueError(f"expected a value on one line, got {raw!r}")
                 values[section][field_name] = parse(raw)
 
     master_seed_present = "master_seed" in values["experiment"]

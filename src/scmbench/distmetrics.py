@@ -35,12 +35,16 @@ class EmpiricalSample:
             raise ValueError("values must be finite")
 
 
-def fit_gaussian(sample: EmpiricalSample) -> Gaussian1D:
+def _fit(values: np.ndarray) -> Gaussian1D:
     """Maximum-likelihood Gaussian fit: arithmetic mean, population std."""
+    return Gaussian1D(mean=float(np.mean(values)), std=float(np.std(values)))
+
+
+def fit_gaussian(sample: EmpiricalSample) -> Gaussian1D:
+    """Maximum-likelihood Gaussian fit of a sample of at least two values."""
     if sample.values.size < 2:
         raise ValueError("need at least two observations to fit")
-    return Gaussian1D(mean=float(np.mean(sample.values)),
-                      std=float(np.std(sample.values)))
+    return _fit(sample.values)
 
 
 def frechet_gaussian1d(a: Gaussian1D, b: Gaussian1D) -> float:
@@ -88,8 +92,9 @@ def ksample_equality_test(groups: list[EmpiricalSample], num_permutations: int,
     """Permutation test of distribution equality across k groups.
 
     The statistic is the sum of pairwise energy distances. Labels are shuffled
-    ``num_permutations`` times; p = (1 + #{perm >= observed}) / (1 + B), so p
-    is 1.0 when all groups hold literally identical values. Each permutation
+    ``num_permutations`` times; p = (1 + #{perm >= observed - 100 eps |observed|})
+    / (1 + B), so near-ties count as in scipy.stats.permutation_test and p is
+    1.0 when all groups hold literally identical values. Each permutation
     draws from its own spawned generator, which makes the result independent
     of evaluation order; the permuted labels are scored a block at a time.
     """
@@ -104,11 +109,12 @@ def ksample_equality_test(groups: list[EmpiricalSample], num_permutations: int,
     order = np.argsort(pooled, kind="stable")
     sorted_pooled = pooled[order]
     observed = _ksample_stats(sorted_pooled, labels[None, order], sizes)[0]
+    floor = observed - abs(100 * np.finfo(float).eps * observed)
     children = rng.spawn(num_permutations)
     rows = max(1, _BLOCK_LABELS // labels.size)
     exceed = 0
     for start in range(0, num_permutations, rows):
         block = np.stack([labels[child.permutation(labels.size)]
                           for child in children[start:start + rows]])
-        exceed += int(np.count_nonzero(_ksample_stats(sorted_pooled, block, sizes) >= observed))
+        exceed += int(np.count_nonzero(_ksample_stats(sorted_pooled, block, sizes) >= floor))
     return float(observed), (1 + exceed) / (1 + num_permutations)

@@ -84,12 +84,14 @@ class RunRecord:
         if self.method not in KNOWN_METHODS:
             raise ValueError(f"method must be one of {KNOWN_METHODS}, "
                              f"got {self.method!r}")
-        # repr(float) round-trips, so a row the writer made matches exactly
+        # repr(float) round-trips, so a row the writer made matches exactly;
+        # js=True and violated=0 compare equal but are written as 1.0 and false
         for name, implied in (("js", jaccard(self.z, self.pa0)),
                               ("violated", not self.z <= self.pa0)):
-            if getattr(self, name) != implied:
+            value = getattr(self, name)
+            if not isinstance(value, type(implied)) or value != implied:
                 raise ValueError(f"{name} must be {implied!r}, as z and pa0 "
-                                 f"give, got {getattr(self, name)!r}")
+                                 f"give, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distmetrics import EmpiricalSample, fit_gaussian, frechet_gaussian1d
+from .distmetrics import _fit, frechet_gaussian1d
 from .scm import SampleBatch, _bounded, _check_bounds
 
 
@@ -205,6 +205,11 @@ class IdentificationResult:
     rounds_run: int
 
 
+def _shift(own: np.ndarray, rest: np.ndarray) -> float:
+    """One split's score: Frechet distance between Gaussian fits of the parts."""
+    return frechet_gaussian1d(_fit(own), _fit(rest))
+
+
 def _null_tau(pooled: np.ndarray, own_size: int, cfg: TrainConfig,
               rng: np.random.Generator) -> float:
     """Threshold from label-permuted splits of the pooled holdout residuals.
@@ -215,14 +220,8 @@ def _null_tau(pooled: np.ndarray, own_size: int, cfg: TrainConfig,
     robust upper quantile by tau_multiplier pushes that probability to the
     permille range while staying far below genuine distortion scores.
     """
-    n = pooled.size
-    fids = np.empty(cfg.calibration_permutations)
-    for t in range(cfg.calibration_permutations):
-        perm = rng.permutation(n)
-        own = pooled[perm[:own_size]]
-        rest = pooled[perm[own_size:]]
-        fids[t] = ((own.mean() - rest.mean()) ** 2
-                   + (own.std() - rest.std()) ** 2)
+    perms = (rng.permutation(pooled.size) for _ in range(cfg.calibration_permutations))
+    fids = np.array([_shift(pooled[p[:own_size]], pooled[p[own_size:]]) for p in perms])
     return float(max(cfg.tau_multiplier * np.quantile(fids, 0.95), fids.max()))
 
 
@@ -281,26 +280,19 @@ def identify_parents(batches: list[SampleBatch], cfg: TrainConfig,
         reg = train_regressor([t for t, _ in split.values()], mask, cfg, rng_train)
         residuals = {env: np.abs(reg.predict(h[:, 1:] * mask) - h[:, 0])
                      for env, (_, h) in split.items()}
-        fids: list[tuple[int, float]] = []
+        pooled = np.concatenate(list(residuals.values()))
+        owner = np.repeat(list(residuals), [v.size for v in residuals.values()])
+        row = np.full(l, np.nan)
         for j in active:
-            own = residuals[j]
-            rest = np.concatenate([v for e, v in residuals.items() if e != j])
-            fid = frechet_gaussian1d(
-                fit_gaussian(EmpiricalSample(own, label=j)),
-                fit_gaussian(EmpiricalSample(rest, label=-1)))
-            fids.append((j, fid))
+            row[j - 1] = _shift(residuals[j], pooled[owner != j])
         if cfg.tau is None:
-            pooled = np.concatenate(list(residuals.values()))
             own_size = min(residuals[j].size for j in active)
             tau = _null_tau(pooled, own_size, cfg, rng_cal)
         else:
             tau = cfg.tau
-        row = np.full(l, np.nan)
-        for j, fid in fids:
-            row[j - 1] = fid
         fid_rows.append(row)
         taus.append(tau)
-        victim = penalty_step(fids, tau)
+        victim = penalty_step([(j, row[j - 1]) for j in active], tau)
         if victim is None:
             break
         del split[victim]

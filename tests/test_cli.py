@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import scmbench as sb
+from scmbench import harness
 from scmbench.cli import SEED_ENV_VAR, main, render_table
 from scmbench.configfile import config_to_ini, read_config
 
@@ -180,7 +181,7 @@ class TestRun:
         cfg_path = small_config(tmp_path, gen=sb.GenConfig(edge_prob=0.0))
         out = tmp_path / "results"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert "cell(s) failed" in capsys.readouterr().err
+        assert "warning: 2 cell(s) failed; see report.json\n" in capsys.readouterr().err
         assert sb.read_records_csv(out / "records.csv") == []
         report = json.loads((out / "report.json").read_text())
         assert len(report["errors"]) == 2
@@ -285,6 +286,20 @@ class TestDemo:
         records = sb.read_records_csv(out / "records.csv")
         assert {r.method for r in records} == {"iid", "icp"}
         assert all(r.z == {1, 2} for r in records)
+
+    def test_failing_cells_exit_two_with_partial_outputs(self, tmp_path, capsys,
+                                                         monkeypatch):
+        def diverge(batches, cfg, rng):
+            raise sb.TrainingDivergedError("non-finite loss at step 1")
+
+        monkeypatch.setattr(harness, "identify_parents", diverge)
+        out = tmp_path / "demo"
+        assert main(["demo", "--out", str(out), "--seed", "0"]) == 2
+        shown = capsys.readouterr()
+        assert "icp:   {1, 2}" in shown.out and "iid:" not in shown.out
+        assert "warning: 1 cell(s) failed; see report.json\n" in shown.err
+        report = json.loads((out / "report.json").read_text())
+        assert [e["method"] for e in report["errors"]] == ["iid"]
 
     def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
         out = tmp_path / "demo"

@@ -231,6 +231,18 @@ class TestErrors:
             read_config(write(tmp_path, text))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("text, message", [
+        ("[experiment]\nmethods = iid,\n  icp\n",
+         r"[experiment] methods: expected a value on one line, got 'iid,\nicp'"),
+        ("[experiment]\nconfounder_levels = 0,\n\t2\n",
+         r"[experiment] confounder_levels: expected a value on one line, got '0,\n2'"),
+    ], ids=["space-indented-icp", "tab-indented-2"])
+    def test_indented_continuation_line_is_rejected(self, tmp_path, text, message):
+        # configparser would join the indented line onto the value above it
+        with pytest.raises(ConfigError) as info:
+            read_config(write(tmp_path, text))
+        assert str(info.value) == message
+
     def test_keys_take_only_equals(self, tmp_path):
         with pytest.raises(ConfigError, match=r"cannot parse config: (?s:.*)"
                                               r"\[line +2\]: 'num_dags: 3"):

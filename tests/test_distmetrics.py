@@ -1,6 +1,8 @@
 """Tests for 1-D distribution distances and the k-sample permutation test."""
 
 import hashlib
+import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -81,10 +83,35 @@ def ksample_oracle(groups, num_permutations, rng):
     observed = _ksample_stat(sorted_pooled, labels[order], k)
     if np.ptp(pooled) == 0.0:
         return 0.0, 1.0
+    # near-ties count, within scipy.stats.permutation_test's 100 eps |observed|
+    floor = observed - abs(100 * np.finfo(float).eps * observed)
     exceed = sum(
-        _ksample_stat(sorted_pooled, labels[child.permutation(labels.size)], k) >= observed
+        _ksample_stat(sorted_pooled, labels[child.permutation(labels.size)], k) >= floor
         for child in rng.spawn(num_permutations))
     return observed, (1 + exceed) / (1 + num_permutations)
+
+
+def exact_exceed_and_ties(groups, num_permutations, rng):
+    """#{perm >= observed} and #{perm == observed} in exact rational arithmetic
+    for integer-valued groups, with ksample_equality_test's draws and labels."""
+    pooled = np.concatenate([g.values for g in groups])
+    order = np.argsort(pooled, kind="stable")
+    values = pooled[order].astype(np.int64)
+    labels = np.repeat(np.arange(len(groups)), [g.values.size for g in groups])
+
+    def total(x, y):
+        return int(np.abs(x[:, None] - y[None, :]).sum())
+
+    def stat(row):
+        parts = [values[row == g] for g in range(len(groups))]
+        return sum(Fraction(2 * total(a, b), a.size * b.size)
+                   - Fraction(total(a, a), a.size ** 2) - Fraction(total(b, b), b.size ** 2)
+                   for a, b in itertools.combinations(parts, 2))
+
+    observed = stat(labels[order])
+    draws = [stat(labels[child.permutation(labels.size)])
+             for child in rng.spawn(num_permutations)]
+    return sum(d >= observed for d in draws), sum(d == observed for d in draws)
 
 
 class TestGaussianFit:
@@ -206,6 +233,16 @@ class TestKSampleTest:
         b = sb.EmpiricalSample(rng.normal(8.0, size=100))
         _, p = sb.ksample_equality_test([a, b], 199, np.random.default_rng(2))
         assert p == 1.0 / 200.0
+
+    def test_exact_ties_count_whatever_the_rounding(self):
+        # integer data: one permutation's statistic equals the observed one
+        # exactly, and a plain >= in floating point may miss it by an ulp
+        groups = _integer_groups([3, 39], (9, 39), levels=8)
+        exceed, ties = exact_exceed_and_ties(groups, 138, np.random.default_rng([4, 39]))
+        assert (exceed, ties) == (43, 1)
+        for test in (sb.ksample_equality_test, ksample_oracle):
+            _, p = test(groups, 138, np.random.default_rng([4, 39]))
+            assert p == (1 + exceed) / (1 + 138)
 
     def test_determinism(self):
         rng = np.random.default_rng(3)

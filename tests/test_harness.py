@@ -245,6 +245,9 @@ class TestRunRecordValidation:
         (dict(js=7.5), r"js must be 1\.0, as z and pa0 give, got 7\.5$"),
         (dict(js=float("nan")), "js must"),
         (dict(violated=True), "violated must be False, as z and pa0 give, got True$"),
+        # the right value of the wrong type: a bool js, an int violated
+        (dict(js=True), r"js must be 1\.0, as z and pa0 give, got True$"),
+        (dict(violated=0), "violated must be False, as z and pa0 give, got 0$"),
         (dict(z=frozenset({1, 2}), js=0.5, violated=False), "violated must be True"),
         (dict(z=frozenset({1, 2}), js=1.0, violated=True), "js must be 0.5"),
         (dict(dag_id=-1), r"dag_id must lie in \[0, inf\), got -1$"),
@@ -259,7 +262,8 @@ class TestRunRecordValidation:
         (dict(wall_time=float("nan")), r"wall_time must lie in \[0, inf\), got nan$"),
         (dict(wall_time=float("inf")), r"wall_time must lie in \[0, inf\), got inf$"),
         (dict(wall_time=-0.5), "wall_time must"),
-    ], ids=["js=7.5", "js=nan", "violated=True", "violated=False", "js=1.0",
+    ], ids=["js=7.5", "js=nan", "violated=True", "js=True", "violated=0",
+            "violated=False", "js=1.0",
             "dag_id=-1", "dag_id=True", "confounders=2.0", "method=gbm",
             "method=space-iid", "z-node=-1", "pa0-node=-1", "wall_time=nan",
             "wall_time=inf", "wall_time=-0.5"])

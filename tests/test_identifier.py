@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import scmbench as sb
+from scmbench import harness
 
 OBS = sb.Environment(id=0)
 
@@ -154,6 +155,15 @@ PINNED_RESULTS = {
         "f91c13de0f9525f29ca0240dc836809bad0c26fc693c2b68a8330e5d463c8413",
         "9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0"),
 }
+
+# identify_parents in one cell of the default sweep at master seed 0, called
+# as the harness calls it (dag 5 at one confounder: 10 nodes, 4 rounds, three
+# evictions, one of them a true parent): (sorted estimated set, rounds_run,
+# sha256 of fid_trace.tobytes(), sha256 of tau_trace.tobytes())
+PINNED_SWEEP_CELL = [
+    [2, 3, 4, 5, 6, 7], 4,
+    "783f8686ead58e89bb65b7a30afd1001b15e1e47ef168f64d4fb7c686fb97a9f",
+    "2db30181f8b39aeb6cd53f12fbde7691b24e27a19bf52a4e1b4297ec4b4f0e45"]
 
 
 class TestPenaltyStep:
@@ -349,6 +359,23 @@ class TestIdentifyParents:
                 hashlib.sha256(result.tau_trace.tobytes()).hexdigest()] == expected
         assert result.final_weights.tolist() == [j in result.estimated_set
                                                  for j in (1, 2, 3)]
+
+    def test_matches_the_pinned_sweep_cell(self, monkeypatch):
+        results = []
+
+        def keep(batches, cfg, rng):
+            results.append(sb.identify_parents(batches, cfg, rng))
+            return results[-1]
+
+        monkeypatch.setattr(harness, "identify_parents", keep)
+        cfg = sb.ExperimentConfig(confounder_levels=(1,), methods=("iid",))
+        records, errors = harness._dag_task((cfg, 5))
+        (result,) = results
+        assert errors == [] and records[0].pa0 == {2, 3, 4, 5, 6, 7, 9}
+        assert result.fid_trace.shape == (4, 9)
+        assert [sorted(result.estimated_set), result.rounds_run,
+                hashlib.sha256(result.fid_trace.tobytes()).hexdigest(),
+                hashlib.sha256(result.tau_trace.tobytes()).hexdigest()] == PINNED_SWEEP_CELL
 
     def test_rounds_cap_limits_eliminations(self, demo_batches):
         cfg = sb.TrainConfig(rounds=1)
