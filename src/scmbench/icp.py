@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .distmetrics import EmpiricalSample, ksample_equality_test
-from .scm import SampleBatch, _bounded, _check_bounds
+from .scm import SampleBatch, _bounded, _check_bound, _check_bounds
 
 _RIDGE = 1e-10
 _TESTS = ("mean-variance", "energy-permutation")
@@ -77,9 +77,8 @@ def _mean_variance_pvalue(sizes: np.ndarray, means: np.ndarray,
         t = (means - comp_mean) / np.sqrt(se2)
         df = se2 ** 2 / ((variances / n) ** 2 / (n - 1.0)
                          + (comp_var / comp_n) ** 2 / (comp_n - 1.0))
-        p_mean = 2.0 * stats.t.sf(np.abs(t), df)
-        f_ratio = variances / comp_var
-        f_cdf = stats.f.cdf(f_ratio, n - 1.0, comp_n - 1.0)
+        p_mean = 2.0 * special.stdtr(df, -np.abs(t))
+        f_cdf = special.fdtr(n - 1.0, comp_n - 1.0, variances / comp_var)
     p_var = 2.0 * np.minimum(f_cdf, 1.0 - f_cdf)
 
     both_const = zero_own & zero_comp
@@ -141,6 +140,7 @@ def icp_identify(batches: list[SampleBatch], cfg: IcpConfig,
     them with an rng from SeedSequence([seed, subset_index]). Subsets are
     indexed and reported in _subsets order.
     """
+    _check_bound("seed", seed, "[0, inf)", integer=True)
     if len(batches) < 2:
         raise ValueError("need at least two environments")
     widths = {b.data.shape[1] for b in batches}

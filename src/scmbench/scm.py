@@ -278,17 +278,21 @@ def sample(scm: LinearGaussianScm, env: Environment, n: int,
            rng: np.random.Generator) -> SampleBatch:
     """Draw n rows by ancestral sampling in topological order.
 
+    The noise is one standard-normal block, scaled and shifted per node: the
+    same values, from the same stream, as ``rng.normal(noise_means,
+    noise_stds, size=(n, p))``. A node without parents (a root, a latent or
+    a clamped node) keeps its noise column; a node with parents adds the
+    mat-vec of its weight row, which is zero on every column not yet final.
     Clamped columns are exactly constant (their noise scale is zero). Latent
     columns are dropped from the returned batch.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_bound("n", n, "[1, inf)", integer=True)
     applied = intervene(scm, env)
-    p = applied.p
-    noise = rng.normal(applied.noise_means, applied.noise_stds, size=(n, p))
-    values = np.zeros((n, p))
+    values = applied.noise_means + applied.noise_stds * rng.standard_normal((n, applied.p))
     for j in applied.topo_order:
-        values[:, j] = values @ applied.weights[j] + noise[:, j]
+        row = applied.weights[j]
+        if row.any():
+            values[:, j] += values @ row
     return SampleBatch(env=env.id, data=values[:, :scm.num_observed].copy())
 
 

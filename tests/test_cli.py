@@ -329,6 +329,20 @@ class TestUsage:
         assert not out.exists()
 
 
+class TestImport:
+    def test_cli_does_not_load_scipy_stats(self):
+        # the runtime needs only scipy.special, and scipy.stats takes most of
+        # a cold import
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, scmbench.cli; print('scipy.stats' in sys.modules)"],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+
 class TestRenderTable:
     def test_layout_and_values(self):
         cells = {

@@ -4,8 +4,10 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import scmbench as sb
+from scmbench import icp
 from scmbench.icp import _mean_variance_pvalue, _subsets, invariance_pvalue
 
 
@@ -141,7 +143,103 @@ class TestInvariancePvalue:
             invariance_pvalue(short, sb.IcpConfig())
 
 
+def _reference_mean_variance_pvalue(sizes, means, variances):
+    """Oracle for _mean_variance_pvalue: the same test with its t and F tails
+    taken from scipy.stats, whose argument checks and support masks wrap the
+    scipy.special functions icp calls directly."""
+    k = sizes.size
+    n = sizes.astype(float)
+    ss = variances * (n - 1.0)
+    sums = means * n
+    sumsq = ss + n * means ** 2
+    comp_n = n.sum() - n
+    comp_mean = (sums.sum(axis=-1, keepdims=True) - sums) / comp_n
+    comp_ss = (sumsq.sum(axis=-1, keepdims=True) - sumsq) - comp_n * comp_mean ** 2
+    comp_var = np.maximum(comp_ss, 0.0) / (comp_n - 1.0)
+    zero_own = variances <= 1e-12 * (1.0 + means ** 2)
+    zero_comp = comp_var <= 1e-12 * (1.0 + comp_mean ** 2)
+    se2 = variances / n + comp_var / comp_n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (means - comp_mean) / np.sqrt(se2)
+        df = se2 ** 2 / ((variances / n) ** 2 / (n - 1.0)
+                         + (comp_var / comp_n) ** 2 / (comp_n - 1.0))
+        p_mean = 2.0 * stats.t.sf(np.abs(t), df)
+        f_cdf = stats.f.cdf(variances / comp_var, n - 1.0, comp_n - 1.0)
+    p_var = 2.0 * np.minimum(f_cdf, 1.0 - f_cdf)
+    both_const = zero_own & zero_comp
+    means_match = np.abs(means - comp_mean) <= 1e-9 * (1.0 + np.abs(means) + np.abs(comp_mean))
+    p_mean = np.where(both_const, np.where(means_match, 1.0, 0.0), p_mean)
+    p_var = np.where(both_const, 1.0, p_var)
+    p_var = np.where(zero_own ^ zero_comp, 0.0, p_var)
+    return np.minimum(1.0, k * (2.0 * np.minimum(p_mean, p_var)).min(axis=-1))
+
+
+def _twelve_node_statistics():
+    """(sizes, means, variances) of the one mean-variance call of a 12-node
+    cell with one confounder: 11 environments, 2,048 subsets."""
+    gen = sb.GenConfig(nodes_min=12, nodes_max=12)
+    rng = np.random.default_rng(12)
+    scm = sb.add_confounders(sb.random_scm(gen, rng), 1, rng, gen)
+    batches = [sb.sample(scm, env, 2000, rng) for env in sb.environments_for(scm, gen, rng)]
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return _mean_variance_pvalue(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(icp, "_mean_variance_pvalue", record)
+        sb.icp_identify(batches, sb.IcpConfig(), seed=0)
+    (args,) = calls
+    return args
+
+
+def _null_statistics():
+    """2,048 rows of 11 environments of 2,000 rows that share one law, so the
+    p-values spread over (0, 1] instead of sitting at 0."""
+    rng = np.random.default_rng(13)
+    sizes = np.full(11, 2000)
+    means = rng.normal(scale=2000 ** -0.5, size=(2048, 11))
+    variances = rng.chisquare(1999, size=(2048, 11)) / 1999
+    return sizes, means, variances
+
+
+def _degenerate_statistics():
+    """Rows of three environments with zero own variance, zero complement
+    variance, or both, at equal and at unequal means, next to two regular
+    rows: NaN df and infinite and zero variance ratios, which the np.where
+    overrides replace."""
+    sizes = np.array([40, 55, 70])
+    means = np.array([[0.1, -0.2, 0.3],   # regular
+                      [0.0, 0.5, 0.0],    # regular, the mean test decides
+                      [2.5, 2.5, 2.5],    # all constant, equal means
+                      [0.0, 1.0, 2.0],    # all constant, each complement varies
+                      [0.1, -0.2, 0.3],   # env 0 constant
+                      [0.0, 0.0, 0.0],    # env 1 varies, the rest constant
+                      [1.0, 0.0, 1.0],    # same, unequal means
+                      [1.0, 3.0, 3.0],    # all constant, env 0's complement too
+                      [1.0, 1.0, 1.0]])   # env 0 varies, equal means
+    variances = np.array([[1.0, 0.8, 1.3],
+                          [1.0, 1.0, 1.0],
+                          [0.0, 0.0, 0.0],
+                          [0.0, 0.0, 0.0],
+                          [0.0, 0.8, 1.3],
+                          [0.0, 1.0, 0.0],
+                          [0.0, 1.0, 0.0],
+                          [0.0, 0.0, 0.0],
+                          [2.0, 0.0, 0.0]])
+    return sizes, means, variances
+
+
 class TestMeanVariancePvalue:
+    @pytest.mark.parametrize("statistics", [
+        _twelve_node_statistics, _null_statistics, _degenerate_statistics])
+    def test_matches_the_scipy_stats_oracle(self, statistics):
+        sizes, means, variances = statistics()
+        p_values = _mean_variance_pvalue(sizes, means, variances)
+        assert p_values.shape == means.shape[:1]
+        assert np.array_equal(p_values, _reference_mean_variance_pvalue(sizes, means, variances))
+
     def test_batched_call_equals_row_by_row_calls(self):
         rng = np.random.default_rng(6)
         sizes = np.array([40, 55, 70, 40, 90, 60, 45, 80, 50])
@@ -251,6 +349,16 @@ class TestIcpIdentify:
         cfg = sb.IcpConfig(enumeration_budget=3)
         with pytest.raises(sb.EnumerationBudgetError, match="8 subsets"):
             sb.icp_identify(demo_batches(6, n=200), cfg, seed=0)
+
+    @pytest.mark.parametrize("test", ["mean-variance", "energy-permutation"])
+    @pytest.mark.parametrize("seed, message", [
+        (-1, r"^seed must lie in \[0, inf\), got -1$"),
+        (True, r"^seed must be an integer, got True$"),
+        (1.0, r"^seed must be an integer, got 1.0$"),
+    ])
+    def test_rejects_a_bad_seed(self, demo_batches, test, seed, message):
+        with pytest.raises(ValueError, match=message):
+            sb.icp_identify(demo_batches(9, n=50), sb.IcpConfig(test=test), seed=seed)
 
     def test_rejects_malformed_batches(self, demo_batches):
         batches = demo_batches(7, n=100)

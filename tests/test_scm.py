@@ -20,6 +20,18 @@ def chain_scm(weight: float = 2.0, s0: float = 1.0, s1: float = 1.0):
         topo_order=(1, 0))
 
 
+def _reference_sample(scm, env, n: int, rng) -> np.ndarray:
+    """Sampling oracle: one ``normal(means, stds)`` draw of the whole noise
+    block, then a mat-vec for every node in topological order."""
+    applied = sb.intervene(scm, env)
+    p = applied.p
+    noise = rng.normal(applied.noise_means, applied.noise_stds, size=(n, p))
+    values = np.zeros((n, p))
+    for j in applied.topo_order:
+        values[:, j] = values @ applied.weights[j] + noise[:, j]
+    return values[:, :scm.num_observed]
+
+
 def reachable_from(scm, start: int) -> set[int]:
     """Nodes with a directed path from ``start`` (start excluded)."""
     out: set[int] = set()
@@ -213,8 +225,38 @@ class TestSample:
         assert batch.data.shape == (50, 4)
 
     def test_rejects_nonpositive_n(self):
-        with pytest.raises(ValueError, match="n must be"):
-            sb.sample(chain_scm(), OBS, 0, np.random.default_rng(0))
+        for n, message in ((0, r"lie in \[1, inf\), got 0"),
+                           (2.5, "be an integer, got 2.5"),
+                           (True, "be an integer, got True")):
+            with pytest.raises(ValueError, match=f"^n must {message}$"):
+                sb.sample(chain_scm(), OBS, n, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", [1, 3, 2000])
+    @pytest.mark.parametrize("confounders", [0, 1, 2])
+    def test_matches_the_reference_sampler(self, n, confounders):
+        gen = sb.GenConfig()
+        draw = np.random.default_rng(20 + confounders)
+        for _ in range(3):
+            scm = sb.add_confounders(sb.random_scm(gen, draw), confounders, draw, gen)
+            envs = sb.environments_for(scm, gen, draw, include_observational=True)
+            assert len(envs) == scm.num_observed
+            for env in envs:
+                self._assert_same_draw(scm, env, n, seed=env.id)
+
+    def test_matches_the_reference_sampler_on_the_demo(self):
+        scm = sb.four_node_demo_scm()
+        envs = sb.environments_for(scm, sb.GenConfig(), np.random.default_rng(0),
+                                   include_observational=True)
+        for env in envs:
+            for n in (1, 3, 2000):
+                self._assert_same_draw(scm, env, n, seed=n)
+
+    @staticmethod
+    def _assert_same_draw(scm, env, n, seed):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        batch = sb.sample(scm, env, n, rng)
+        assert np.array_equal(batch.data, _reference_sample(scm, env, n, oracle_rng))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestAddConfounders:
