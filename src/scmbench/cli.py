@@ -119,8 +119,7 @@ def _sweep(cfg: ExperimentConfig, args: argparse.Namespace, threads: int = 1,
 def _cmd_init(args: argparse.Namespace) -> int:
     path = Path(args.out)
     if path.exists() and not args.force:
-        print(f"error: {path} exists (use --force)", file=sys.stderr)
-        return 1
+        raise ConfigError(f"{path} exists (use --force)")
     write_default_config(path)
     print(f"wrote {path}")
     return 0
@@ -135,14 +134,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    try:
-        records = read_records_csv(args.csv)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    records = read_records_csv(args.csv)
     if not records:
-        print("error: no records in CSV", file=sys.stderr)
-        return 1
+        raise ValueError("no records in CSV")
     methods = list(dict.fromkeys(r.method for r in records))
     levels = sorted({r.confounders for r in records}, reverse=True)
     cells = aggregate_cells(records, tuple(methods), tuple(levels))
@@ -170,6 +164,9 @@ def _cmd_demo(args: argparse.Namespace) -> int:
                   preamble=estimates)
 
 
+_COMMANDS = {"init": _cmd_init, "run": _cmd_run, "report": _cmd_report, "demo": _cmd_demo}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -178,14 +175,8 @@ def main(argv: list[str] | None = None) -> int:
         # argparse uses 2 for usage errors; --help exits with 0
         return 0 if exc.code == 0 else 1
     try:
-        if args.command == "init":
-            return _cmd_init(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        return _cmd_demo(args)
-    except (ConfigError, OSError) as exc:
+        return _COMMANDS[args.command](args)
+    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

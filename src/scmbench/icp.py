@@ -18,7 +18,7 @@ import numpy as np
 from scipy import special
 
 from .distmetrics import EmpiricalSample, ksample_equality_test
-from .scm import SampleBatch, _bounded, _check_bound, _check_bounds
+from .scm import SampleBatch, _bounded, _check_batches, _check_bound, _check_bounds
 
 _RIDGE = 1e-10
 _TESTS = ("mean-variance", "energy-permutation")
@@ -130,27 +130,22 @@ def icp_identify(batches: list[SampleBatch], cfg: IcpConfig,
                  seed: int = 0) -> IcpResult:
     """Exhaustive subset search; see module docstring.
 
-    Each environment's rows [x_1.., 1, x_0] give one moment matrix. For each
-    subset size s, the pooled (s+1, s+1) Gram blocks of all subsets of that
-    size go to one stacked solve of the stabilized normal equations. Padded
-    with zeros to the full width, the coefficients give every environment's
+    Each environment's rows [x_1.., 1, x_0] form one design matrix a, and
+    a.T @ a its moment matrix. For each subset size s, the pooled (s+1, s+1)
+    Gram blocks of all subsets of that size go to one stacked solve of the
+    stabilized normal equations. Padded with zeros to the full width, with -1
+    at x_0, the coefficients define subset i's residual in an environment as
+    -(a @ coef[i]), and both tests read it off that one definition: the
+    mean-variance test through the moments, which give every environment's
     residual sum and sum of squares for all subsets from one matrix product
-    and one einsum, and one mean-variance call tests them all. The
-    energy-permutation variant materializes each subset's residuals and tests
-    them with an rng from SeedSequence([seed, subset_index]). Subsets are
-    indexed and reported in _subsets order.
+    and one einsum, and the energy-permutation test from the rows, with an
+    rng from SeedSequence([seed, subset_index]). Subsets are indexed and
+    reported in _subsets order.
     """
     _check_bound("seed", seed, "[0, inf)", integer=True)
-    if len(batches) < 2:
-        raise ValueError("need at least two environments")
-    widths = {b.data.shape[1] for b in batches}
-    if len(widths) != 1:
-        raise ValueError("all batches must have the same width")
-    n_cand = widths.pop() - 1
+    n_cand = _check_batches(batches, min_batches=2, min_rows=3) - 1
     if n_cand < 1:
         raise ValueError("need at least one candidate column")
-    if any(b.n < 3 for b in batches):
-        raise ValueError("each environment needs at least 3 rows")
     cap = n_cand if cfg.max_subset_size is None else min(cfg.max_subset_size, n_cand)
     total = sum(math.comb(n_cand, s) for s in range(cap + 1))
     if total > cfg.enumeration_budget:
@@ -159,14 +154,12 @@ def icp_identify(batches: list[SampleBatch], cfg: IcpConfig,
     subsets = _subsets(n_cand, cap)
 
     width = n_cand + 1  # candidate columns plus intercept; x_0 sits at index width
-    moments = np.empty((len(batches), width + 1, width + 1))
-    for e, b in enumerate(batches):
-        a = np.hstack([b.data[:, 1:], np.ones((b.n, 1)), b.data[:, :1]])
-        moments[e] = a.T @ a
+    designs = [np.hstack([b.data[:, 1:], np.ones((b.n, 1)), b.data[:, :1]]) for b in batches]
+    moments = np.stack([a.T @ a for a in designs])
     pooled = moments.sum(axis=0)
 
     # coef row i holds subset i's coefficients, zero off the subset, and -1 at
-    # x_0, so [x_1.., 1, x_0] @ coef[i] is minus subset i's residual
+    # x_0, so designs[e] @ coef[i] is minus subset i's residual in environment e
     coef = np.zeros((total, width + 1))
     coef[:, width] = -1.0
     start = 0
@@ -190,12 +183,9 @@ def icp_identify(batches: list[SampleBatch], cfg: IcpConfig,
         p_all = _mean_variance_pvalue(sizes, means, variances).tolist()
     else:
         p_all = []
-        for index, subset in enumerate(subsets):
-            cols = [j - 1 for j in subset]
-            beta, intercept = coef[index, cols], coef[index, n_cand]
-            groups = [EmpiricalSample(b.data[:, 0] - b.data[:, 1:][:, cols] @ beta - intercept,
-                                      label=b.env)
-                      for b in batches]
+        for index in range(total):
+            groups = [EmpiricalSample(-(a @ coef[index]), label=b.env)
+                      for a, b in zip(designs, batches)]
             rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
             p_all.append(invariance_pvalue(groups, cfg, rng))
 

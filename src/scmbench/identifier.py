@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distmetrics import _fit, frechet_gaussian1d
-from .scm import SampleBatch, _bounded, _check_bounds
+from .scm import SampleBatch, _bounded, _check_batches, _check_bounds
 
 
 class TrainingDivergedError(RuntimeError):
@@ -95,14 +95,13 @@ def train_regressor(batches: list[SampleBatch], mask: np.ndarray,
     every step's mini-batch rows are drawn at once after the weight init.
     Raises TrainingDivergedError on non-finite loss.
     """
-    if not batches:
-        raise ValueError("need at least one batch")
+    width = _check_batches(batches, min_batches=1, min_rows=1)
     mask = np.asarray(mask)
     if mask.ndim != 1 or not np.all(np.isin(mask, (0, 1))):
         raise ValueError("mask must be a 1-D binary vector")
-    data = np.vstack([b.data for b in batches])
-    if data.shape[1] != mask.size + 1:
+    if width != mask.size + 1:
         raise ValueError("batch width does not match the number of candidates")
+    data = np.vstack([b.data for b in batches])
     x_raw = data[:, 1:] * mask
     y_raw = data[:, 0]
     n, l = x_raw.shape
@@ -233,7 +232,8 @@ def identify_parents(batches: list[SampleBatch], cfg: TrainConfig,
     (env id j belongs to the environment clamping x_j); an extra env id 0
     batch (no clamps) may be present and then contributes training rows and
     complement residuals only. Rows are split head/tail into train/holdout by
-    ``holdout_fraction``; scores always come from holdout rows.
+    ``holdout_fraction``, with at least one training and two holdout rows (so
+    each batch needs 3); scores always come from holdout rows.
 
     When a candidate is eliminated its environment leaves the pool for later
     rounds: with the candidate masked the regressor can no longer condition on
@@ -242,12 +242,7 @@ def identify_parents(batches: list[SampleBatch], cfg: TrainConfig,
     Each round therefore runs the same procedure on the reduced problem over
     the still-active candidates and their environments.
     """
-    if not batches:
-        raise ValueError("need at least one batch")
-    widths = {b.data.shape[1] for b in batches}
-    if len(widths) != 1:
-        raise ValueError("all batches must have the same width")
-    l = widths.pop() - 1
+    l = _check_batches(batches, min_batches=1, min_rows=3) - 1
     if l < 2:
         raise ValueError("need at least two candidates: a single environment has no complement")
     ids = [b.env for b in batches]
@@ -262,8 +257,6 @@ def identify_parents(batches: list[SampleBatch], cfg: TrainConfig,
     # active set, and eliminating a candidate deletes its entry
     split: dict[int, tuple[SampleBatch, np.ndarray]] = {}
     for b in batches:
-        if b.n < 3:
-            raise ValueError("each batch needs at least 3 rows for a train/holdout split")
         n_hold = min(max(int(round(b.n * cfg.holdout_fraction)), 2), b.n - 1)
         split[b.env] = (SampleBatch(env=b.env, data=b.data[:b.n - n_hold]),
                         b.data[b.n - n_hold:])

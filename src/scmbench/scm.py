@@ -11,7 +11,7 @@ marginalized out of every sampled batch and every analytic moment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from numbers import Integral
 
 import numpy as np
@@ -45,6 +45,20 @@ def _check_bounds(obj) -> None:
             integer = f.type.startswith(("int", "tuple[int", "frozenset[int"))
             for v in value if isinstance(value, (tuple, frozenset)) else (value,):
                 _check_bound(f.name, v, f.metadata["interval"], integer)
+
+
+def _check_batches(batches, min_batches: int, min_rows: int) -> int:
+    """The width all of ``batches`` share; ValueError unless there are at
+    least ``min_batches`` of them, of one width, each with ``min_rows`` rows."""
+    if len(batches) < min_batches:
+        raise ValueError(f"need at least {min_batches} batch{'es' * (min_batches > 1)}, "
+                         f"got {len(batches)}")
+    widths = {b.data.shape[1] for b in batches}
+    if len(widths) != 1:
+        raise ValueError(f"all batches must have the same width, got {sorted(widths)}")
+    if any(b.n < min_rows for b in batches):
+        raise ValueError(f"each batch needs at least {min_rows} rows")
+    return widths.pop()
 
 
 class GenerationError(RuntimeError):
@@ -101,17 +115,16 @@ class Environment:
 
 @dataclass(frozen=True, eq=False)
 class LinearGaussianScm:
-    num_observed: int
-    num_latent: int
+    num_observed: int = _bounded(MISSING, "[1, inf)")
+    num_latent: int = _bounded(MISSING, "[0, inf)")
     weights: np.ndarray
     noise_means: np.ndarray
     noise_stds: np.ndarray
     topo_order: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_bounds(self)
         p = self.p
-        if self.num_observed < 1 or self.num_latent < 0:
-            raise ValueError("need num_observed >= 1 and num_latent >= 0")
         if self.weights.shape != (p, p):
             raise ValueError("weights must be (p, p)")
         if self.noise_means.shape != (p,) or self.noise_stds.shape != (p,):
@@ -330,8 +343,7 @@ def add_confounders(scm: LinearGaussianScm, count: int, rng: np.random.Generator
     to GenConfig()); latent noise is standard normal. count = 0 returns the
     model unchanged.
     """
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    _check_bound("count", count, "[0, inf)", integer=True)
     if count == 0:
         return scm
     if scm.num_observed < 2:
@@ -360,8 +372,7 @@ def add_confounders(scm: LinearGaussianScm, count: int, rng: np.random.Generator
 
 def parents(scm: LinearGaussianScm, node: int) -> frozenset[int]:
     """Observed nodes with a nonzero weight into ``node``; latents excluded."""
-    if not 0 <= node < scm.p:
-        raise ValueError(f"{node} is not a node")
+    _check_bound("node", node, f"[0, {scm.p})", integer=True)
     row = scm.weights[node, :scm.num_observed]
     return frozenset(int(i) for i in np.nonzero(row)[0])
 

@@ -363,7 +363,7 @@ class TestIcpIdentify:
     def test_rejects_malformed_batches(self, demo_batches):
         batches = demo_batches(7, n=100)
         cfg = sb.IcpConfig()
-        with pytest.raises(ValueError, match="two environments"):
+        with pytest.raises(ValueError, match="at least 2 batches"):
             sb.icp_identify(batches[:1], cfg)
         mixed = batches[:2] + [sb.SampleBatch(env=3, data=batches[2].data[:, :3])]
         with pytest.raises(ValueError, match="same width"):

@@ -257,8 +257,16 @@ class TestTrainRegressor:
         with pytest.raises(ValueError, match="width"):
             sb.train_regressor([train], np.ones(3), sb.TrainConfig(),
                                np.random.default_rng(0))
-        with pytest.raises(ValueError, match="at least one batch"):
+        with pytest.raises(ValueError, match="at least 1 batch"):
             sb.train_regressor([], np.ones(1), sb.TrainConfig(),
+                               np.random.default_rng(0))
+
+    def test_rejects_batches_of_mixed_width(self):
+        train = sb.sample(sb.four_node_demo_scm(), OBS, 50, np.random.default_rng(0))
+        narrow = sb.SampleBatch(env=1, data=train.data[:, :3])
+        message = r"^all batches must have the same width, got \[3, 4\]$"
+        with pytest.raises(ValueError, match=message):
+            sb.train_regressor([train, narrow], np.ones(3), sb.TrainConfig(),
                                np.random.default_rng(0))
 
     @pytest.mark.parametrize("mask, message", [
@@ -417,7 +425,7 @@ class TestIdentifyParents:
         tiny = [sb.SampleBatch(env=b.env, data=b.data[:2]) for b in batches]
         with pytest.raises(ValueError, match="3 rows"):
             sb.identify_parents(tiny, cfg, rng)
-        with pytest.raises(ValueError, match="at least one batch"):
+        with pytest.raises(ValueError, match="at least 1 batch"):
             sb.identify_parents([], cfg, rng)
 
 

@@ -295,6 +295,11 @@ class TestAddConfounders:
         with pytest.raises(ValueError, match="two observed"):
             sb.add_confounders(one_node, 1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("count", [True, 1.5, float("nan")])
+    def test_rejects_a_non_integer_count(self, count):
+        with pytest.raises(ValueError, match=r"^count must be an integer, got "):
+            sb.add_confounders(chain_scm(), count, np.random.default_rng(0))
+
 
 class TestParents:
     def test_chain(self):
@@ -318,8 +323,14 @@ class TestParents:
         assert sb.parents(scm, 0) == {1, 2}
 
     def test_rejects_unknown_node(self):
-        with pytest.raises(ValueError, match="not a node"):
-            sb.parents(chain_scm(), 7)
+        for node in (7, -1):
+            with pytest.raises(ValueError, match=rf"^node must lie in \[0, 2\), got {node}$"):
+                sb.parents(chain_scm(), node)
+
+    @pytest.mark.parametrize("node", [True, 1.0])
+    def test_rejects_a_non_integer_node(self, node):
+        with pytest.raises(ValueError, match=rf"^node must be an integer, got {node}$"):
+            sb.parents(chain_scm(), node)
 
 
 class TestValidation:
@@ -357,6 +368,17 @@ class TestValidation:
     def test_rejects_bad_topo_permutation(self):
         with pytest.raises(ValueError, match="permutation"):
             sb.LinearGaussianScm(**self.kwargs(topo_order=(0, 0)))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("num_observed", 0, r"lie in \[1, inf\), got 0"),
+        ("num_observed", True, "be an integer, got True"),
+        ("num_observed", 2.0, "be an integer, got 2.0"),
+        ("num_latent", -1, r"lie in \[0, inf\), got -1"),
+        ("num_latent", False, "be an integer, got False"),
+    ])
+    def test_rejects_bad_node_counts(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{field} must {message}$"):
+            sb.LinearGaussianScm(**self.kwargs(**{field: value}))
 
     def test_rejects_nonfinite_parameters(self):
         with pytest.raises(ValueError, match="finite"):

@@ -28,7 +28,8 @@ from scipy import stats
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from scmbench.configfile import read_config  # noqa: E402
-from scmbench.harness import ExperimentConfig, run_experiment  # noqa: E402
+from scmbench.harness import (ExperimentConfig, _check_threads, _parse_int,  # noqa: E402
+                              run_experiment)
 
 # the bounds of tests/test_acceptance.py: criterion 1 at level 0 for both
 # methods, criterion 2 at levels 1 and 2
@@ -37,14 +38,33 @@ MIN_GAP, MIN_IID_JS = 0.20, 0.75
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'0-10' (inclusive), '3' or a comma-separated mix of both."""
+    """'0-10' (inclusive), '3' or a comma-separated mix of both, each bound
+    read by the package's strict integer reader."""
+    error = argparse.ArgumentTypeError(
+        f"expected distinct seeds >= 0, as N or LO-HI with LO <= HI, got {text!r}")
     seeds: list[int] = []
     for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
-    if not seeds or len(set(seeds)) != len(seeds) or min(seeds) < 0:
-        raise argparse.ArgumentTypeError(f"expected distinct seeds >= 0, got {text!r}")
+        lo, dash, hi = part.partition("-")
+        try:
+            first, last = _parse_int(lo), _parse_int(hi if dash else lo)
+        except ValueError:
+            raise error from None
+        if not 0 <= first <= last:
+            raise error
+        seeds.extend(range(first, last + 1))
+    if len(set(seeds)) != len(seeds):
+        raise error
     return seeds
+
+
+def parse_threads(text: str) -> int:
+    """A worker-process count, checked as ``scmbench run --threads`` checks it."""
+    try:
+        threads = _parse_int(text)
+        _check_threads(threads)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return threads
 
 
 def margins(cells: dict) -> dict:
@@ -72,7 +92,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="config file from 'scmbench init' (default config if omitted)")
     parser.add_argument("--seeds", type=parse_seeds, default="0-10",
                         help="master seeds, e.g. 0-10 or 0,4-6 (default 0-10)")
-    parser.add_argument("--threads", type=int, default=2, help="worker processes (default 2)")
+    parser.add_argument("--threads", type=parse_threads, default=2,
+                        help="worker processes (default 2)")
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
 
