@@ -35,16 +35,12 @@ class EmpiricalSample:
             raise ValueError("values must be finite")
 
 
-def _fit(values: np.ndarray) -> Gaussian1D:
-    """Maximum-likelihood Gaussian fit: arithmetic mean, population std."""
-    return Gaussian1D(mean=float(np.mean(values)), std=float(np.std(values)))
-
-
-def fit_gaussian(sample: EmpiricalSample) -> Gaussian1D:
-    """Maximum-likelihood Gaussian fit of a sample of at least two values."""
-    if sample.values.size < 2:
+def fit_gaussian(values: np.ndarray) -> Gaussian1D:
+    """Maximum-likelihood Gaussian fit of at least two values: arithmetic
+    mean, population std."""
+    if values.size < 2:
         raise ValueError("need at least two observations to fit")
-    return _fit(sample.values)
+    return Gaussian1D(mean=float(np.mean(values)), std=float(np.std(values)))
 
 
 def frechet_gaussian1d(a: Gaussian1D, b: Gaussian1D) -> float:

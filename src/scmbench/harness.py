@@ -56,6 +56,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         _check_bounds(self)
+        if not isinstance(self.include_observational, bool):
+            raise ValueError(f"include_observational must be a bool, "
+                             f"got {self.include_observational!r}")
         for name in ("confounder_levels", "methods"):
             values = getattr(self, name)
             if not values or len(set(values)) != len(values):
@@ -308,9 +311,9 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_list(text: str) -> tuple[str, ...]:
-    items = tuple(part.strip() for part in text.split(",") if part.strip())
-    if not items:
-        raise ValueError("expected a comma-separated list")
+    items = tuple(part.strip() for part in text.split(","))
+    if not all(items):
+        raise ValueError(f"expected a comma-separated list, got {text!r}")
     return items
 
 

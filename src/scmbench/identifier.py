@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distmetrics import _fit, frechet_gaussian1d
+from .distmetrics import fit_gaussian, frechet_gaussian1d
 from .scm import SampleBatch, _bounded, _check_batches, _check_bounds
 
 
@@ -180,19 +180,13 @@ def train_regressor(batches: list[SampleBatch], mask: np.ndarray,
     return Regressor(w1=w1_fold, b1=b1_fold, w2=w2_fold, b2=b2_fold, ws=ws_fold)
 
 
-def penalty_step(per_candidate_fids: list[tuple[int, float]],
-                 tau: float) -> int | None:
-    """Candidate with the largest score if it exceeds tau, else None.
-
-    Ties break toward the smallest candidate index.
-    """
-    if not per_candidate_fids:
+def penalty_step(scores: np.ndarray, tau: float) -> int | None:
+    """Candidate j (scores[j - 1], NaN where inactive) with the largest score
+    if it exceeds tau, else None. Ties break toward the smallest index."""
+    if np.all(np.isnan(scores)):
         raise ValueError("need at least one candidate score")
-    best_j, best_fid = None, -np.inf
-    for j, fid in sorted(per_candidate_fids):
-        if fid > best_fid:
-            best_j, best_fid = j, fid
-    return best_j if best_fid > tau else None
+    j = int(np.nanargmax(scores))
+    return j + 1 if scores[j] > tau else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +200,7 @@ class IdentificationResult:
 
 def _shift(own: np.ndarray, rest: np.ndarray) -> float:
     """One split's score: Frechet distance between Gaussian fits of the parts."""
-    return frechet_gaussian1d(_fit(own), _fit(rest))
+    return frechet_gaussian1d(fit_gaussian(own), fit_gaussian(rest))
 
 
 def _null_tau(pooled: np.ndarray, own_size: int, cfg: TrainConfig,
@@ -285,7 +279,7 @@ def identify_parents(batches: list[SampleBatch], cfg: TrainConfig,
             tau = cfg.tau
         fid_rows.append(row)
         taus.append(tau)
-        victim = penalty_step([(j, row[j - 1]) for j in active], tau)
+        victim = penalty_step(row, tau)
         if victim is None:
             break
         del split[victim]

@@ -12,7 +12,7 @@ marginalized out of every sampled batch and every analytic moment.
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields, replace
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -26,11 +26,12 @@ def _bounded(default, interval: str):
 
 
 def _check_bound(name: str, value, interval: str, integer: bool = False) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` lies in ``interval``
-    (and, if ``integer``, is an integer, not a bool). NaN fails every comparison."""
+    """Raise ValueError naming ``name`` unless ``value``, a number (an integer
+    if ``integer``) and not a bool, lies in ``interval``; NaN never does."""
     lo, hi = (float(end) for end in interval[1:-1].split(","))
-    if integer and (isinstance(value, bool) or not isinstance(value, Integral)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    kind = "an integer" if integer else "a number"
+    if isinstance(value, bool) or not isinstance(value, Integral if integer else Real):
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
     if (not (lo <= value <= hi) or (interval[0] == "(" and value == lo)
             or (interval[-1] == ")" and value == hi)):
         raise ValueError(f"{name} must lie in {interval}, got {value!r}")

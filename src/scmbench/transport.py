@@ -15,8 +15,8 @@ def transport_adjust(conditional: np.ndarray, marginal: np.ndarray) -> np.ndarra
     Returns the 2-D table P(outcome bin o | treatment t) = sum_a cond * marg.
 
     Every (t, a) slice of ``conditional`` must sum to 1 over the outcome axis
-    and ``marginal`` must sum to 1, each within 1e-9; entries must be
-    nonnegative and the covariate axes must agree.
+    and ``marginal`` must sum to 1, each within 1e-9; entries must be finite
+    and nonnegative and the covariate axes must agree.
     """
     cond = np.asarray(conditional, dtype=float)
     marg = np.asarray(marginal, dtype=float)
@@ -27,6 +27,9 @@ def transport_adjust(conditional: np.ndarray, marginal: np.ndarray) -> np.ndarra
     if cond.shape[2] != marg.shape[0]:
         raise ValueError(
             f"covariate axes differ: conditional has {cond.shape[2]}, marginal has {marg.shape[0]}")
+    for name, table in (("conditional", cond), ("marginal", marg)):
+        if not np.all(np.isfinite(table)):
+            raise ValueError(f"{name} must be finite")
     if np.any(cond < 0) or np.any(marg < 0):
         raise ValueError("probabilities must be nonnegative")
     slice_sums = cond.sum(axis=0)

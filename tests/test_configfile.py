@@ -190,10 +190,18 @@ class TestErrors:
          "expected a number, got '.5'"),
         ("[icp]\nalpha = \uff11.0\n", "[icp] alpha",
          "expected a number, got '\uff11.0'"),
+        # list values are the items config_to_ini joins, none of them empty
+        ("[experiment]\nmethods = iid,\n", "[experiment] methods",
+         "expected a comma-separated list, got 'iid,'"),
+        ("[experiment]\nconfounder_levels = 0, ,2\n", "[experiment] confounder_levels",
+         "expected a comma-separated list, got '0, ,2'"),
+        ("[experiment]\nmethods =\n", "[experiment] methods",
+         "expected a comma-separated list, got ''"),
     ], ids=["num_dags=1_0", "samples_per_env=+500", "confounder_levels=arabic-1",
             "rounds=1_0", "master_seed=blank", "num_dags=-1", "lr=nan",
             "nodes_min=13", "lr=0_0.5", "lr=+1", "tau=infinity", "lr=1E-3",
-            "edge_prob=.5", "alpha=fullwidth-1.0"])
+            "edge_prob=.5", "alpha=fullwidth-1.0", "methods=iid-comma",
+            "confounder_levels=empty-item", "methods=blank"])
     def test_bad_value_names_section_and_key(self, tmp_path, text, where,
                                              message):
         with pytest.raises(ConfigError) as info:
@@ -291,6 +299,20 @@ class TestDeclaredRanges:
     def test_bool_is_not_an_integer(self, cls, name):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got True$"):
             cls(**{name: True})
+
+    @pytest.mark.parametrize("cls, name", [
+        pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+        for cls in CONFIG_CLASSES for f in dataclasses.fields(cls) if f.type in FLOAT_TYPES])
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    def test_bool_or_text_is_not_a_number(self, cls, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be a number, got {value!r}$"):
+            cls(**{name: value})
+
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_include_observational_must_be_a_bool(self, value):
+        with pytest.raises(ValueError, match=rf"^include_observational must be a bool, "
+                                             rf"got {value!r}$"):
+            sb.ExperimentConfig(include_observational=value)
 
     @pytest.mark.parametrize("cls, name, value", numeric_field_cases())
     def test_nonfinite_or_fractional_value_names_the_field(self, cls, name,

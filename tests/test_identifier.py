@@ -166,23 +166,47 @@ PINNED_SWEEP_CELL = [
     "2db30181f8b39aeb6cd53f12fbde7691b24e27a19bf52a4e1b4297ec4b4f0e45"]
 
 
+def assert_traces_explain(result, l: int):
+    """Replaying penalty_step on the traces round by round gives the
+    evictions: only the last round may evict no one, each row is NaN exactly
+    at the candidates evicted before it, and the rest survive."""
+    evicted = set()
+    for r, (row, tau) in enumerate(zip(result.fid_trace, result.tau_trace)):
+        assert set(np.flatnonzero(np.isnan(row)) + 1) == evicted
+        victim = sb.penalty_step(row, tau)
+        if victim is None:
+            assert r == result.rounds_run - 1
+        else:
+            evicted.add(victim)
+    assert result.estimated_set == set(range(1, l + 1)) - evicted
+
+
 class TestPenaltyStep:
     def test_all_zero_scores_below_threshold(self):
-        assert sb.penalty_step([(1, 0.0), (2, 0.0)], 0.1) is None
+        assert sb.penalty_step(np.array([0.0, 0.0]), 0.1) is None
 
     def test_picks_the_largest_score(self):
-        assert sb.penalty_step([(1, 0.5), (2, 0.2)], 0.1) == 1
-        assert sb.penalty_step([(1, 0.2), (2, 0.5)], 0.1) == 2
+        assert sb.penalty_step(np.array([0.5, 0.2]), 0.1) == 1
+        assert sb.penalty_step(np.array([0.2, 0.5]), 0.1) == 2
 
     def test_tie_breaks_toward_smallest_index(self):
-        assert sb.penalty_step([(2, 0.3), (1, 0.3)], 0.1) == 1
+        assert sb.penalty_step(np.array([0.3, 0.3]), 0.1) == 1
 
     def test_threshold_is_strict(self):
-        assert sb.penalty_step([(1, 0.1)], 0.1) is None
+        assert sb.penalty_step(np.array([0.1]), 0.1) is None
 
     def test_rejects_empty_input(self):
         with pytest.raises(ValueError, match="at least one"):
-            sb.penalty_step([], 0.0)
+            sb.penalty_step(np.array([]), 0.0)
+
+    def test_nan_marks_an_inactive_candidate(self):
+        assert sb.penalty_step(np.array([np.nan, 0.2, 0.5]), 0.1) == 3
+        assert sb.penalty_step(np.array([0.4, np.nan, 0.4]), 0.1) == 1
+        assert sb.penalty_step(np.array([np.nan, 0.05]), 0.1) is None
+
+    def test_rejects_a_row_with_no_active_candidate(self):
+        with pytest.raises(ValueError, match="^need at least one candidate score$"):
+            sb.penalty_step(np.array([np.nan, np.nan]), 0.0)
 
 
 class TestTrainRegressor:
@@ -384,6 +408,28 @@ class TestIdentifyParents:
         assert [sorted(result.estimated_set), result.rounds_run,
                 hashlib.sha256(result.fid_trace.tobytes()).hexdigest(),
                 hashlib.sha256(result.tau_trace.tobytes()).hexdigest()] == PINNED_SWEEP_CELL
+
+    @pytest.mark.parametrize("case", PINNED_RESULTS)
+    def test_traces_explain_the_pinned_results(self, demo_batches, case):
+        observational, overrides, *_ = PINNED_RESULTS[case]
+        batches = demo_batches(21, include_observational=observational)
+        result = sb.identify_parents(batches, sb.TrainConfig(**overrides),
+                                     np.random.default_rng(22))
+        assert_traces_explain(result, 3)
+
+    def test_traces_explain_the_pinned_sweep_cell(self, monkeypatch):
+        results = []
+
+        def keep(batches, cfg, rng):
+            results.append(sb.identify_parents(batches, cfg, rng))
+            return results[-1]
+
+        monkeypatch.setattr(harness, "identify_parents", keep)
+        cfg = sb.ExperimentConfig(confounder_levels=(1,), methods=("iid",))
+        harness._dag_task((cfg, 5))
+        (result,) = results
+        assert sorted(result.estimated_set) == PINNED_SWEEP_CELL[0]
+        assert_traces_explain(result, 9)
 
     def test_rounds_cap_limits_eliminations(self, demo_batches):
         cfg = sb.TrainConfig(rounds=1)

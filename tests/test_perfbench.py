@@ -1,5 +1,6 @@
 """Smoke test of the benchmark script: one short traced run each of the
-mean-variance (icp-wide) and energy-permutation (icp-energy) ICP workloads.
+north-star sweep (identifier and ICP) and of the mean-variance (icp-wide) and
+energy-permutation (icp-energy) ICP workloads.
 
 The tracer wraps scmbench functions by module attribute and the pins fix the
 records of seed 0, so a refactor that renames a traced function or changes a
@@ -16,7 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["icp-wide", "icp-energy"])
+@pytest.mark.parametrize("workload", ["sweep", "icp-wide", "icp-energy"])
 def test_traced_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,

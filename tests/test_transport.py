@@ -56,6 +56,10 @@ class TestTransportAdjust:
          "nonnegative"),
         (np.full((2, 1, 2), 0.4), np.array([0.5, 0.5]), "sum to 1"),
         (np.full((2, 1, 2), 0.5), np.array([0.6, 0.6]), "sum to 1"),
+        (np.array([[[np.nan, 0.5]], [[0.5, 0.5]]]), np.array([0.5, 0.5]),
+         "^conditional must be finite$"),
+        (np.full((2, 1, 2), 0.5), np.array([np.nan, 0.5]), "^marginal must be finite$"),
+        (np.full((2, 1, 2), 0.5), np.array([np.inf, 0.0]), "^marginal must be finite$"),
     ])
     def test_rejects_malformed_tables(self, cond, marg, message):
         with pytest.raises(ValueError, match=message):
