@@ -77,10 +77,9 @@ def render_table(cells: dict, methods: list[str], levels: list[int]) -> str:
 
     header = ["method"] + [label(lvl) for lvl in levels]
     rows = [[m] + [fmt(cells[m][lvl]) for lvl in levels] for m in methods]
-    widths = [max(len(line[i]) for line in [header] + rows) for i in range(len(header))]
-    out = ["  ".join(cell.ljust(w) for cell, w in zip(header, widths)).rstrip()]
-    for row in rows:
-        out.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    out = ["  ".join(cell.ljust(w) for cell, w in zip(line, widths)).rstrip()
+           for line in [header, *rows]]
     return "\n".join(out)
 
 

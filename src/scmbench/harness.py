@@ -99,13 +99,15 @@ class RunRecord:
 
 @dataclass(frozen=True, eq=False)
 class Report:
-    records: tuple[RunRecord, ...]
-    cells: dict
-    errors: tuple[dict, ...]
-    config: dict
+    """A sweep's outcome; report.json holds every field but ``records``."""
+
     master_seed: int
     config_hash: str
+    config: dict
+    cells: dict
+    errors: tuple[dict, ...]
     timestamp: str
+    records: tuple[RunRecord, ...]
 
 
 def jaccard(z: frozenset[int] | set[int], pa0: frozenset[int] | set[int]) -> float:
@@ -398,19 +400,9 @@ def read_records_csv(path) -> list[RunRecord]:
     return records
 
 
-def report_to_dict(report: Report) -> dict:
-    return {
-        "master_seed": report.master_seed,
-        "config_hash": report.config_hash,
-        "config": report.config,
-        "cells": {method: {str(level): stats for level, stats in by_level.items()}
-                  for method, by_level in report.cells.items()},
-        "errors": list(report.errors),
-        "timestamp": report.timestamp,
-    }
-
-
 def write_report_json(report: Report, path) -> None:
+    fields = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
+              if f.name != "records"}
     with open(path, "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2)
+        json.dump(fields, fh, indent=2)
         fh.write("\n")

@@ -49,24 +49,28 @@ class IcpResult:
     p_values: dict[frozenset[int], float]
 
 
-def _mean_variance_pvalue(sizes: np.ndarray, means: np.ndarray,
-                          variances: np.ndarray) -> np.ndarray:
+def _mean_variance_pvalue(sizes: np.ndarray, sums: np.ndarray,
+                          sumsq: np.ndarray) -> np.ndarray:
     """Bonferroni-combined Welch-t and variance-ratio tests, each environment
     against the pooled complement: per-env p = 2*min(p_mean, p_var), overall
     p = k * min over environments, clipped to 1.
 
-    sizes has shape (k,); means and variances have shape (..., k), and the
-    result has the leading shape (...), one p-value per row.
+    sizes (k,) holds each environment's residual count, sums and sumsq (..., k)
+    its residual sum and sum of squares. An environment and its complement take
+    their moments from one formula, mean = s/n and var = max(q - n*mean**2, 0)
+    / (n-1). The result has the leading shape (...), one p-value per row.
     """
     k = sizes.size
     n = sizes.astype(float)
-    ss = variances * (n - 1.0)
-    sums = means * n
-    sumsq = ss + n * means ** 2
     comp_n = n.sum() - n
-    comp_mean = (sums.sum(axis=-1, keepdims=True) - sums) / comp_n
-    comp_ss = (sumsq.sum(axis=-1, keepdims=True) - sumsq) - comp_n * comp_mean ** 2
-    comp_var = np.maximum(comp_ss, 0.0) / (comp_n - 1.0)
+
+    def moments(m, s, q):
+        mean = s / m
+        return mean, np.maximum(q - m * mean ** 2, 0.0) / (m - 1.0)
+
+    means, variances = moments(n, sums, sumsq)
+    comp_mean, comp_var = moments(comp_n, sums.sum(axis=-1, keepdims=True) - sums,
+                                  sumsq.sum(axis=-1, keepdims=True) - sumsq)
 
     # variances this small are treated as degenerate point masses
     zero_own = variances <= 1e-12 * (1.0 + means ** 2)
@@ -100,10 +104,10 @@ def invariance_pvalue(residuals_by_env: list[EmpiricalSample], cfg: IcpConfig,
     if any(g.values.size < 3 for g in residuals_by_env):
         raise ValueError("each environment needs at least 3 residuals")
     if cfg.test == "mean-variance":
-        sizes = np.array([g.values.size for g in residuals_by_env])
-        means = np.array([g.values.mean() for g in residuals_by_env])
-        variances = np.array([g.values.var(ddof=1) for g in residuals_by_env])
-        return float(_mean_variance_pvalue(sizes, means, variances))
+        values = [g.values for g in residuals_by_env]
+        return float(_mean_variance_pvalue(np.array([v.size for v in values]),
+                                           np.array([v.sum() for v in values]),
+                                           np.array([v @ v for v in values])))
     if rng is None:
         raise ValueError("the energy-permutation test needs an rng")
     k = len(residuals_by_env)
@@ -120,10 +124,8 @@ def invariance_pvalue(residuals_by_env: list[EmpiricalSample], cfg: IcpConfig,
 
 
 def _subsets(n_candidates: int, cap: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    for size in range(cap + 1):
-        out.extend(combinations(range(1, n_candidates + 1), size))
-    return out
+    return [subset for size in range(cap + 1)
+            for subset in combinations(range(1, n_candidates + 1), size)]
 
 
 def icp_identify(batches: list[SampleBatch], cfg: IcpConfig,
@@ -177,10 +179,7 @@ def icp_identify(batches: list[SampleBatch], cfg: IcpConfig,
         moment_coef = moments @ coef.T  # (k, width + 1, subsets)
         resid_sum = -moment_coef[:, n_cand, :].T  # the intercept row holds column sums
         resid_sumsq = np.einsum("kin,ni->nk", moment_coef, coef)
-        means = resid_sum / sizes
-        ss = np.maximum(resid_sumsq - sizes * means ** 2, 0.0)
-        variances = ss / (sizes - 1.0)
-        p_all = _mean_variance_pvalue(sizes, means, variances).tolist()
+        p_all = _mean_variance_pvalue(sizes, resid_sum, resid_sumsq).tolist()
     else:
         p_all = []
         for index in range(total):
@@ -191,10 +190,7 @@ def icp_identify(batches: list[SampleBatch], cfg: IcpConfig,
 
     p_values = {frozenset(subset): p for subset, p in zip(subsets, p_all)}
     accepted = [key for key, p in p_values.items() if p > cfg.alpha]
-    if accepted:
-        estimate = frozenset.intersection(*accepted)
-    else:
-        estimate = frozenset()
+    estimate = frozenset.intersection(*accepted) if accepted else frozenset()
     return IcpResult(estimated_set=estimate,
                      accepted_subsets=tuple(accepted),
                      p_values=p_values)

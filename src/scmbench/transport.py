@@ -16,7 +16,8 @@ def transport_adjust(conditional: np.ndarray, marginal: np.ndarray) -> np.ndarra
 
     Every (t, a) slice of ``conditional`` must sum to 1 over the outcome axis
     and ``marginal`` must sum to 1, each within 1e-9; entries must be finite
-    and nonnegative and the covariate axes must agree.
+    and nonnegative and the covariate axes must agree. Each output column then
+    sums to 1 within twice that tolerance, up to rounding.
     """
     cond = np.asarray(conditional, dtype=float)
     marg = np.asarray(marginal, dtype=float)
@@ -37,7 +38,4 @@ def transport_adjust(conditional: np.ndarray, marginal: np.ndarray) -> np.ndarra
         raise ValueError("conditional slices must sum to 1 over the outcome axis")
     if abs(marg.sum() - 1.0) > _ATOL:
         raise ValueError("marginal must sum to 1")
-    out = cond @ marg
-    # weighted average of probability vectors; can only fail if inputs did
-    assert np.all(np.abs(out.sum(axis=0) - 1.0) <= _ATOL)
-    return out
+    return cond @ marg

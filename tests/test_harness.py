@@ -214,6 +214,26 @@ class TestRunExperiment:
         assert masked(report.records) == masked(
             r for r in clean.records if r.method == "icp")
 
+    def test_a_setup_failure_fails_every_method_at_its_level_only(self, monkeypatch):
+        cfg = self.small_config(confounder_levels=(0, 1, 2))
+        clean = sb.run_experiment(cfg)
+        real = sb.harness.sample
+
+        def failing(scm, env, n, rng):
+            if scm.num_latent == 1:
+                raise RuntimeError("no rows at one confounder")
+            return real(scm, env, n, rng)
+
+        monkeypatch.setattr(sb.harness, "sample", failing)
+        report = sb.run_experiment(cfg)
+        assert [(e["dag_id"], e["confounders"], e["method"], e["error"])
+                for e in report.errors] == [
+            (d, 1, m, "setup: no rows at one confounder")
+            for d in range(2) for m in ("iid", "icp")]
+        assert ([dataclasses.replace(r, wall_time=0.0) for r in report.records]
+                == [dataclasses.replace(r, wall_time=0.0) for r in clean.records
+                    if r.confounders != 1])
+
     def test_rejects_bad_thread_count(self):
         with pytest.raises(ValueError, match="threads"):
             sb.run_experiment(self.small_config(), threads=0)

@@ -143,15 +143,20 @@ class TestInvariancePvalue:
             invariance_pvalue(short, sb.IcpConfig())
 
 
-def _reference_mean_variance_pvalue(sizes, means, variances):
+def _sums(sizes, means, variances):
+    """(sizes, sums, sumsq) of groups with the given means and variances."""
+    n = sizes.astype(float)
+    return sizes, means * n, variances * (n - 1.0) + n * means ** 2
+
+
+def _reference_mean_variance_pvalue(sizes, sums, sumsq):
     """Oracle for _mean_variance_pvalue: the same test with its t and F tails
     taken from scipy.stats, whose argument checks and support masks wrap the
     scipy.special functions icp calls directly."""
     k = sizes.size
     n = sizes.astype(float)
-    ss = variances * (n - 1.0)
-    sums = means * n
-    sumsq = ss + n * means ** 2
+    means = sums / n
+    variances = np.maximum(sumsq - n * means ** 2, 0.0) / (n - 1.0)
     comp_n = n.sum() - n
     comp_mean = (sums.sum(axis=-1, keepdims=True) - sums) / comp_n
     comp_ss = (sumsq.sum(axis=-1, keepdims=True) - sumsq) - comp_n * comp_mean ** 2
@@ -175,8 +180,8 @@ def _reference_mean_variance_pvalue(sizes, means, variances):
 
 
 def _twelve_node_statistics():
-    """(sizes, means, variances) of the one mean-variance call of a 12-node
-    cell with one confounder: 11 environments, 2,048 subsets."""
+    """(sizes, sums, sumsq) of the one mean-variance call of a 12-node cell
+    with one confounder: 11 environments, 2,048 subsets."""
     gen = sb.GenConfig(nodes_min=12, nodes_max=12)
     rng = np.random.default_rng(12)
     scm = sb.add_confounders(sb.random_scm(gen, rng), 1, rng, gen)
@@ -201,7 +206,7 @@ def _null_statistics():
     sizes = np.full(11, 2000)
     means = rng.normal(scale=2000 ** -0.5, size=(2048, 11))
     variances = rng.chisquare(1999, size=(2048, 11)) / 1999
-    return sizes, means, variances
+    return _sums(sizes, means, variances)
 
 
 def _degenerate_statistics():
@@ -228,17 +233,17 @@ def _degenerate_statistics():
                           [0.0, 1.0, 0.0],
                           [0.0, 0.0, 0.0],
                           [2.0, 0.0, 0.0]])
-    return sizes, means, variances
+    return _sums(sizes, means, variances)
 
 
 class TestMeanVariancePvalue:
     @pytest.mark.parametrize("statistics", [
         _twelve_node_statistics, _null_statistics, _degenerate_statistics])
     def test_matches_the_scipy_stats_oracle(self, statistics):
-        sizes, means, variances = statistics()
-        p_values = _mean_variance_pvalue(sizes, means, variances)
-        assert p_values.shape == means.shape[:1]
-        assert np.array_equal(p_values, _reference_mean_variance_pvalue(sizes, means, variances))
+        sizes, sums, sumsq = statistics()
+        p_values = _mean_variance_pvalue(sizes, sums, sumsq)
+        assert p_values.shape == sums.shape[:1]
+        assert np.array_equal(p_values, _reference_mean_variance_pvalue(sizes, sums, sumsq))
 
     def test_batched_call_equals_row_by_row_calls(self):
         rng = np.random.default_rng(6)
@@ -253,9 +258,10 @@ class TestMeanVariancePvalue:
         variances[4, 7] = 1.0
         means[5] *= 20.0                           # strong mean shift
         variances[6, 2] = 9.0                      # variance shift
-        batched = _mean_variance_pvalue(sizes, means, variances)
+        sizes, sums, sumsq = _sums(sizes, means, variances)
+        batched = _mean_variance_pvalue(sizes, sums, sumsq)
         assert batched.shape == (12,)
-        rows = [_mean_variance_pvalue(sizes, means[i], variances[i]) for i in range(12)]
+        rows = [_mean_variance_pvalue(sizes, sums[i], sumsq[i]) for i in range(12)]
         assert batched.tolist() == [float(r) for r in rows]
         assert batched[1] == 1.0 and batched[2] == 0.0
         assert batched[3] == 0.0 and batched[4] == 0.0

@@ -223,6 +223,15 @@ class TestTrainRegressor:
         # Var(x0) = 2^2 + 1.5^2 + 1 = 7.25; a constant predictor can do no better
         assert mse == pytest.approx(7.25, rel=0.05)
 
+    def test_constant_target_predicts_the_constant(self):
+        # y has zero spread, so it is standardised by 1 instead of its sd
+        train, hold = chain_batches(seed=7, n_train=300, n_eval=100)
+        data = train.data.copy()
+        data[:, 0] = 3.5
+        reg = sb.train_regressor([sb.SampleBatch(env=0, data=data)], np.ones(1),
+                                 sb.TrainConfig(), np.random.default_rng(1))
+        assert np.max(np.abs(reg.predict(hold.data[:, 1:]) - 3.5)) < 0.01
+
     def test_chain_reaches_the_noise_floor(self):
         train, hold = chain_batches(seed=2)
         reg = sb.train_regressor([train], np.ones(1), sb.TrainConfig(),

@@ -185,6 +185,11 @@ class TestRandomScm:
         c = sb.random_scm(cfg, np.random.default_rng(124))
         assert a != c
 
+    def test_a_model_never_equals_another_type(self):
+        scm = chain_scm()
+        assert (scm == 1) is False
+        assert scm != (scm.weights, scm.noise_means, scm.noise_stds)
+
     def test_min_parents_floor_is_enforced(self):
         cfg = sb.GenConfig(edge_prob=0.05, min_parents=2)
         for seed in range(20):
@@ -378,6 +383,16 @@ class TestValidation:
     ])
     def test_rejects_bad_node_counts(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{field} must {message}$"):
+            sb.LinearGaussianScm(**self.kwargs(**{field: value}))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("weights", np.zeros((2, 3)), r"weights must be \(p, p\)"),
+        ("weights", np.zeros(4), r"weights must be \(p, p\)"),
+        ("noise_means", np.zeros(3), "noise vectors must have length p"),
+        ("noise_stds", np.ones((2, 1)), "noise vectors must have length p"),
+    ])
+    def test_rejects_misshapen_parameters(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             sb.LinearGaussianScm(**self.kwargs(**{field: value}))
 
     def test_rejects_nonfinite_parameters(self):

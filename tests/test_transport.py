@@ -44,6 +44,14 @@ class TestTransportAdjust:
         assert out.shape == (4, 3)
         assert np.all(np.abs(out.sum(axis=0) - 1.0) <= 1e-9)
 
+    def test_column_sums_stay_within_twice_the_input_tolerance(self):
+        # slices and marginal each sum to 1 + 0.9e-9, inside the 1e-9 input
+        # tolerance; their product overshoots 1 by about 1.8e-9
+        cond = [[[0.5 + 0.9e-9, 0.5 + 0.9e-9]], [[0.5, 0.5]]]
+        out = sb.transport_adjust(cond, [0.5 + 0.9e-9, 0.5])
+        assert out.shape == (2, 1)
+        assert 1e-9 < out.sum() - 1.0 <= 2e-9 + 1e-15
+
     def test_accepts_nested_lists(self):
         out = sb.transport_adjust([[[1.0, 1.0]], [[0.0, 0.0]]], [0.5, 0.5])
         assert np.array_equal(out, [[1.0], [0.0]])
