@@ -97,8 +97,10 @@ def _mean_variance_pvalue(sizes: np.ndarray, sums: np.ndarray,
 
 def invariance_pvalue(residuals_by_env: list[EmpiricalSample], cfg: IcpConfig,
                       rng: np.random.Generator | None = None) -> float:
-    """P-value for 'these residual groups share one distribution'. Only the
-    energy-permutation test draws random numbers, so only it needs ``rng``."""
+    """P-value for 'these residual groups share one distribution'. The
+    energy-permutation test is one k-sample energy-distance permutation test
+    across all environments, with no per-environment Bonferroni split; only
+    it draws random numbers, so only it needs ``rng``."""
     if len(residuals_by_env) < 2:
         raise ValueError("need at least two environments")
     if any(g.values.size < 3 for g in residuals_by_env):
@@ -110,17 +112,7 @@ def invariance_pvalue(residuals_by_env: list[EmpiricalSample], cfg: IcpConfig,
                                            np.array([v @ v for v in values])))
     if rng is None:
         raise ValueError("the energy-permutation test needs an rng")
-    k = len(residuals_by_env)
-    child_rngs = rng.spawn(k)
-    p_min = 1.0
-    for i, child in enumerate(child_rngs):
-        own = residuals_by_env[i]
-        rest = EmpiricalSample(
-            np.concatenate([g.values for j, g in enumerate(residuals_by_env) if j != i]),
-            label=-1)
-        _, p = ksample_equality_test([own, rest], cfg.num_permutations, child)
-        p_min = min(p_min, p)
-    return float(min(1.0, k * p_min))
+    return ksample_equality_test(residuals_by_env, cfg.num_permutations, rng)[1]
 
 
 def _subsets(n_candidates: int, cap: int) -> list[tuple[int, ...]]:
@@ -140,9 +132,9 @@ def icp_identify(batches: list[SampleBatch], cfg: IcpConfig,
     -(a @ coef[i]), and both tests read it off that one definition: the
     mean-variance test through the moments, which give every environment's
     residual sum and sum of squares for all subsets from one matrix product
-    and one einsum, and the energy-permutation test from the rows, with an
-    rng from SeedSequence([seed, subset_index]). Subsets are indexed and
-    reported in _subsets order.
+    and one einsum, and the energy-permutation test from the rows, as one
+    k-sample test with an rng from SeedSequence([seed, subset_index]).
+    Subsets are indexed and reported in _subsets order.
     """
     _check_bound("seed", seed, "[0, inf)", integer=True)
     n_cand = _check_batches(batches, min_batches=2, min_rows=3) - 1

@@ -120,11 +120,32 @@ class TestInvariancePvalue:
         shifted = [sb.EmpiricalSample(rng.normal(size=150), label=0),
                    sb.EmpiricalSample(rng.normal(8.0, size=150), label=1)]
         p = invariance_pvalue(shifted, cfg, np.random.default_rng(0))
-        assert p == pytest.approx(2.0 / 100.0, abs=1e-12)
+        assert p == pytest.approx(1.0 / 100.0, abs=1e-12)
         same = [sb.EmpiricalSample(rng.normal(size=60), label=0),
                 sb.EmpiricalSample(rng.normal(size=60), label=1)]
         p_null = invariance_pvalue(same, cfg, np.random.default_rng(1))
         assert p_null > 0.05
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_energy_permutation_is_one_k_sample_test(self, k):
+        cfg = sb.IcpConfig(test="energy-permutation", num_permutations=99)
+        data = np.random.default_rng(20 + k)
+        groups = [sb.EmpiricalSample(data.normal(0.1 * i, size=40 + 10 * i), label=i)
+                  for i in range(k)]
+        p = invariance_pvalue(groups, cfg, np.random.default_rng(k))
+        assert p == sb.ksample_equality_test(groups, 99, np.random.default_rng(k))[1]
+        with pytest.raises(ValueError, match="needs an rng"):
+            invariance_pvalue(groups, cfg)
+
+    def test_energy_null_acceptance_rate_is_plausible(self):
+        cfg = sb.IcpConfig(test="energy-permutation", num_permutations=99)
+        rejections = 0
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            groups = [sb.EmpiricalSample(rng.normal(size=100), label=i)
+                      for i in range(4)]
+            rejections += invariance_pvalue(groups, cfg, rng) < 0.05
+        assert rejections <= 5  # expected 1.5 under exact calibration
 
     def test_energy_permutation_requires_an_rng(self):
         groups = [sb.EmpiricalSample(np.arange(5.0), label=0),
@@ -324,13 +345,13 @@ class TestIcpIdentify:
         assert list(result.p_values.items()) == list(oracle.items())
 
     def test_energy_permutation_p_values_are_pinned(self, demo_batches):
-        # sha256 of the p-values in subset order, recorded from the
-        # per-permutation loop of ksample_equality_test
+        # sha256 of the p-values in subset order, one k-sample test per
+        # subset: [.005, .005, .005, .005, .84, .005, .005, .005]
         result = sb.icp_identify(demo_batches(0, n=500),
                                  sb.IcpConfig(test="energy-permutation"), seed=0)
         pvals = list(result.p_values.values())
         assert hashlib.sha256(np.array(pvals).tobytes()).hexdigest() == (
-            "3294b46e8cd9f390489c6f9da6803dbe99ef956054214a1a0091d4c19c7230c9")
+            "a4aa1a735829e98e9172bde1ff64de36e7626f022a19329552d3da5f20f6ca88")
 
     def test_determinism(self, demo_batches):
         batches = demo_batches(3, n=1000)
