@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -53,34 +54,94 @@ def frechet_gaussian1d(a: Gaussian1D, b: Gaussian1D) -> float:
 _BLOCK_LABELS = 2 ** 17
 
 
-def _ksample_stats(sorted_pooled: np.ndarray, labels: np.ndarray,
-                   sizes: list[int]) -> np.ndarray:
-    """The statistic for each row of ``labels``, the group of each position of
-    ``sorted_pooled``. For ascending v, sum_{i<j} (v_j - v_i) = v . (2 arange(m)
-    - (m - 1)); a row-major flatnonzero keeps each group ascending. Each row is
-    summed alone, not by BLAS (whose rounding depends on the block), and the
-    symmetric pair terms are added in sorted order, so rows with the same groups,
-    even relabelled among equal sizes, tie exactly."""
+def _gathers(labels: np.ndarray, k: int) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
+    """Where each group, then each pair a < b of groups together, sits in each
+    row of ``labels`` (the group of each position of a sorted pool), as
+    (rows, size) indices into that pool. A row-major flatnonzero keeps each
+    group ascending. With two groups the one union is the whole pool, None."""
     rows, n = labels.shape
     offsets = n * np.arange(rows)[:, None]
+
+    def of(mask):
+        return np.flatnonzero(mask).reshape(rows, -1) - offsets
+
+    groups = [of(labels == g) for g in range(k)]
+    unions = ([None] if k == 2 else
+              [of((labels == a) | (labels == b)) for a, b in combinations(range(k), 2)])
+    return groups, unions
+
+
+def _ksample_stats(sorted_pooled: np.ndarray,
+                   gathers: tuple[list[np.ndarray], list[np.ndarray | None]]) -> np.ndarray:
+    """The statistic of ``sorted_pooled`` for each row of the labels behind
+    ``gathers`` (see _gathers). For ascending v, sum_{i<j} (v_j - v_i) = v .
+    (2 arange(m) - (m - 1)). Each row is summed alone, not by BLAS (whose
+    rounding depends on the block), and the symmetric pair terms are added in
+    sorted order, so rows with the same groups, even relabelled among equal
+    sizes, tie exactly."""
+    groups, unions = gathers
+    sizes = [index.shape[1] for index in groups]
 
     def within(v):
         return (v * (2.0 * np.arange(v.shape[1]) - (v.shape[1] - 1))).sum(axis=1)
 
-    def within_of(mask):
-        return within(sorted_pooled[np.flatnonzero(mask).reshape(rows, -1) - offsets])
-
-    k = len(sizes)
-    w = [within_of(labels == g) for g in range(k)]
+    w = [within(sorted_pooled[index]) for index in groups]
     terms = []
-    for a in range(k):
-        for b in range(a + 1, k):
-            union = (within(sorted_pooled[None, :]) if k == 2
-                     else within_of((labels == a) | (labels == b)))
-            cross = union - (w[a] + w[b])
-            terms.append(2.0 * cross / (sizes[a] * sizes[b])
-                         - (2.0 * w[a] / sizes[a] ** 2 + 2.0 * w[b] / sizes[b] ** 2))
+    for (a, b), union in zip(combinations(range(len(sizes)), 2), unions):
+        whole = within(sorted_pooled[None, :] if union is None else sorted_pooled[union])
+        cross = whole - (w[a] + w[b])
+        terms.append(2.0 * cross / (sizes[a] * sizes[b])
+                     - (2.0 * w[a] / sizes[a] ** 2 + 2.0 * w[b] / sizes[b] ** 2))
     return np.sort(np.stack(terms, axis=1), axis=1).sum(axis=1)
+
+
+def _ksample_tests(pools: list[list[EmpiricalSample]], num_permutations: int,
+                   rng: np.random.Generator) -> list[tuple[float, float]]:
+    """ksample_equality_test on each pool of groups, with one set of permuted
+    labels for all of them: pool i gets the (statistic, p) that a call on it
+    alone with the same rng would give. Every pool needs the same group sizes.
+
+    Blocks of permuted label rows are the outer loop and pools the inner one,
+    so each block's gather indices are found once and only one block's are
+    held. Each pool keeps its own observed row, near-tie floor and early
+    return when all its values are identical.
+    """
+    sizes = [g.values.size for g in pools[0]]
+    if len(sizes) < 2:
+        raise ValueError("need at least two groups")
+    _check_bound("num_permutations", num_permutations, "[99, inf)", integer=True)
+    for groups in pools:
+        if [g.values.size for g in groups] != sizes:
+            raise ValueError(f"every pool needs group sizes {sizes}, "
+                             f"got {[g.values.size for g in groups]}")
+    k = len(sizes)
+    labels = np.repeat(np.arange(k, dtype=np.min_scalar_type(k)), sizes)
+    results = [(0.0, 1.0)] * len(pools)
+    live = []  # (pool index, sorted pool, observed statistic, near-tie floor)
+    for i, groups in enumerate(pools):
+        pooled = np.concatenate([g.values for g in groups])
+        if np.ptp(pooled) == 0.0:
+            continue
+        order = np.argsort(pooled, kind="stable")
+        sorted_pooled = pooled[order]
+        observed = _ksample_stats(sorted_pooled, _gathers(labels[None, order], k))[0]
+        live.append((i, sorted_pooled, observed,
+                     observed - abs(100 * np.finfo(float).eps * observed)))
+    if not live:
+        return results
+    children = rng.spawn(num_permutations)
+    rows = max(1, _BLOCK_LABELS // labels.size)
+    exceed = [0] * len(live)
+    for start in range(0, num_permutations, rows):
+        block = np.stack([labels[child.permutation(labels.size)]
+                          for child in children[start:start + rows]])
+        gathers = _gathers(block, k)
+        for j, (_, sorted_pooled, _, floor) in enumerate(live):
+            exceed[j] += int(np.count_nonzero(_ksample_stats(sorted_pooled, gathers) >= floor))
+        del gathers  # free this block's indices before the next block's are built
+    for (i, _, observed, _), count in zip(live, exceed):
+        results[i] = (float(observed), (1 + count) / (1 + num_permutations))
+    return results
 
 
 def ksample_equality_test(groups: list[EmpiricalSample], num_permutations: int,
@@ -94,23 +155,4 @@ def ksample_equality_test(groups: list[EmpiricalSample], num_permutations: int,
     draws from its own spawned generator, which makes the result independent
     of evaluation order; the permuted labels are scored a block at a time.
     """
-    if len(groups) < 2:
-        raise ValueError("need at least two groups")
-    _check_bound("num_permutations", num_permutations, "[99, inf)", integer=True)
-    sizes = [g.values.size for g in groups]
-    pooled = np.concatenate([g.values for g in groups])
-    labels = np.repeat(np.arange(len(sizes), dtype=np.min_scalar_type(len(sizes))), sizes)
-    if np.ptp(pooled) == 0.0:
-        return 0.0, 1.0
-    order = np.argsort(pooled, kind="stable")
-    sorted_pooled = pooled[order]
-    observed = _ksample_stats(sorted_pooled, labels[None, order], sizes)[0]
-    floor = observed - abs(100 * np.finfo(float).eps * observed)
-    children = rng.spawn(num_permutations)
-    rows = max(1, _BLOCK_LABELS // labels.size)
-    exceed = 0
-    for start in range(0, num_permutations, rows):
-        block = np.stack([labels[child.permutation(labels.size)]
-                          for child in children[start:start + rows]])
-        exceed += int(np.count_nonzero(_ksample_stats(sorted_pooled, block, sizes) >= floor))
-    return float(observed), (1 + exceed) / (1 + num_permutations)
+    return _ksample_tests([groups], num_permutations, rng)[0]

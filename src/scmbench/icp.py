@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 from scipy import special
 
-from .distmetrics import EmpiricalSample, ksample_equality_test
+from .distmetrics import EmpiricalSample, _ksample_tests, ksample_equality_test
 from .scm import SampleBatch, _bounded, _check_batches, _check_bound, _check_bounds
 
 _RIDGE = 1e-10
@@ -133,8 +133,10 @@ def icp_identify(batches: list[SampleBatch], cfg: IcpConfig,
     mean-variance test through the moments, which give every environment's
     residual sum and sum of squares for all subsets from one matrix product
     and one einsum, and the energy-permutation test from the rows, as one
-    k-sample test with an rng from SeedSequence([seed, subset_index]).
-    Subsets are indexed and reported in _subsets order.
+    k-sample test per subset. Those tests share one set of permuted labels,
+    from SeedSequence([seed]), so each subset's p is the one a lone
+    ksample_equality_test with that rng gives. Subsets are indexed and
+    reported in _subsets order.
     """
     _check_bound("seed", seed, "[0, inf)", integer=True)
     n_cand = _check_batches(batches, min_batches=2, min_rows=3) - 1
@@ -173,12 +175,10 @@ def icp_identify(batches: list[SampleBatch], cfg: IcpConfig,
         resid_sumsq = np.einsum("kin,ni->nk", moment_coef, coef)
         p_all = _mean_variance_pvalue(sizes, resid_sum, resid_sumsq).tolist()
     else:
-        p_all = []
-        for index in range(total):
-            groups = [EmpiricalSample(-(a @ coef[index]), label=b.env)
-                      for a, b in zip(designs, batches)]
-            rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-            p_all.append(invariance_pvalue(groups, cfg, rng))
+        pools = [[EmpiricalSample(-(a @ coef[index]), label=b.env)
+                  for a, b in zip(designs, batches)] for index in range(total)]
+        rng = np.random.default_rng(np.random.SeedSequence([seed]))
+        p_all = [p for _, p in _ksample_tests(pools, cfg.num_permutations, rng)]
 
     p_values = {frozenset(subset): p for subset, p in zip(subsets, p_all)}
     accepted = [key for key, p in p_values.items() if p > cfg.alpha]

@@ -311,7 +311,7 @@ class TestBlockScoringMatchesOracle:
         pooled = np.sort(np.concatenate([g.values for g in _normal_groups(13, sizes)]))
         labels = np.random.default_rng(14).permutation(np.repeat(np.arange(len(sizes)), sizes))
         rows = np.stack([labels, np.array(relabel)[labels]])
-        stats = distmetrics._ksample_stats(pooled, rows, list(sizes))
+        stats = distmetrics._ksample_stats(pooled, distmetrics._gathers(rows, len(sizes)))
         assert stats[0] == stats[1]
 
     def test_a_row_scores_the_same_alone_and_in_a_block(self):
@@ -320,8 +320,9 @@ class TestBlockScoringMatchesOracle:
         sizes = [400, 1000]
         pooled = np.sort(np.concatenate([g.values for g in _normal_groups(15, sizes)]))
         labels = np.random.default_rng(16).permutation(np.repeat([0, 1], sizes))
-        alone = distmetrics._ksample_stats(pooled, labels[None, :], sizes)
-        block = distmetrics._ksample_stats(pooled, np.tile(labels, (93, 1)), sizes)
+        alone = distmetrics._ksample_stats(pooled, distmetrics._gathers(labels[None, :], 2))
+        block = distmetrics._ksample_stats(pooled,
+                                           distmetrics._gathers(np.tile(labels, (93, 1)), 2))
         assert np.all(block == alone)
 
     def test_oracle_statistic_is_sum_of_pairwise_energy_distances(self):
@@ -346,3 +347,33 @@ class TestBlockScoringMatchesOracle:
             pvals.append(p)
         assert hashlib.sha256(np.array(pvals).tobytes()).hexdigest() == (
             "df865573199ed06d3ade6c64913e66b61d3ab74daff79de57d8adcc2b320e5a6")
+
+
+class TestBatchMatchesSeparateCalls:
+    """Pools that share group sizes are tested against one set of permuted
+    labels, each with the bits of a lone, same-seeded call."""
+
+    @pytest.mark.parametrize("sizes, permutations", [
+        ((30, 70), 199), ((25, 60, 15), 199), ((12, 30, 7, 50), 150), ((400, 1000), 199)],
+        ids=["k2", "k3", "k4", "three-blocks"])
+    def test_bit_equal_to_separate_calls(self, sizes, permutations):
+        pools = [_normal_groups(20 + i, sizes, shift=0.1 * i) for i in range(3)]
+        pools.append([sb.EmpiricalSample(np.full(m, 2.0), label=i)
+                      for i, m in enumerate(sizes)])
+        pools.append(_integer_groups(30, sizes, levels=3))
+        got = distmetrics._ksample_tests(pools, permutations, np.random.default_rng(17))
+        want = [sb.ksample_equality_test(groups, permutations, np.random.default_rng(17))
+                for groups in pools]
+        assert got == want
+        assert got[3] == (0.0, 1.0)
+
+    def test_all_constant_pools_draw_nothing(self):
+        pools = [[sb.EmpiricalSample(np.full(m, float(c))) for m in (4, 6)] for c in range(3)]
+        rng = np.random.default_rng(18)
+        assert distmetrics._ksample_tests(pools, 99, rng) == [(0.0, 1.0)] * 3
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
+
+    def test_mismatched_group_sizes_are_named(self):
+        pools = [_normal_groups(21, (5, 7)), _normal_groups(22, (6, 6))]
+        with pytest.raises(ValueError, match=r"group sizes \[5, 7\], got \[6, 6\]"):
+            distmetrics._ksample_tests(pools, 99, np.random.default_rng(0))
