@@ -368,13 +368,15 @@ def write_records_csv(records, path) -> None:
 
 
 def read_records_csv(path) -> list[RunRecord]:
-    """Parse a records CSV. A value it cannot parse, a row RunRecord refuses,
-    or a second row for one (dag_id, method, confounders) cell raises
-    ValueError naming the line (and the column)."""
+    """Parse a records CSV. A blank line, a value it cannot parse, a row
+    RunRecord refuses, or a second row for one (dag_id, method, confounders)
+    cell raises ValueError naming the line (and the column)."""
     with open(path) as fh:
-        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1) if ln.strip()]
+        lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1)]
     if not lines:
         raise ValueError("empty CSV: expected a header line")
+    if blank := [no for no, ln in lines if not ln.strip()]:
+        raise ValueError(f"line {blank[0]}: blank line")
     want = CSV_HEADER.split(",")
     got = lines[0][1].split(",")
     for i, (name, found) in enumerate(zip_longest(want, got, fillvalue="nothing")):

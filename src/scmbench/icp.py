@@ -59,10 +59,15 @@ def _mean_variance_pvalue(sizes: np.ndarray, sums: np.ndarray,
     its residual sum and sum of squares. An environment and its complement take
     their moments from one formula, mean = s/n and var = max(q - n*mean**2, 0)
     / (n-1). The result has the leading shape (...), one p-value per row.
+
+    The tails are evaluated in full only for rows whose most extreme
+    environment does not already give p = 0, which is exact as every per-env p
+    is >= 0, and for rows with a non-finite t, df or ratio, which could give NaN.
     """
     k = sizes.size
-    n = sizes.astype(float)
-    comp_n = n.sum() - n
+    lead, sums, sumsq = sums.shape[:-1], sums.reshape(-1, k), sumsq.reshape(-1, k)
+    n = np.broadcast_to(sizes.astype(float), sums.shape)
+    comp_n = n.sum(axis=-1, keepdims=True) - n
 
     def moments(m, s, q):
         mean = s / m
@@ -75,24 +80,32 @@ def _mean_variance_pvalue(sizes: np.ndarray, sums: np.ndarray,
     # variances this small are treated as degenerate point masses
     zero_own = variances <= 1e-12 * (1.0 + means ** 2)
     zero_comp = comp_var <= 1e-12 * (1.0 + comp_mean ** 2)
+    both_const = zero_own & zero_comp
+    means_match = np.abs(means - comp_mean) <= 1e-9 * (1.0 + np.abs(means) + np.abs(comp_mean))
 
     se2 = variances / n + comp_var / comp_n
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (means - comp_mean) / np.sqrt(se2)
         df = se2 ** 2 / ((variances / n) ** 2 / (n - 1.0)
                          + (comp_var / comp_n) ** 2 / (comp_n - 1.0))
-        p_mean = 2.0 * special.stdtr(df, -np.abs(t))
-        f_cdf = special.fdtr(n - 1.0, comp_n - 1.0, variances / comp_var)
-    p_var = 2.0 * np.minimum(f_cdf, 1.0 - f_cdf)
+        ratio = variances / comp_var
+        # the variance test's |t|: log(ratio) is near normal under the null
+        z_var = np.abs(np.log(ratio)) / np.sqrt(2.0 / (n - 1.0) + 2.0 / (comp_n - 1.0))
 
-    both_const = zero_own & zero_comp
-    means_match = np.abs(means - comp_mean) <= 1e-9 * (1.0 + np.abs(means) + np.abs(comp_mean))
-    p_mean = np.where(both_const, np.where(means_match, 1.0, 0.0), p_mean)
-    p_var = np.where(both_const, 1.0, p_var)
-    p_var = np.where(zero_own ^ zero_comp, 0.0, p_var)
+    def per_env(at):  # the per-env p of the (row, env) elements ``at`` indexes
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p_mean = 2.0 * special.stdtr(df[at], -np.abs(t[at]))
+            f_cdf = special.fdtr(n[at] - 1.0, comp_n[at] - 1.0, ratio[at])
+        p_var = 2.0 * np.minimum(f_cdf, 1.0 - f_cdf)
+        p_mean = np.where(both_const[at], np.where(means_match[at], 1.0, 0.0), p_mean)
+        p_var = np.where(both_const[at], 1.0, np.where((zero_own ^ zero_comp)[at], 0.0, p_var))
+        return 2.0 * np.minimum(p_mean, p_var)
 
-    per_env = 2.0 * np.minimum(p_mean, p_var)
-    return np.minimum(1.0, k * per_env.min(axis=-1))
+    probe = np.arange(len(t)), np.argmax(np.fmax(np.abs(t), z_var), axis=-1)
+    full = (per_env(probe) != 0.0) | ~np.isfinite(t + df + ratio).all(axis=-1)
+    p = np.zeros(len(t))
+    p[full] = np.minimum(1.0, k * per_env(full).min(axis=-1))
+    return p.reshape(lead)
 
 
 def invariance_pvalue(residuals_by_env: list[EmpiricalSample], cfg: IcpConfig,

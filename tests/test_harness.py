@@ -338,6 +338,20 @@ class TestCsvRoundTrip:
                                              "confounders repeat line 2$"):
             sb.read_records_csv(path)
 
+    @pytest.mark.parametrize("text, line", [
+        ("\n{header}\n{row}\n", 1),
+        ("{header}\n\n{row}\n", 2),
+        ("{header}\n{row}\n \t\n", 3),
+        ("{header}\n{row}\n\n", 3),
+    ])
+    def test_blank_lines_are_rejected(self, tmp_path, text, line):
+        # write_records_csv never writes one, so the reader does not skip them
+        path = tmp_path / "records.csv"
+        path.write_text(text.format(header=sb.harness.CSV_HEADER,
+                                    row="0,iid,0,1,1,1.0,false,0.5"))
+        with pytest.raises(ValueError, match=f"^line {line}: blank line$"):
+            sb.read_records_csv(path)
+
     def test_malformed_record_line_is_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(sb.harness.CSV_HEADER + "\n0,iid,0\n")

@@ -1,10 +1,11 @@
 """Tests for the invariant-causal-prediction baseline."""
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import scmbench as sb
 from scmbench import icp
@@ -200,13 +201,19 @@ def _reference_mean_variance_pvalue(sizes, sums, sumsq):
     return np.minimum(1.0, k * (2.0 * np.minimum(p_mean, p_var)).min(axis=-1))
 
 
-def _twelve_node_statistics():
-    """(sizes, sums, sumsq) of the one mean-variance call of a 12-node cell
-    with one confounder: 11 environments, 2,048 subsets."""
+def _twelve_node_batches():
+    """A 12-node cell with one confounder: 11 environments of 2,000 rows, so
+    2,048 subsets."""
     gen = sb.GenConfig(nodes_min=12, nodes_max=12)
     rng = np.random.default_rng(12)
     scm = sb.add_confounders(sb.random_scm(gen, rng), 1, rng, gen)
-    batches = [sb.sample(scm, env, 2000, rng) for env in sb.environments_for(scm, gen, rng)]
+    return [sb.sample(scm, env, 2000, rng) for env in sb.environments_for(scm, gen, rng)]
+
+
+def _twelve_node_statistics():
+    """(sizes, sums, sumsq) of the one mean-variance call of the
+    _twelve_node_batches cell."""
+    batches = _twelve_node_batches()
     calls = []
 
     def record(*args):
@@ -286,6 +293,58 @@ class TestMeanVariancePvalue:
         assert batched.tolist() == [float(r) for r in rows]
         assert batched[1] == 1.0 and batched[2] == 0.0
         assert batched[3] == 0.0 and batched[4] == 0.0
+
+    def test_mixed_batch_matches_the_oracle_and_row_by_row_calls(self):
+        # rows the probe decides, null rows and degenerate rows, shuffled,
+        # in one call at k = 11
+        sizes, decided_sums, decided_sumsq = _twelve_node_statistics()
+        null_sizes, null_sums, null_sumsq = _null_statistics()
+        assert np.array_equal(sizes, null_sizes)
+        k = sizes.size
+        means = np.zeros((7, k))
+        variances = np.ones((7, k))
+        means[0], variances[0] = 2.5, 0.0  # all constant, equal means: t is NaN
+        means[1, 1:], variances[1] = 2.5, 0.0  # env 0 alone at another mean: its
+        means[1, 0] = 3.0                      # t is inf and the largest
+        variances[2, 4] = 0.0                  # one side constant
+        variances[3, :] = 0.0                  # all constant but env 7
+        variances[3, 7] = 1.0
+        variances[4, 3] = 4.0                  # a variance shift decides, though
+        means[4, 5] = 0.2                      # env 5 has the largest |t|
+        means[5, 2] = 0.2                      # a mean shift
+        means[6] = np.arange(k) * 1e-3         # regular
+        _, odd_sums, odd_sumsq = _sums(sizes, means, variances)
+        sums = np.vstack([decided_sums[:300], null_sums[:300], odd_sums])
+        sumsq = np.vstack([decided_sumsq[:300], null_sumsq[:300], odd_sumsq])
+        order = np.random.default_rng(7).permutation(len(sums))
+        sums, sumsq = sums[order], sumsq[order]
+
+        p_values = _mean_variance_pvalue(sizes, sums, sumsq)
+        assert np.array_equal(p_values, _reference_mean_variance_pvalue(sizes, sums, sumsq))
+        rows = [float(_mean_variance_pvalue(sizes, sums[i], sumsq[i]))
+                for i in range(len(sums))]
+        assert p_values.tolist() == rows
+        odd = p_values[np.argsort(order)][600:]
+        assert odd[0] == 1.0 and odd[1] == odd[2] == odd[3] == odd[4] == 0.0
+        assert 0.0 < np.count_nonzero(p_values) < len(p_values)
+
+    def test_tails_are_evaluated_only_for_undecided_rows(self, monkeypatch):
+        sizes, sums, sumsq = _twelve_node_statistics()
+        seen = {"stdtr": 0, "fdtr": 0}
+
+        def counting(name):
+            def tail(*args):
+                seen[name] += np.broadcast(*args).size
+                return getattr(special, name)(*args)
+            return tail
+
+        monkeypatch.setattr(icp, "special", SimpleNamespace(
+            stdtr=counting("stdtr"), fdtr=counting("fdtr")))
+        p_values = _mean_variance_pvalue(sizes, sums, sumsq)
+        rows, k = sums.shape
+        bound = rows + k * np.count_nonzero(p_values)
+        assert seen["stdtr"] <= bound and seen["fdtr"] <= bound
+        assert bound < rows * k  # 2,048 against 22,528 elements per tail
 
     def test_invariance_pvalue_returns_a_python_float(self):
         groups = [sb.EmpiricalSample(np.arange(10.0) * (i + 1), label=i) for i in range(3)]
@@ -374,6 +433,19 @@ class TestIcpIdentify:
         pvals = list(result.p_values.values())
         assert hashlib.sha256(np.array(pvals).tobytes()).hexdigest() == (
             "2e8b21964b6282ce5e286b00b7c0c29fb8924d2d34f7302674582ad4a626d5a9")
+
+    @pytest.mark.parametrize("name, digest", [
+        # all 2,048 p-values are 0
+        ("twelve-node", "4fe7b59af6de3b665b67788cc2f99892ab827efae3a467342b3bb4e3bc8e5bfe"),
+        # [0, 0, 0, 0, 1, 0, 0, 5.4e-08]
+        ("demo", "a0234288898f27f828b6b0c0fb615c6099156b50d23c118f990be379ab8f7737"),
+    ])
+    def test_mean_variance_p_values_are_pinned(self, demo_batches, name, digest):
+        # sha256 of the p-values in subset order
+        batches = _twelve_node_batches() if name == "twelve-node" else demo_batches(0, n=500)
+        result = sb.icp_identify(batches, sb.IcpConfig(), seed=0)
+        pvals = list(result.p_values.values())
+        assert hashlib.sha256(np.array(pvals).tobytes()).hexdigest() == digest
 
     def test_determinism(self, demo_batches):
         batches = demo_batches(3, n=1000)
