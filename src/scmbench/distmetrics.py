@@ -54,94 +54,78 @@ def frechet_gaussian1d(a: Gaussian1D, b: Gaussian1D) -> float:
 _BLOCK_LABELS = 2 ** 17
 
 
-def _gathers(labels: np.ndarray, k: int) -> tuple[list[np.ndarray], list[np.ndarray | None]]:
+def _gathers(labels: np.ndarray, k: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Where each group, then each pair a < b of groups together, sits in each
-    row of ``labels`` (the group of each position of a sorted pool), as
-    (rows, size) indices into that pool. A row-major flatnonzero keeps each
-    group ascending. With two groups the one union is the whole pool, None."""
+    row of ``labels`` (the group of each position of a sorted row of values),
+    as (rows, size) indices into that row. A row-major flatnonzero keeps each
+    group ascending."""
     rows, n = labels.shape
     offsets = n * np.arange(rows)[:, None]
 
     def of(mask):
         return np.flatnonzero(mask).reshape(rows, -1) - offsets
 
-    groups = [of(labels == g) for g in range(k)]
-    unions = ([None] if k == 2 else
-              [of((labels == a) | (labels == b)) for a, b in combinations(range(k), 2)])
-    return groups, unions
+    return ([of(labels == g) for g in range(k)],
+            [of((labels == a) | (labels == b)) for a, b in combinations(range(k), 2)])
 
 
-def _ksample_stats(sorted_pooled: np.ndarray,
-                   gathers: tuple[list[np.ndarray], list[np.ndarray | None]]) -> np.ndarray:
-    """The statistic of ``sorted_pooled`` for each row of the labels behind
-    ``gathers`` (see _gathers). For ascending v, sum_{i<j} (v_j - v_i) = v .
-    (2 arange(m) - (m - 1)). Each row is summed alone, not by BLAS (whose
-    rounding depends on the block), and the symmetric pair terms are added in
-    sorted order, so rows with the same groups, even relabelled among equal
-    sizes, tie exactly."""
+def _ksample_stats(sorted_row: np.ndarray,
+                   gathers: tuple[list[np.ndarray], list[np.ndarray]]) -> np.ndarray:
+    """The statistic of the ascending values ``sorted_row`` for each row of the
+    labels behind ``gathers`` (see _gathers). For ascending v, sum_{i<j} (v_j -
+    v_i) = v . (2 arange(m) - (m - 1)). Each label row is summed alone, not by
+    BLAS (whose rounding depends on the block), and the symmetric pair terms
+    are added in sorted order, so label rows with the same groups, even
+    relabelled among equal sizes, tie exactly."""
     groups, unions = gathers
     sizes = [index.shape[1] for index in groups]
 
     def within(v):
         return (v * (2.0 * np.arange(v.shape[1]) - (v.shape[1] - 1))).sum(axis=1)
 
-    w = [within(sorted_pooled[index]) for index in groups]
+    w = [within(sorted_row[index]) for index in groups]
     terms = []
     for (a, b), union in zip(combinations(range(len(sizes)), 2), unions):
-        whole = within(sorted_pooled[None, :] if union is None else sorted_pooled[union])
-        cross = whole - (w[a] + w[b])
+        cross = within(sorted_row[union]) - (w[a] + w[b])
         terms.append(2.0 * cross / (sizes[a] * sizes[b])
                      - (2.0 * w[a] / sizes[a] ** 2 + 2.0 * w[b] / sizes[b] ** 2))
     return np.sort(np.stack(terms, axis=1), axis=1).sum(axis=1)
 
 
-def _ksample_tests(pools: list[list[EmpiricalSample]], num_permutations: int,
-                   rng: np.random.Generator) -> list[tuple[float, float]]:
-    """ksample_equality_test on each pool of groups, with one set of permuted
-    labels for all of them: pool i gets the (statistic, p) that a call on it
-    alone with the same rng would give. Every pool needs the same group sizes.
-
-    Blocks of permuted label rows are the outer loop and pools the inner one,
-    so each block's gather indices are found once and only one block's are
-    held. Each pool keeps its own observed row, near-tie floor and early
-    return when all its values are identical.
-    """
-    sizes = [g.values.size for g in pools[0]]
-    if len(sizes) < 2:
-        raise ValueError("need at least two groups")
+def _ksample_tests(pooled: np.ndarray, sizes: list[int] | np.ndarray, num_permutations: int,
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """ksample_equality_test on each row of ``pooled``, whose columns hold the
+    (two or more) groups of ``sizes`` in order, against one set of permuted
+    labels: row i gets the statistic and p a call on it alone with the same
+    rng would give. Blocks of permuted label rows are the outer loop and rows
+    the inner one, so each block's gather indices are found once and only one
+    block's are held. A row whose values are all identical gets (0, 1)."""
     _check_bound("num_permutations", num_permutations, "[99, inf)", integer=True)
-    for groups in pools:
-        if [g.values.size for g in groups] != sizes:
-            raise ValueError(f"every pool needs group sizes {sizes}, "
-                             f"got {[g.values.size for g in groups]}")
+    if pooled.shape[1] != sum(sizes):
+        raise ValueError(f"group sizes {sizes} need {sum(sizes)} columns, got {pooled.shape[1]}")
+    if not np.all(np.isfinite(pooled)):
+        raise ValueError("values must be finite")
     k = len(sizes)
     labels = np.repeat(np.arange(k, dtype=np.min_scalar_type(k)), sizes)
-    results = [(0.0, 1.0)] * len(pools)
-    live = []  # (pool index, sorted pool, observed statistic, near-tie floor)
-    for i, groups in enumerate(pools):
-        pooled = np.concatenate([g.values for g in groups])
-        if np.ptp(pooled) == 0.0:
-            continue
-        order = np.argsort(pooled, kind="stable")
-        sorted_pooled = pooled[order]
-        observed = _ksample_stats(sorted_pooled, _gathers(labels[None, order], k))[0]
-        live.append((i, sorted_pooled, observed,
-                     observed - abs(100 * np.finfo(float).eps * observed)))
-    if not live:
-        return results
-    children = rng.spawn(num_permutations)
-    rows = max(1, _BLOCK_LABELS // labels.size)
-    exceed = [0] * len(live)
-    for start in range(0, num_permutations, rows):
-        block = np.stack([labels[child.permutation(labels.size)]
-                          for child in children[start:start + rows]])
-        gathers = _gathers(block, k)
-        for j, (_, sorted_pooled, _, floor) in enumerate(live):
-            exceed[j] += int(np.count_nonzero(_ksample_stats(sorted_pooled, gathers) >= floor))
+    stats, p = np.zeros(len(pooled)), np.ones(len(pooled))
+    live = np.flatnonzero(np.ptp(pooled, axis=1) != 0.0)
+    sorted_rows = pooled[live]  # a copy, sorted row by row in place
+    for i, row in zip(live, sorted_rows):
+        order = np.argsort(row, kind="stable")
+        row[:] = row[order]
+        stats[i] = _ksample_stats(row, _gathers(labels[None, order], k))[0]
+    floor = stats[live] - np.abs(100 * np.finfo(float).eps * stats[live])
+    children = rng.spawn(num_permutations if live.size else 0)  # none live: draw nothing
+    block_rows = max(1, _BLOCK_LABELS // labels.size)
+    exceed = np.zeros(live.size, dtype=np.int64)
+    for start in range(0, len(children), block_rows):
+        gathers = _gathers(np.stack([labels[child.permutation(labels.size)]
+                                     for child in children[start:start + block_rows]]), k)
+        for j, row in enumerate(sorted_rows):
+            exceed[j] += np.count_nonzero(_ksample_stats(row, gathers) >= floor[j])
         del gathers  # free this block's indices before the next block's are built
-    for (i, _, observed, _), count in zip(live, exceed):
-        results[i] = (float(observed), (1 + count) / (1 + num_permutations))
-    return results
+    p[live] = (1 + exceed) / (1 + num_permutations)
+    return stats, p
 
 
 def ksample_equality_test(groups: list[EmpiricalSample], num_permutations: int,
@@ -153,6 +137,9 @@ def ksample_equality_test(groups: list[EmpiricalSample], num_permutations: int,
     / (1 + B), so near-ties count as in scipy.stats.permutation_test and p is
     1.0 when all groups hold literally identical values. Each permutation
     draws from its own spawned generator, which makes the result independent
-    of evaluation order; the permuted labels are scored a block at a time.
-    """
-    return _ksample_tests([groups], num_permutations, rng)[0]
+    of evaluation order."""
+    if len(groups) < 2:
+        raise ValueError("need at least two groups")
+    stats, p = _ksample_tests(np.concatenate([g.values for g in groups])[None, :],
+                              [g.values.size for g in groups], num_permutations, rng)
+    return float(stats[0]), float(p[0])

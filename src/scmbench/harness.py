@@ -244,16 +244,17 @@ def _check_threads(threads) -> None:
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> Report:
-    """Run the full sweep on ``threads`` worker processes; cell failures land
-    in Report.errors instead of aborting. Records and errors come in (dag,
-    level, method) order with levels and methods as configured, because
-    pool.map keeps task order and _dag_task appends in that order."""
+    """Run the full sweep on min(threads, num_dags) worker processes; cell
+    failures land in Report.errors instead of aborting. Records and errors
+    come in (dag, level, method) order with levels and methods as configured,
+    because pool.map keeps task order and _dag_task appends in that order."""
     _check_threads(threads)
     tasks = [(cfg, dag_id) for dag_id in range(cfg.num_dags)]
-    if threads == 1 or cfg.num_dags == 1:
+    workers = min(threads, cfg.num_dags)
+    if workers == 1:
         outcomes = [_dag_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_dag_task, tasks))
 
     records = [r for recs, _ in outcomes for r in recs]
@@ -379,9 +380,11 @@ def read_records_csv(path) -> list[RunRecord]:
         raise ValueError(f"line {blank[0]}: blank line")
     want = CSV_HEADER.split(",")
     got = lines[0][1].split(",")
-    for i, (name, found) in enumerate(zip_longest(want, got, fillvalue="nothing")):
-        if name != found:
-            raise ValueError(f"header column {i} should be '{name}', found '{found}'")
+    for i, (name, found) in enumerate(zip_longest(want, got)):
+        if name != found:  # None pads the shorter list; split never yields it
+            name, found = ("absent" if name is None else repr(name),
+                           "nothing" if found is None else repr(found))
+            raise ValueError(f"header column {i} should be {name}, found {found}")
     records = []
     cells: dict[tuple, int] = {}
     for no, ln in lines[1:]:

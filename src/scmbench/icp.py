@@ -55,17 +55,16 @@ def _mean_variance_pvalue(sizes: np.ndarray, sums: np.ndarray,
     against the pooled complement: per-env p = 2*min(p_mean, p_var), overall
     p = k * min over environments, clipped to 1.
 
-    sizes (k,) holds each environment's residual count, sums and sumsq (..., k)
-    its residual sum and sum of squares. An environment and its complement take
-    their moments from one formula, mean = s/n and var = max(q - n*mean**2, 0)
-    / (n-1). The result has the leading shape (...), one p-value per row.
+    sizes (k,) holds each environment's residual count, row i of sums and sumsq
+    (rows, k) its residual sum and sum of squares for subset i, and the result
+    (rows,) subset i's p. An environment and its complement take their moments
+    from one formula, mean = s/n and var = max(q - n*mean**2, 0) / (n-1).
 
     The tails are evaluated in full only for rows whose most extreme
     environment does not already give p = 0, which is exact as every per-env p
     is >= 0, and for rows with a non-finite t, df or ratio, which could give NaN.
     """
     k = sizes.size
-    lead, sums, sumsq = sums.shape[:-1], sums.reshape(-1, k), sumsq.reshape(-1, k)
     n = np.broadcast_to(sizes.astype(float), sums.shape)
     comp_n = n.sum(axis=-1, keepdims=True) - n
 
@@ -105,7 +104,7 @@ def _mean_variance_pvalue(sizes: np.ndarray, sums: np.ndarray,
     full = (per_env(probe) != 0.0) | ~np.isfinite(t + df + ratio).all(axis=-1)
     p = np.zeros(len(t))
     p[full] = np.minimum(1.0, k * per_env(full).min(axis=-1))
-    return p.reshape(lead)
+    return p
 
 
 def invariance_pvalue(residuals_by_env: list[EmpiricalSample], cfg: IcpConfig,
@@ -121,8 +120,8 @@ def invariance_pvalue(residuals_by_env: list[EmpiricalSample], cfg: IcpConfig,
     if cfg.test == "mean-variance":
         values = [g.values for g in residuals_by_env]
         return float(_mean_variance_pvalue(np.array([v.size for v in values]),
-                                           np.array([v.sum() for v in values]),
-                                           np.array([v @ v for v in values])))
+                                           np.array([[v.sum() for v in values]]),
+                                           np.array([[v @ v for v in values]]))[0])
     if rng is None:
         raise ValueError("the energy-permutation test needs an rng")
     return ksample_equality_test(residuals_by_env, cfg.num_permutations, rng)[1]
@@ -145,11 +144,11 @@ def icp_identify(batches: list[SampleBatch], cfg: IcpConfig,
     -(a @ coef[i]), and both tests read it off that one definition: the
     mean-variance test through the moments, which give every environment's
     residual sum and sum of squares for all subsets from one matrix product
-    and one einsum, and the energy-permutation test from the rows, as one
-    k-sample test per subset. Those tests share one set of permuted labels,
-    from SeedSequence([seed]), so each subset's p is the one a lone
-    ksample_equality_test with that rng gives. Subsets are indexed and
-    reported in _subsets order.
+    and one einsum, and the energy-permutation test from the residuals, one
+    row per subset with the environments in order, one k-sample test per row.
+    Those tests share one set of permuted labels, from SeedSequence([seed]),
+    so each subset's p is the one a lone ksample_equality_test with that rng
+    gives. Subsets are indexed and reported in _subsets order.
     """
     _check_bound("seed", seed, "[0, inf)", integer=True)
     n_cand = _check_batches(batches, min_batches=2, min_rows=3) - 1
@@ -181,17 +180,18 @@ def icp_identify(batches: list[SampleBatch], cfg: IcpConfig,
         coef[np.arange(start, stop)[:, None], cols] = beta
         start = stop
 
+    sizes = np.array([b.n for b in batches], dtype=np.int64)
     if cfg.test == "mean-variance":
-        sizes = np.array([b.n for b in batches], dtype=np.int64)
         moment_coef = moments @ coef.T  # (k, width + 1, subsets)
         resid_sum = -moment_coef[:, n_cand, :].T  # the intercept row holds column sums
         resid_sumsq = np.einsum("kin,ni->nk", moment_coef, coef)
         p_all = _mean_variance_pvalue(sizes, resid_sum, resid_sumsq).tolist()
     else:
-        pools = [[EmpiricalSample(-(a @ coef[index]), label=b.env)
-                  for a, b in zip(designs, batches)] for index in range(total)]
+        resid = np.empty((total, sizes.sum()))  # row i: subset i's residuals, env by env
+        for row, c in zip(resid, coef):
+            np.concatenate([-(a @ c) for a in designs], out=row)
         rng = np.random.default_rng(np.random.SeedSequence([seed]))
-        p_all = [p for _, p in _ksample_tests(pools, cfg.num_permutations, rng)]
+        p_all = _ksample_tests(resid, sizes, cfg.num_permutations, rng)[1].tolist()
 
     p_values = {frozenset(subset): p for subset, p in zip(subsets, p_all)}
     accepted = [key for key, p in p_values.items() if p > cfg.alpha]

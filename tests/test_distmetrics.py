@@ -254,8 +254,9 @@ class TestKSampleTest:
 
     def test_input_validation(self):
         sample = sb.EmpiricalSample(np.arange(5.0))
-        with pytest.raises(ValueError, match="two groups"):
-            sb.ksample_equality_test([sample], 99, np.random.default_rng(0))
+        for groups in ([], [sample]):
+            with pytest.raises(ValueError, match="two groups"):
+                sb.ksample_equality_test(groups, 99, np.random.default_rng(0))
         with pytest.raises(ValueError, match="99"):
             sb.ksample_equality_test([sample, sample], 50,
                                      np.random.default_rng(0))
@@ -348,32 +349,63 @@ class TestBlockScoringMatchesOracle:
         assert hashlib.sha256(np.array(pvals).tobytes()).hexdigest() == (
             "df865573199ed06d3ade6c64913e66b61d3ab74daff79de57d8adcc2b320e5a6")
 
+    def test_two_group_statistics_and_p_values_are_pinned(self):
+        # sha256 of (statistic, p) for two-group calls, ties and size-1 groups
+        # included; the statistic is pinned bit for bit, not to a tolerance
+        cases = [(_normal_groups(40, (40, 40)), 99),
+                 (_normal_groups(41, (30, 70), shift=0.3), 199),
+                 (_integer_groups(42, (20, 35), levels=3), 199),
+                 (_integer_groups(43, (9, 39), levels=8), 138),
+                 (_normal_groups(44, (1, 6)), 99),
+                 (_normal_groups(45, (400, 1000), shift=0.05), 199)]
+        results = [sb.ksample_equality_test(groups, permutations, np.random.default_rng(46))
+                   for groups, permutations in cases]
+        assert hashlib.sha256(np.array(results).tobytes()).hexdigest() == (
+            "81a6c1234eaf97ff2ab3a25e5fe7a3692a7a86f95e6361c17a122cb20aa03ec3")
+
+
+def _rows(pools):
+    """The (rows, n) matrix of pools that share group sizes, one pool a row."""
+    return np.stack([np.concatenate([g.values for g in groups]) for groups in pools])
+
 
 class TestBatchMatchesSeparateCalls:
-    """Pools that share group sizes are tested against one set of permuted
+    """Rows that share group sizes are tested against one set of permuted
     labels, each with the bits of a lone, same-seeded call."""
 
     @pytest.mark.parametrize("sizes, permutations", [
-        ((30, 70), 199), ((25, 60, 15), 199), ((12, 30, 7, 50), 150), ((400, 1000), 199)],
-        ids=["k2", "k3", "k4", "three-blocks"])
+        ((30, 70), 199), ((40, 40), 99), ((25, 60, 15), 199), ((12, 30, 7, 50), 150),
+        ((400, 1000), 199)],
+        ids=["k2", "k2-equal", "k3", "k4", "three-blocks"])
     def test_bit_equal_to_separate_calls(self, sizes, permutations):
         pools = [_normal_groups(20 + i, sizes, shift=0.1 * i) for i in range(3)]
         pools.append([sb.EmpiricalSample(np.full(m, 2.0), label=i)
                       for i, m in enumerate(sizes)])
         pools.append(_integer_groups(30, sizes, levels=3))
-        got = distmetrics._ksample_tests(pools, permutations, np.random.default_rng(17))
+        stats, p = distmetrics._ksample_tests(_rows(pools), list(sizes), permutations,
+                                              np.random.default_rng(17))
         want = [sb.ksample_equality_test(groups, permutations, np.random.default_rng(17))
                 for groups in pools]
-        assert got == want
-        assert got[3] == (0.0, 1.0)
+        assert list(zip(stats.tolist(), p.tolist())) == want
+        assert want[3] == (0.0, 1.0)
 
-    def test_all_constant_pools_draw_nothing(self):
-        pools = [[sb.EmpiricalSample(np.full(m, float(c))) for m in (4, 6)] for c in range(3)]
+    def test_all_constant_rows_draw_nothing(self):
+        pooled = np.repeat(np.arange(3.0)[:, None], 10, axis=1)
         rng = np.random.default_rng(18)
-        assert distmetrics._ksample_tests(pools, 99, rng) == [(0.0, 1.0)] * 3
+        stats, p = distmetrics._ksample_tests(pooled, [4, 6], 99, rng)
+        assert stats.tolist() == [0.0] * 3 and p.tolist() == [1.0] * 3
         assert rng.bit_generator.seed_seq.n_children_spawned == 0
 
-    def test_mismatched_group_sizes_are_named(self):
-        pools = [_normal_groups(21, (5, 7)), _normal_groups(22, (6, 6))]
-        with pytest.raises(ValueError, match=r"group sizes \[5, 7\], got \[6, 6\]"):
-            distmetrics._ksample_tests(pools, 99, np.random.default_rng(0))
+    def test_columns_must_match_the_group_sizes(self):
+        pooled = _rows([_normal_groups(21, (5, 7)), _normal_groups(22, (5, 7))])
+        with pytest.raises(ValueError, match=r"group sizes \[6, 7\] need 13 columns, got 12"):
+            distmetrics._ksample_tests(pooled, [6, 7], 99, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_row_is_rejected(self, bad):
+        pooled = _rows([_normal_groups(23, (5, 7)), _normal_groups(24, (5, 7))])
+        pooled[1, 8] = bad
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="^values must be finite$"):
+            distmetrics._ksample_tests(pooled, [5, 7], 99, rng)
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0

@@ -234,6 +234,30 @@ class TestRunExperiment:
                 == [dataclasses.replace(r, wall_time=0.0) for r in clean.records
                     if r.confounders != 1])
 
+    @pytest.mark.parametrize("threads, num_dags, workers", [
+        (1, 3, None), (8, 1, None), (2, 3, 2), (8, 6, 6), (500, 50, 50)])
+    def test_never_starts_more_workers_than_dags(self, monkeypatch, threads, num_dags,
+                                                 workers):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(sb.harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(sb.harness, "_dag_task", lambda task: ([], []))
+        sb.run_experiment(self.small_config(num_dags=num_dags), threads=threads)
+        assert started == ([] if workers is None else [workers])
+
     def test_rejects_bad_thread_count(self):
         with pytest.raises(ValueError, match="threads"):
             sb.run_experiment(self.small_config(), threads=0)
@@ -322,8 +346,12 @@ class TestCsvRoundTrip:
         path.write_text("dag_id,method,conf,z,pa0,js,violated,wall_time\nx\n")
         with pytest.raises(ValueError, match="column 2 should be 'confounders'"):
             sb.read_records_csv(path)
-        path.write_text(sb.harness.CSV_HEADER + ",extra\n")
-        with pytest.raises(ValueError, match="column 8 should be 'nothing', found 'extra'"):
+        for extra in ("extra", "nothing"):  # no name makes a ninth column welcome
+            path.write_text(f"{sb.harness.CSV_HEADER},{extra}\n")
+            with pytest.raises(ValueError, match=f"column 8 should be absent, found '{extra}'$"):
+                sb.read_records_csv(path)
+        path.write_text(sb.harness.CSV_HEADER.rsplit(",", 1)[0] + "\n")
+        with pytest.raises(ValueError, match="column 7 should be 'wall_time', found nothing$"):
             sb.read_records_csv(path)
         path.write_text("")
         with pytest.raises(ValueError, match="empty CSV"):

@@ -289,8 +289,8 @@ class TestMeanVariancePvalue:
         sizes, sums, sumsq = _sums(sizes, means, variances)
         batched = _mean_variance_pvalue(sizes, sums, sumsq)
         assert batched.shape == (12,)
-        rows = [_mean_variance_pvalue(sizes, sums[i], sumsq[i]) for i in range(12)]
-        assert batched.tolist() == [float(r) for r in rows]
+        rows = [_mean_variance_pvalue(sizes, sums[i:i + 1], sumsq[i:i + 1]) for i in range(12)]
+        assert batched.tolist() == [float(r[0]) for r in rows]
         assert batched[1] == 1.0 and batched[2] == 0.0
         assert batched[3] == 0.0 and batched[4] == 0.0
 
@@ -321,7 +321,7 @@ class TestMeanVariancePvalue:
 
         p_values = _mean_variance_pvalue(sizes, sums, sumsq)
         assert np.array_equal(p_values, _reference_mean_variance_pvalue(sizes, sums, sumsq))
-        rows = [float(_mean_variance_pvalue(sizes, sums[i], sumsq[i]))
+        rows = [float(_mean_variance_pvalue(sizes, sums[i:i + 1], sumsq[i:i + 1])[0])
                 for i in range(len(sums))]
         assert p_values.tolist() == rows
         odd = p_values[np.argsort(order)][600:]
