@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -22,6 +23,9 @@ from .scm import SampleBatch, _bounded, _check_batches, _check_bound, _check_bou
 
 _RIDGE = 1e-10
 _TESTS = ("mean-variance", "energy-permutation")
+# subset layouts a process keeps (see _layout); the default sweep's five
+# candidate counts, 7 to 11, keep about 4 MB
+_LAYOUTS_KEPT = 8
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -132,6 +136,32 @@ def _subsets(n_candidates: int, cap: int) -> list[tuple[int, ...]]:
             for subset in combinations(range(1, n_candidates + 1), size)]
 
 
+@lru_cache(maxsize=_LAYOUTS_KEPT)
+def _layout(n_cand: int, cap: int) -> tuple[tuple[frozenset[int], ...],
+                                             tuple[tuple[np.ndarray, ...], ...]]:
+    """Where each subset's numbers sit, a pure function of (n_cand, cap) that
+    every call shares read-only: the subset keys in _subsets order, and per
+    subset size s the flat indices, for all subsets of that size, of their
+    (s+1, s+1) Gram blocks and (s+1, 1) right-hand sides in the pooled moment
+    matrix and of their s+1 coefficients in the coefficient matrix."""
+    subsets = _subsets(n_cand, cap)
+    side = n_cand + 2  # both matrices have n_cand + 2 columns, x_0 last
+    blocks = []
+    start = 0
+    for size in range(cap + 1):
+        stop = start + math.comb(n_cand, size)
+        cols = np.array(subsets[start:stop], dtype=np.intp).reshape(stop - start, size) - 1
+        cols = np.hstack([cols, np.full((stop - start, 1), n_cand)])  # plus the intercept
+        block = (cols[:, :, None] * side + cols[:, None, :],
+                 cols[:, :, None] * side + side - 1,
+                 np.arange(start, stop)[:, None] * side + cols)
+        for index in block:
+            index.flags.writeable = False
+        blocks.append(block)
+        start = stop
+    return tuple(map(frozenset, subsets)), tuple(blocks)
+
+
 def icp_identify(batches: list[SampleBatch], cfg: IcpConfig,
                  seed: int = 0) -> IcpResult:
     """Exhaustive subset search; see module docstring.
@@ -149,6 +179,12 @@ def icp_identify(batches: list[SampleBatch], cfg: IcpConfig,
     Those tests share one set of permuted labels, from SeedSequence([seed]),
     so each subset's p is the one a lone ksample_equality_test with that rng
     gives. Subsets are indexed and reported in _subsets order.
+
+    Which subsets exist, where their Gram blocks and coefficients sit, and
+    their frozenset keys are a pure function of (candidate count, cap):
+    _layout builds them once per process, after the budget check, and every
+    call reads the same read-only arrays and keys, so no result depends on
+    which calls ran before.
     """
     _check_bound("seed", seed, "[0, inf)", integer=True)
     n_cand = _check_batches(batches, min_batches=2, min_rows=3) - 1
@@ -159,7 +195,7 @@ def icp_identify(batches: list[SampleBatch], cfg: IcpConfig,
     if total > cfg.enumeration_budget:
         raise EnumerationBudgetError(
             f"{total} subsets exceed the budget of {cfg.enumeration_budget}")
-    subsets = _subsets(n_cand, cap)
+    keys, blocks = _layout(n_cand, cap)
 
     width = n_cand + 1  # candidate columns plus intercept; x_0 sits at index width
     designs = [np.hstack([b.data[:, 1:], np.ones((b.n, 1)), b.data[:, :1]]) for b in batches]
@@ -170,15 +206,10 @@ def icp_identify(batches: list[SampleBatch], cfg: IcpConfig,
     # x_0, so designs[e] @ coef[i] is minus subset i's residual in environment e
     coef = np.zeros((total, width + 1))
     coef[:, width] = -1.0
-    start = 0
-    for size in range(cap + 1):
-        stop = start + math.comb(n_cand, size)
-        cols = np.array(subsets[start:stop], dtype=np.intp).reshape(stop - start, size) - 1
-        cols = np.hstack([cols, np.full((stop - start, 1), n_cand)])
-        gram = pooled[cols[:, :, None], cols[:, None, :]] + _RIDGE * np.eye(size + 1)
-        beta = np.linalg.solve(gram, pooled[cols, width][:, :, None])[:, :, 0]
-        coef[np.arange(start, stop)[:, None], cols] = beta
-        start = stop
+    flat = pooled.ravel()
+    for size, (gram_at, rhs_at, coef_at) in enumerate(blocks):
+        gram = flat.take(gram_at) + _RIDGE * np.eye(size + 1)
+        coef.ravel()[coef_at] = np.linalg.solve(gram, flat.take(rhs_at))[:, :, 0]
 
     sizes = np.array([b.n for b in batches], dtype=np.int64)
     if cfg.test == "mean-variance":
@@ -193,7 +224,7 @@ def icp_identify(batches: list[SampleBatch], cfg: IcpConfig,
         rng = np.random.default_rng(np.random.SeedSequence([seed]))
         p_all = _ksample_tests(resid, sizes, cfg.num_permutations, rng)[1].tolist()
 
-    p_values = {frozenset(subset): p for subset, p in zip(subsets, p_all)}
+    p_values = dict(zip(keys, p_all))
     accepted = [key for key, p in p_values.items() if p > cfg.alpha]
     estimate = frozenset.intersection(*accepted) if accepted else frozenset()
     return IcpResult(estimated_set=estimate,

@@ -471,6 +471,51 @@ class TestIcpIdentify:
         with pytest.raises(sb.EnumerationBudgetError, match="8 subsets"):
             sb.icp_identify(demo_batches(6, n=200), cfg, seed=0)
 
+    def test_rejected_enumeration_caches_nothing(self, demo_batches):
+        icp._layout.cache_clear()
+        cfg = sb.IcpConfig(enumeration_budget=3)
+        with pytest.raises(sb.EnumerationBudgetError):
+            sb.icp_identify(demo_batches(6, n=200), cfg, seed=0)
+        assert icp._layout.cache_info().currsize == 0
+        sb.icp_identify(demo_batches(6, n=200), sb.IcpConfig(), seed=0)
+        with pytest.raises(sb.EnumerationBudgetError):
+            sb.icp_identify(wide_batches(), sb.IcpConfig(enumeration_budget=255), seed=0)
+        assert icp._layout.cache_info().currsize == 1
+
+    def test_layout_cache_keeps_every_default_candidate_count(self):
+        gen = sb.GenConfig()
+        assert icp._layout.cache_info().maxsize == icp._LAYOUTS_KEPT
+        assert gen.nodes_max - gen.nodes_min + 1 <= icp._LAYOUTS_KEPT
+
+    def test_results_do_not_depend_on_call_order(self, demo_batches):
+        wide = wide_batches()
+        cases = [(wide, sb.IcpConfig()),
+                 (wide, sb.IcpConfig(max_subset_size=3)),
+                 (wide, sb.IcpConfig(max_subset_size=0)),
+                 (demo_batches(2, n=300), sb.IcpConfig()),
+                 (wide_batches(5, n=100),
+                  sb.IcpConfig(test="energy-permutation", num_permutations=99,
+                               max_subset_size=2))]
+
+        def run(batches, cfg):
+            result = sb.icp_identify(batches, cfg, seed=1)
+            return (list(result.p_values.items()), result.accepted_subsets,
+                    result.estimated_set)
+
+        references = []
+        for case in cases:
+            icp._layout.cache_clear()
+            references.append(run(*case))
+        icp._layout.cache_clear()
+        for i in (4, 0, 3, 2, 4, 1, 0, 3, 1, 2):
+            assert run(*cases[i]) == references[i]
+
+        keys, blocks = icp._layout(8, 3)
+        assert keys == tuple(frozenset(s) for s in _subsets(8, 3))
+        for index in (a for block in blocks for a in block):
+            with pytest.raises(ValueError, match="read-only"):
+                index.flat[0] = 0
+
     @pytest.mark.parametrize("test", ["mean-variance", "energy-permutation"])
     @pytest.mark.parametrize("seed, message", [
         (-1, r"^seed must lie in \[0, inf\), got -1$"),
