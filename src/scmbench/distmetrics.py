@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -54,42 +54,31 @@ def frechet_gaussian1d(a: Gaussian1D, b: Gaussian1D) -> float:
 _BLOCK_LABELS = 2 ** 17
 
 
-def _gathers(labels: np.ndarray, k: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Where each group, then each pair a < b of groups together, sits in each
-    row of ``labels`` (the group of each position of a sorted row of values),
-    as (rows, size) indices into that row. A row-major flatnonzero keeps each
-    group ascending."""
-    rows, n = labels.shape
-    offsets = n * np.arange(rows)[:, None]
-
-    def of(mask):
-        return np.flatnonzero(mask).reshape(rows, -1) - offsets
-
-    return ([of(labels == g) for g in range(k)],
-            [of((labels == a) | (labels == b)) for a, b in combinations(range(k), 2)])
-
-
-def _ksample_stats(sorted_row: np.ndarray,
-                   gathers: tuple[list[np.ndarray], list[np.ndarray]]) -> np.ndarray:
-    """The statistic of the ascending values ``sorted_row`` for each row of the
-    labels behind ``gathers`` (see _gathers). For ascending v, sum_{i<j} (v_j -
-    v_i) = v . (2 arange(m) - (m - 1)). Each label row is summed alone, not by
-    BLAS (whose rounding depends on the block), and the symmetric pair terms
-    are added in sorted order, so label rows with the same groups, even
-    relabelled among equal sizes, tie exactly."""
-    groups, unions = gathers
-    sizes = [index.shape[1] for index in groups]
-
-    def within(v):
-        return (v * (2.0 * np.arange(v.shape[1]) - (v.shape[1] - 1))).sum(axis=1)
-
-    w = [within(sorted_row[index]) for index in groups]
-    terms = []
-    for (a, b), union in zip(combinations(range(len(sizes)), 2), unions):
-        cross = within(sorted_row[union]) - (w[a] + w[b])
-        terms.append(2.0 * cross / (sizes[a] * sizes[b])
-                     - (2.0 * w[a] / sizes[a] ** 2 + 2.0 * w[b] / sizes[b] ** 2))
-    return np.sort(np.stack(terms, axis=1), axis=1).sum(axis=1)
+def _coefficients(labels: np.ndarray, sizes: list[int]) -> tuple[np.ndarray, float]:
+    """(c, scale), one row of c per row of ``labels`` (the group of each
+    position of ascending values v), with the statistic (v * c).sum() / scale.
+    With L = lcm(sizes), u = L / m for a position's group of m, U the sum of u
+    before it and t its rank in its group, c_j = 2 u_j (2 U_j - u_j (2 k t_j +
+    k - 1)) and scale = L**2. Each row of c sums to 0, and relabelling
+    equal-sized groups leaves it as it is. c holds exact integers while
+    4 k L**2 / min(sizes) < 2**53 (below 4n for equal sizes) and is rounded
+    past that; past L = 2**53, u and L are scaled by a power of two."""
+    k = len(sizes)
+    lcm = math.lcm(*sizes)
+    unit = 2 ** max(0, lcm.bit_length() - 53)
+    u = np.array([lcm // m / unit for m in sizes])
+    weight = u.take(labels)
+    c = np.cumsum(weight, axis=1)
+    c -= weight
+    c *= 2
+    # u (2 k t + k - 1) of each group's positions in turn, ascending, put
+    # where a stable sort of the labels says they sit
+    own = np.repeat(u, sizes) * (2 * k * np.concatenate([np.arange(m) for m in sizes]) + k - 1)
+    part = np.empty(labels.shape)
+    np.put_along_axis(part, np.argsort(labels, axis=1, kind="stable"), own[None, :], axis=1)
+    c -= part
+    c *= 2 * weight
+    return c, (lcm / unit) ** 2
 
 
 def _ksample_tests(pooled: np.ndarray, sizes: list[int] | np.ndarray, num_permutations: int,
@@ -98,13 +87,16 @@ def _ksample_tests(pooled: np.ndarray, sizes: list[int] | np.ndarray, num_permut
     (two or more) groups of ``sizes`` in order, against one set of permuted
     labels: row i gets the statistic and p a call on it alone with the same
     rng would give. Blocks of permuted label rows are the outer loop and rows
-    the inner one, so each block's gather indices are found once and only one
-    block's are held. A row whose values are all identical gets (0, 1)."""
+    the inner one, so each block's coefficients (see _coefficients) are built
+    once and only one block's are held. Each label row's product with a row is
+    summed on its own, not by BLAS, whose rounding depends on the block. A row
+    whose values are all identical gets (0, 1)."""
     _check_bound("num_permutations", num_permutations, "[99, inf)", integer=True)
     if pooled.shape[1] != sum(sizes):
         raise ValueError(f"group sizes {sizes} need {sum(sizes)} columns, got {pooled.shape[1]}")
     if not np.all(np.isfinite(pooled)):
         raise ValueError("values must be finite")
+    sizes = [int(m) for m in sizes]  # Python ints, so lcm // m never meets int64
     k = len(sizes)
     labels = np.repeat(np.arange(k, dtype=np.min_scalar_type(k)), sizes)
     stats, p = np.zeros(len(pooled)), np.ones(len(pooled))
@@ -113,17 +105,18 @@ def _ksample_tests(pooled: np.ndarray, sizes: list[int] | np.ndarray, num_permut
     for i, row in zip(live, sorted_rows):
         order = np.argsort(row, kind="stable")
         row[:] = row[order]
-        stats[i] = _ksample_stats(row, _gathers(labels[None, order], k))[0]
+        c, scale = _coefficients(labels[None, order], sizes)
+        stats[i] = (row * c).sum(axis=1)[0] / scale
     floor = stats[live] - np.abs(100 * np.finfo(float).eps * stats[live])
     children = rng.spawn(num_permutations if live.size else 0)  # none live: draw nothing
     block_rows = max(1, _BLOCK_LABELS // labels.size)
     exceed = np.zeros(live.size, dtype=np.int64)
     for start in range(0, len(children), block_rows):
-        gathers = _gathers(np.stack([labels[child.permutation(labels.size)]
-                                     for child in children[start:start + block_rows]]), k)
+        c, scale = _coefficients(np.stack([labels[child.permutation(labels.size)]
+                                           for child in children[start:start + block_rows]]),
+                                 sizes)
         for j, row in enumerate(sorted_rows):
-            exceed[j] += np.count_nonzero(_ksample_stats(row, gathers) >= floor[j])
-        del gathers  # free this block's indices before the next block's are built
+            exceed[j] += np.count_nonzero((row * c).sum(axis=1) / scale >= floor[j])
     p[live] = (1 + exceed) / (1 + num_permutations)
     return stats, p
 

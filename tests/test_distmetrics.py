@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -91,25 +92,28 @@ def ksample_oracle(groups, num_permutations, rng):
     return observed, (1 + exceed) / (1 + num_permutations)
 
 
+def exact_statistic(values, row, k):
+    """The statistic of the integer ``values`` split by the labels ``row``, as
+    an exact Fraction."""
+    values = values.astype(np.int64)
+
+    def total(x, y):
+        return int(np.abs(x[:, None] - y[None, :]).sum())
+
+    parts = [values[row == g] for g in range(k)]
+    return sum(Fraction(2 * total(a, b), a.size * b.size)
+               - Fraction(total(a, a), a.size ** 2) - Fraction(total(b, b), b.size ** 2)
+               for a, b in itertools.combinations(parts, 2))
+
+
 def exact_exceed_and_ties(groups, num_permutations, rng):
     """#{perm >= observed} and #{perm == observed} in exact rational arithmetic
     for integer-valued groups, with ksample_equality_test's draws and labels."""
     pooled = np.concatenate([g.values for g in groups])
     order = np.argsort(pooled, kind="stable")
-    values = pooled[order].astype(np.int64)
     labels = np.repeat(np.arange(len(groups)), [g.values.size for g in groups])
-
-    def total(x, y):
-        return int(np.abs(x[:, None] - y[None, :]).sum())
-
-    def stat(row):
-        parts = [values[row == g] for g in range(len(groups))]
-        return sum(Fraction(2 * total(a, b), a.size * b.size)
-                   - Fraction(total(a, a), a.size ** 2) - Fraction(total(b, b), b.size ** 2)
-                   for a, b in itertools.combinations(parts, 2))
-
-    observed = stat(labels[order])
-    draws = [stat(labels[child.permutation(labels.size)])
+    observed = exact_statistic(pooled[order], labels[order], len(groups))
+    draws = [exact_statistic(pooled[order], labels[child.permutation(labels.size)], len(groups))
              for child in rng.spawn(num_permutations)]
     return sum(d >= observed for d in draws), sum(d == observed for d in draws)
 
@@ -278,6 +282,13 @@ def _integer_groups(seed, sizes, levels):
             for i, m in enumerate(sizes)]
 
 
+def _scores(sorted_values, rows, sizes):
+    """The statistic of ``sorted_values`` under each label row of ``rows``,
+    scored as _ksample_tests scores it."""
+    c, scale = distmetrics._coefficients(rows, list(sizes))
+    return (sorted_values * c).sum(axis=1) / scale
+
+
 class TestBlockScoringMatchesOracle:
     """The block scoring returns the per-permutation loop's p exactly."""
 
@@ -308,11 +319,14 @@ class TestBlockScoringMatchesOracle:
         ((6, 6), (1, 0)), ((1, 1, 6), (1, 0, 2)), ((5, 9, 5, 9), (2, 3, 0, 1))])
     def test_swapping_equal_sized_groups_ties_exactly(self, sizes, relabel):
         # swapping the labels of equal-sized groups keeps the statistic, so
-        # the two rows must tie exactly whatever the rounding
+        # the two rows must tie exactly whatever the rounding: their
+        # coefficient rows are the same
         pooled = np.sort(np.concatenate([g.values for g in _normal_groups(13, sizes)]))
         labels = np.random.default_rng(14).permutation(np.repeat(np.arange(len(sizes)), sizes))
         rows = np.stack([labels, np.array(relabel)[labels]])
-        stats = distmetrics._ksample_stats(pooled, distmetrics._gathers(rows, len(sizes)))
+        c, _ = distmetrics._coefficients(rows, list(sizes))
+        assert np.array_equal(c[0], c[1])
+        stats = _scores(pooled, rows, sizes)
         assert stats[0] == stats[1]
 
     def test_a_row_scores_the_same_alone_and_in_a_block(self):
@@ -321,10 +335,69 @@ class TestBlockScoringMatchesOracle:
         sizes = [400, 1000]
         pooled = np.sort(np.concatenate([g.values for g in _normal_groups(15, sizes)]))
         labels = np.random.default_rng(16).permutation(np.repeat([0, 1], sizes))
-        alone = distmetrics._ksample_stats(pooled, distmetrics._gathers(labels[None, :], 2))
-        block = distmetrics._ksample_stats(pooled,
-                                           distmetrics._gathers(np.tile(labels, (93, 1)), 2))
+        alone = _scores(pooled, labels[None, :], sizes)
+        block = _scores(pooled, np.tile(labels, (93, 1)), sizes)
         assert np.all(block == alone)
+
+    @pytest.mark.parametrize("sizes", [(6, 6), (4, 4, 4, 4), (3, 5), (9, 17, 30), (1, 4, 1)])
+    def test_coefficient_rows_sum_to_zero(self, sizes):
+        # so a constant shift of the values leaves the statistic as it is,
+        # exactly on integer data
+        rng = np.random.default_rng(19)
+        rows = np.stack([rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+                         for _ in range(20)])
+        c, _ = distmetrics._coefficients(rows, list(sizes))
+        assert np.all(c == np.round(c))
+        assert np.all(c.sum(axis=1) == 0.0)
+        values = np.sort(rng.integers(-50, 50, size=sum(sizes))).astype(float)
+        assert np.array_equal(_scores(values + 1000.0, rows, sizes), _scores(values, rows, sizes))
+
+    @pytest.mark.parametrize("sizes, levels", [
+        ((20, 20), 5), ((20, 35), 3), ((9, 17, 30), 4), ((500, 500, 500, 500), 7),
+        ((5, 8, 11, 6), 2)])
+    def test_integer_data_give_the_exact_statistic(self, sizes, levels):
+        # integer values times integer coefficients sum exactly, so the one
+        # rounding left is the division, and the statistic is the exact
+        # rational's nearest float, observed and permuted alike
+        groups = _integer_groups(47, sizes, levels)
+        stat, _ = sb.ksample_equality_test(groups, 99, np.random.default_rng(0))
+        pooled = np.concatenate([g.values for g in groups])
+        order = np.argsort(pooled, kind="stable")
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        assert stat == float(exact_statistic(pooled[order], labels[order], len(sizes)))
+        rng = np.random.default_rng(48)
+        rows = np.stack([rng.permutation(labels) for _ in range(5)])
+        want = [float(exact_statistic(pooled[order], row, len(sizes))) for row in rows]
+        assert _scores(pooled[order], rows, sizes).tolist() == want
+
+    def test_coprime_sizes_give_the_oracle_p(self):
+        # lcm = 997 * 1009 * 1013, so the coefficients are far from small
+        groups = _normal_groups(49, (997, 1009, 1013), shift=0.05)
+        got = sb.ksample_equality_test(groups, 99, np.random.default_rng(50))
+        want = ksample_oracle(groups, 99, np.random.default_rng(50))
+        assert got[1] == want[1]
+        assert got[0] == pytest.approx(want[0], rel=1e-9)
+
+    def test_an_lcm_past_int64_gives_the_oracle_p(self):
+        # np.lcm.reduce wraps round to 1.57e18 here without a word; math.lcm
+        # gives 6.47e20
+        sizes = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149)
+        assert math.lcm(*sizes) > np.iinfo(np.int64).max
+        groups = _normal_groups(51, sizes, shift=0.02)
+        got = sb.ksample_equality_test(groups, 99, np.random.default_rng(52))
+        want = ksample_oracle(groups, 99, np.random.default_rng(52))
+        assert got[1] == want[1]
+        assert got[0] == pytest.approx(want[0], rel=1e-9)
+
+    def test_an_lcm_past_the_float_range_still_scores(self):
+        # the primes below 400: their lcm is about 1e161, so L**2 has no
+        # float, and the coefficients are scaled by a power of two
+        sizes = [m for m in range(2, 400) if all(m % d for d in range(2, int(m ** 0.5) + 1))]
+        assert math.lcm(*sizes) > 1e155
+        pooled = np.sort(np.random.default_rng(53).normal(size=sum(sizes)))
+        labels = np.random.default_rng(54).permutation(np.repeat(np.arange(len(sizes)), sizes))
+        got = _scores(pooled, labels[None, :], sizes)[0]
+        assert got == pytest.approx(_ksample_stat(pooled, labels, len(sizes)), rel=1e-9)
 
     def test_oracle_statistic_is_sum_of_pairwise_energy_distances(self):
         groups = _normal_groups(12, (9, 14, 5), shift=0.5)
@@ -349,19 +422,29 @@ class TestBlockScoringMatchesOracle:
         assert hashlib.sha256(np.array(pvals).tobytes()).hexdigest() == (
             "df865573199ed06d3ade6c64913e66b61d3ab74daff79de57d8adcc2b320e5a6")
 
-    def test_two_group_statistics_and_p_values_are_pinned(self):
-        # sha256 of (statistic, p) for two-group calls, ties and size-1 groups
-        # included; the statistic is pinned bit for bit, not to a tolerance
+    @staticmethod
+    def _two_group_results():
+        # two-group calls, ties and size-1 groups included
         cases = [(_normal_groups(40, (40, 40)), 99),
                  (_normal_groups(41, (30, 70), shift=0.3), 199),
                  (_integer_groups(42, (20, 35), levels=3), 199),
                  (_integer_groups(43, (9, 39), levels=8), 138),
                  (_normal_groups(44, (1, 6)), 99),
                  (_normal_groups(45, (400, 1000), shift=0.05), 199)]
-        results = [sb.ksample_equality_test(groups, permutations, np.random.default_rng(46))
-                   for groups, permutations in cases]
-        assert hashlib.sha256(np.array(results).tobytes()).hexdigest() == (
-            "81a6c1234eaf97ff2ab3a25e5fe7a3692a7a86f95e6361c17a122cb20aa03ec3")
+        return np.array([sb.ksample_equality_test(groups, permutations, np.random.default_rng(46))
+                         for groups, permutations in cases])
+
+    def test_two_group_p_values_are_pinned(self):
+        # sha256 of the six p-values: [.68, .58, .895, 54/139, .32, .995]
+        pvals = self._two_group_results()[:, 1].copy()
+        assert hashlib.sha256(pvals.tobytes()).hexdigest() == (
+            "77fb74fee1693c9a2fc82b7d1607febf887d1b8f560e8c99b19a0a1b26a157ed")
+
+    def test_two_group_statistics_are_pinned(self):
+        # sha256 of the six statistics, bit for bit, not to a tolerance
+        stats = self._two_group_results()[:, 0].copy()
+        assert hashlib.sha256(stats.tobytes()).hexdigest() == (
+            "52a23a8e63c82020c8f23ab3491831a674c183396fc60219a66e2fc41bbc677f")
 
 
 def _rows(pools):

@@ -434,6 +434,25 @@ class TestIcpIdentify:
         assert hashlib.sha256(np.array(pvals).tobytes()).hexdigest() == (
             "2e8b21964b6282ce5e286b00b7c0c29fb8924d2d34f7302674582ad4a626d5a9")
 
+    def test_energy_p_values_at_the_benchmark_shape_are_pinned(self):
+        # sha256 of the 192 p-values of 12 cells shaped like perfbench's
+        # icp-energy workload: 5 nodes (4 environments of 500 rows, so every
+        # group has u = 1), 199 permutations, confounder levels 0-2. The
+        # seeds give 13 p-values above the floor .005, from .02 to 1.0
+        gen = sb.GenConfig(nodes_min=5, nodes_max=5)
+        pvals = []
+        for seed in (3, 5, 7, 15):
+            for level in (0, 1, 2):
+                rng = np.random.default_rng(seed)
+                scm = sb.add_confounders(sb.random_scm(gen, rng), level, rng, gen)
+                batches = [sb.sample(scm, env, 500, rng)
+                           for env in sb.environments_for(scm, gen, rng)]
+                result = sb.icp_identify(batches, sb.IcpConfig(test="energy-permutation"),
+                                         seed=seed)
+                pvals.extend(result.p_values.values())
+        assert hashlib.sha256(np.array(pvals).tobytes()).hexdigest() == (
+            "b459cb5edf8f792fbab6d6126f35ccb2dad66bba1e509f6d26fdd36edc5fda7d")
+
     @pytest.mark.parametrize("name, digest", [
         # all 2,048 p-values are 0
         ("twelve-node", "4fe7b59af6de3b665b67788cc2f99892ab827efae3a467342b3bb4e3bc8e5bfe"),
