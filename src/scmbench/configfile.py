@@ -43,9 +43,6 @@ _COMMENTS = {
     ("experiment", "confounder_levels"): "benchmark cells, in report column order",
     ("experiment", "master_seed"):
         "omit master_seed to fall back to the WORKBENCH_SEED environment variable",
-    ("train", "rounds"): "blank means one round per candidate",
-    ("train", "tau"):
-        "blank means recalibrate each round from label-permuted null scores",
     ("icp", "max_subset_size"): "blank means unlimited subset size",
 }
 

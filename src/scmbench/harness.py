@@ -48,7 +48,6 @@ class ExperimentConfig:
     confounder_levels: tuple[int, ...] = _bounded((0, 1, 2), "[0, inf)")
     methods: tuple[str, ...] = ("iid", "icp")
     master_seed: int = _bounded(0, "[0, inf)")
-    include_observational: bool = False
     gen: GenConfig = field(default_factory=GenConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     icp: IcpConfig = field(default_factory=IcpConfig)
@@ -56,9 +55,6 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         _check_bounds(self)
-        if not isinstance(self.include_observational, bool):
-            raise ValueError(f"include_observational must be a bool, "
-                             f"got {self.include_observational!r}")
         for name in ("confounder_levels", "methods"):
             values = getattr(self, name)
             if not values or len(set(values)) != len(values):
@@ -131,14 +127,10 @@ def _rng(master_seed: int, *keys: int) -> np.random.Generator:
 
 
 def environments_for(scm: LinearGaussianScm, gen: GenConfig,
-                     rng: np.random.Generator,
-                     include_observational: bool = False) -> list[Environment]:
+                     rng: np.random.Generator) -> list[Environment]:
     """One clamp environment per candidate (env id = clamped node), each with
-    a value drawn once from the intervention range; optionally an
-    unintervened environment with id 0 in front."""
+    a value drawn once from the intervention range."""
     envs: list[Environment] = []
-    if include_observational:
-        envs.append(Environment(id=0, interventions=()))
     for j in range(1, scm.num_observed):
         value = float(rng.uniform(gen.intervention_value_min, gen.intervention_value_max))
         envs.append(Environment(id=j, interventions=(Intervention(node=j, value=value),)))
@@ -159,10 +151,10 @@ def _dag_task(args: tuple[ExperimentConfig, int]) -> tuple[list[RunRecord], list
     records: list[RunRecord] = []
     errors: list[dict] = []
 
-    def fail(level: int, methods: tuple[str, ...], message: str) -> None:
+    def fail(level: int, methods: tuple[str, ...], exc: Exception, stage: str = "") -> None:
         for method in methods:
-            errors.append({"dag_id": dag_id, "method": method,
-                           "confounders": level, "error": message})
+            errors.append({"dag_id": dag_id, "method": method, "confounders": level,
+                           "error": f"{stage}{type(exc).__name__}: {exc}"})
 
     try:
         if cfg.fixed_scm is not None:
@@ -171,7 +163,7 @@ def _dag_task(args: tuple[ExperimentConfig, int]) -> tuple[list[RunRecord], list
             base = random_scm(cfg.gen, _rng(cfg.master_seed, dag_id, _TAG_SCM))
     except Exception as exc:  # noqa: BLE001 - cell failures must not kill the sweep
         for level in cfg.confounder_levels:
-            fail(level, cfg.methods, f"generation: {exc}")
+            fail(level, cfg.methods, exc, "generation: ")
         return records, errors
 
     for level in cfg.confounder_levels:
@@ -180,21 +172,20 @@ def _dag_task(args: tuple[ExperimentConfig, int]) -> tuple[list[RunRecord], list
                                     _rng(cfg.master_seed, dag_id, _TAG_CONFOUND, level),
                                     cfg.gen)
             envs = environments_for(scm_l, cfg.gen,
-                                    _rng(cfg.master_seed, dag_id, _TAG_ENV, level),
-                                    cfg.include_observational)
+                                    _rng(cfg.master_seed, dag_id, _TAG_ENV, level))
             sample_rng = _rng(cfg.master_seed, dag_id, _TAG_SAMPLE, level)
             batches = [sample(scm_l, env, cfg.samples_per_env, sample_rng)
                        for env in envs]
             pa0 = parents(scm_l, 0)
         except Exception as exc:  # noqa: BLE001
-            fail(level, cfg.methods, f"setup: {exc}")
+            fail(level, cfg.methods, exc, "setup: ")
             continue
         for method in cfg.methods:
             start = time.perf_counter()
             try:
                 z = _run_method(method, batches, cfg, dag_id, level)
             except Exception as exc:  # noqa: BLE001
-                fail(level, (method,), str(exc))
+                fail(level, (method,), exc)
                 continue
             wall = time.perf_counter() - start
             records.append(RunRecord(
@@ -320,23 +311,16 @@ def _parse_list(text: str) -> tuple[str, ...]:
     return items
 
 
-def _optional(fmt, parse) -> tuple:
-    """The text form of a value or of None, which is blank."""
-    return (lambda v: "" if v is None else fmt(v),
-            lambda text: None if text == "" else parse(text))
-
-
-_INT = (str, _parse_int)
-_FLOAT = (lambda v: repr(float(v)), _parse_float)
 # field annotation (a string: the modules postpone them) -> (format, parse):
 # the one text form of a value, in config.ini and in records.csv alike
 _TEXT_FORMS = {
-    "int": _INT,
-    "float": _FLOAT,
+    "int": (str, _parse_int),
+    "float": (lambda v: repr(float(v)), _parse_float),
     "str": (str, str),
     "bool": ({v: t for t, v in _BOOLS.items()}.__getitem__, _parse_bool),
-    "int | None": _optional(*_INT),
-    "float | None": _optional(*_FLOAT),
+    # None is blank
+    "int | None": (lambda v: "" if v is None else str(v),
+                   lambda text: None if text == "" else _parse_int(text)),
     "tuple[int, ...]": (lambda v: ", ".join(map(str, v)),
                         lambda text: tuple(map(_parse_int, _parse_list(text)))),
     "tuple[str, ...]": (", ".join, _parse_list),

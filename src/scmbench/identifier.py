@@ -29,20 +29,17 @@ class TrainingDivergedError(RuntimeError):
 class TrainConfig:
     """Settings for one training call and for the penalty loop.
 
-    ``epochs_per_round`` counts mini-batch updates. ``rounds`` of None means
-    one round per candidate. ``tau`` of None recalibrates the threshold each
-    round from label-permuted null scores: tau = max(tau_multiplier * 95th
-    percentile, max) over ``calibration_permutations`` null draws; a given
-    ``tau`` applies as is, and inf disables elimination.
+    ``epochs_per_round`` counts mini-batch updates. Each round recalibrates
+    the elimination threshold from label-permuted null scores: tau =
+    max(tau_multiplier * 95th percentile, max) over
+    ``calibration_permutations`` null draws.
     """
 
     hidden_width: int = _bounded(16, "[1, inf)")
     learning_rate: float = _bounded(1e-2, "(0, inf)")
     epochs_per_round: int = _bounded(600, "[1, inf)")
     batch_size: int = _bounded(256, "[1, inf)")
-    rounds: int | None = _bounded(None, "[1, inf)")
     holdout_fraction: float = _bounded(0.3, "(0, 1)")
-    tau: float | None = _bounded(None, "[0, inf]")
     tau_multiplier: float = _bounded(3.0, "(0, inf)")
     calibration_permutations: int = _bounded(64, "[1, inf)")
 
@@ -223,11 +220,10 @@ def identify_parents(batches: list[SampleBatch], cfg: TrainConfig,
     """Run the penalty loop and return the surviving candidate set.
 
     ``batches`` must cover each candidate's clamp environment exactly once
-    (env id j belongs to the environment clamping x_j); an extra env id 0
-    batch (no clamps) may be present and then contributes training rows and
-    complement residuals only. Rows are split head/tail into train/holdout by
-    ``holdout_fraction``, with at least one training and two holdout rows (so
-    each batch needs 3); scores always come from holdout rows.
+    (env id j belongs to the environment clamping x_j) and nothing else. Rows
+    are split head/tail into train/holdout by ``holdout_fraction``, with at
+    least one training and two holdout rows (so each batch needs 3); scores
+    always come from holdout rows.
 
     When a candidate is eliminated its environment leaves the pool for later
     rounds: with the candidate masked the regressor can no longer condition on
@@ -239,13 +235,9 @@ def identify_parents(batches: list[SampleBatch], cfg: TrainConfig,
     l = _check_batches(batches, min_batches=1, min_rows=3) - 1
     if l < 2:
         raise ValueError("need at least two candidates: a single environment has no complement")
-    ids = [b.env for b in batches]
-    if len(set(ids)) != len(ids):
-        raise ValueError("duplicate environment ids")
-    required = set(range(1, l + 1))
-    extra = set(ids) - required
-    if set(ids) & required != required or extra - {0}:
-        raise ValueError(f"environment ids must cover 1..{l} exactly once (plus optional 0)")
+    ids = sorted(b.env for b in batches)
+    if ids != list(range(1, l + 1)):
+        raise ValueError(f"environment ids must be 1..{l}, each exactly once, got {ids}")
 
     # env id -> (training rows, holdout rows); its candidate keys are the
     # active set, and eliminating a candidate deletes its entry
@@ -256,12 +248,11 @@ def identify_parents(batches: list[SampleBatch], cfg: TrainConfig,
                         b.data[b.n - n_hold:])
 
     candidates = np.arange(1, l + 1)
-    max_rounds = cfg.rounds if cfg.rounds is not None else l
     fid_rows: list[np.ndarray] = []
     taus: list[float] = []
     # a lone environment has no complement to compare against
-    while len(taus) < max_rounds and len(split) >= 2:
-        active = sorted(e for e in split if e)
+    while len(split) >= 2:
+        active = sorted(split)
         mask = np.isin(candidates, active)
         rng_train, rng_cal = rng.spawn(2)
         reg = train_regressor([t for t, _ in split.values()], mask, cfg, rng_train)
@@ -272,11 +263,8 @@ def identify_parents(batches: list[SampleBatch], cfg: TrainConfig,
         row = np.full(l, np.nan)
         for j in active:
             row[j - 1] = _shift(residuals[j], pooled[owner != j])
-        if cfg.tau is None:
-            own_size = min(residuals[j].size for j in active)
-            tau = _null_tau(pooled, own_size, cfg, rng_cal)
-        else:
-            tau = cfg.tau
+        own_size = min(residuals[j].size for j in active)
+        tau = _null_tau(pooled, own_size, cfg, rng_cal)
         fid_rows.append(row)
         taus.append(tau)
         victim = penalty_step(row, tau)
@@ -284,7 +272,7 @@ def identify_parents(batches: list[SampleBatch], cfg: TrainConfig,
             break
         del split[victim]
 
-    survivors = [e for e in split if e]
+    survivors = list(split)
     return IdentificationResult(
         estimated_set=frozenset(survivors),
         final_weights=np.isin(candidates, survivors),

@@ -14,16 +14,15 @@ import scmbench as sb
 def demo_batches():
     """Factory for sampled batches of the fixed 4-node model.
 
-    Returns batches for one clamp environment per candidate (plus an optional
-    observational one), all derived from a single integer seed.
+    Returns batches for one clamp environment per candidate, all derived from
+    a single integer seed.
     """
 
-    def build(seed: int, n: int = 2000, scm=None, include_observational=False):
+    def build(seed: int, n: int = 2000, scm=None):
         if scm is None:
             scm = sb.four_node_demo_scm()
         rng = np.random.default_rng(seed)
-        envs = sb.environments_for(scm, sb.GenConfig(), rng,
-                                   include_observational=include_observational)
+        envs = sb.environments_for(scm, sb.GenConfig(), rng)
         return [sb.sample(scm, env, n, rng) for env in envs]
 
     return build

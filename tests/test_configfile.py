@@ -46,20 +46,27 @@ class TestDefaults:
         with pytest.raises(ConfigError, match=r"unknown key 'seed' in \[generation\]"):
             read_config(path)
 
-    def test_tau_auto_is_rejected(self, tmp_path):
-        path = write(tmp_path, "[train]\ntau_auto = false\n")
-        with pytest.raises(ConfigError, match=r"unknown key 'tau_auto' in \[train\]"):
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "tau_auto", "false"),
+        ("train", "rounds", "3"),
+        ("train", "tau", "0.5"),
+        ("experiment", "include_observational", "false"),
+    ], ids=["tau_auto", "rounds", "tau", "include_observational"])
+    def test_removed_key_is_rejected(self, tmp_path, section, key, value):
+        path = write(tmp_path, f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError) as info:
             read_config(path)
+        assert str(info.value) == f"unknown key '{key}' in [{section}]"
 
 
 class TestRoundTrip:
     def test_custom_config_survives_serialization(self, tmp_path):
         cfg = sb.ExperimentConfig(
             num_dags=7, samples_per_env=321, confounder_levels=(2, 0),
-            methods=("icp",), master_seed=99, include_observational=True,
+            methods=("icp",), master_seed=99,
             gen=sb.GenConfig(nodes_min=4, nodes_max=6, edge_prob=0.7,
                              min_parents=3),
-            train=sb.TrainConfig(hidden_width=8, rounds=3, tau=0.5),
+            train=sb.TrainConfig(hidden_width=8, tau_multiplier=2.5),
             icp=sb.IcpConfig(alpha=0.01, max_subset_size=2,
                              test="energy-permutation"))
         path = write(tmp_path, config_to_ini(cfg))
@@ -70,7 +77,7 @@ class TestRoundTrip:
     def test_every_settable_field_round_trips(self, tmp_path):
         cfg = sb.ExperimentConfig(
             num_dags=7, samples_per_env=321, confounder_levels=(2, 0),
-            methods=("icp",), master_seed=99, include_observational=True,
+            methods=("icp",), master_seed=99,
             gen=sb.GenConfig(
                 nodes_min=4, nodes_max=6, edge_prob=0.7, weight_min=0.25,
                 weight_max=1.5, sign_flip_prob=0.125, noise_std_min=0.5,
@@ -78,8 +85,8 @@ class TestRoundTrip:
                 intervention_value_max=2.25, min_parents=3),
             train=sb.TrainConfig(
                 hidden_width=8, learning_rate=0.003, epochs_per_round=50,
-                batch_size=64, rounds=3, holdout_fraction=0.25, tau=0.5,
-                tau_multiplier=2.5, calibration_permutations=16),
+                batch_size=64, holdout_fraction=0.25, tau_multiplier=2.5,
+                calibration_permutations=16),
             icp=sb.IcpConfig(alpha=0.01, max_subset_size=2,
                              test="energy-permutation", num_permutations=499,
                              enumeration_budget=100))
@@ -100,7 +107,7 @@ class TestRoundTrip:
                 assert value != getattr(base, f.name), (section, f.name)
                 assert json.dumps(shown[f.name]) == json.dumps(value)
                 settable += 1
-        assert settable == 31
+        assert settable == 28
         parsed, seed_present = read_config(write(tmp_path, config_to_ini(cfg)))
         assert parsed == cfg
         assert seed_present
@@ -109,18 +116,7 @@ class TestRoundTrip:
         path = tmp_path / "scmbench.ini"
         write_default_config(path)
         cfg, _ = read_config(path)
-        assert cfg.train.rounds is None
-        assert cfg.train.tau is None
         assert cfg.icp.max_subset_size is None
-
-    def test_infinite_tau_from_a_file_disables_elimination(self, tmp_path,
-                                                          demo_batches):
-        cfg, _ = read_config(write(tmp_path, "[train]\ntau = inf\n"))
-        assert cfg.train.tau == np.inf
-        result = sb.identify_parents(demo_batches(7), cfg.train,
-                                     np.random.default_rng(7))
-        assert result.estimated_set == {1, 2, 3}
-        assert result.rounds_run == 1
 
     def test_missing_keys_fall_back_to_defaults(self, tmp_path):
         path = write(tmp_path, "[experiment]\nnum_dags = 3\n")
@@ -168,7 +164,7 @@ class TestErrors:
          "expected an integer, got '+500'"),
         ("[experiment]\nconfounder_levels = 0, \u0661\n",
          "[experiment] confounder_levels", "expected an integer, got '\u0661'"),
-        ("[train]\nrounds = 1_0\n", "[train] rounds",
+        ("[icp]\nmax_subset_size = 1_0\n", "[icp] max_subset_size",
          "expected an integer, got '1_0'"),
         # master_seed is omitted, not left blank, to defer to WORKBENCH_SEED
         ("[experiment]\nmaster_seed =\n", "[experiment] master_seed",
@@ -183,7 +179,7 @@ class TestErrors:
         # floats are the forms str and repr of a float write, and integers
         ("[train]\nlr = 0_0.5\n", "[train] lr", "expected a number, got '0_0.5'"),
         ("[train]\nlr = +1\n", "[train] lr", "expected a number, got '+1'"),
-        ("[train]\ntau = infinity\n", "[train] tau",
+        ("[train]\nlr = infinity\n", "[train] lr",
          "expected a number, got 'infinity'"),
         ("[train]\nlr = 1E-3\n", "[train] lr", "expected a number, got '1E-3'"),
         ("[generation]\nedge_prob = .5\n", "[generation] edge_prob",
@@ -198,8 +194,8 @@ class TestErrors:
         ("[experiment]\nmethods =\n", "[experiment] methods",
          "expected a comma-separated list, got ''"),
     ], ids=["num_dags=1_0", "samples_per_env=+500", "confounder_levels=arabic-1",
-            "rounds=1_0", "master_seed=blank", "num_dags=-1", "lr=nan",
-            "nodes_min=13", "lr=0_0.5", "lr=+1", "tau=infinity", "lr=1E-3",
+            "max_subset_size=1_0", "master_seed=blank", "num_dags=-1", "lr=nan",
+            "nodes_min=13", "lr=0_0.5", "lr=+1", "lr=infinity", "lr=1E-3",
             "edge_prob=.5", "alpha=fullwidth-1.0", "methods=iid-comma",
             "confounder_levels=empty-item", "methods=blank"])
     def test_bad_value_names_section_and_key(self, tmp_path, text, where,
@@ -207,15 +203,6 @@ class TestErrors:
         with pytest.raises(ConfigError) as info:
             read_config(write(tmp_path, text))
         assert str(info.value) == f"{where}: {message}"
-
-    def test_malformed_boolean(self, tmp_path):
-        # booleans are spelled as config_to_ini writes them
-        for text in ("maybe", "yes", "True", "1"):
-            path = write(tmp_path, f"[experiment]\ninclude_observational = {text}\n")
-            with pytest.raises(ConfigError) as info:
-                read_config(path)
-            assert str(info.value) == ("[experiment] include_observational: expected "
-                                       f"one of ['true', 'false'], got '{text}'")
 
     def test_semantic_error_propagates(self, tmp_path):
         path = write(tmp_path, "[icp]\nalpha = 1.5\n")
@@ -268,13 +255,12 @@ class TestErrors:
 
 CONFIG_CLASSES = (sb.ExperimentConfig, sb.GenConfig, sb.TrainConfig,
                   sb.IcpConfig)
-FLOAT_TYPES = ("float", "float | None")
+FLOAT_TYPES = ("float",)
 INT_TYPES = ("int", "int | None")
 
 
 def numeric_field_cases():
-    """(class, field, value) for every value a numeric field must refuse, and
-    the one it may take: tau = inf, which disables elimination."""
+    """(class, field, value) for every value a numeric field must refuse."""
     for cls in CONFIG_CLASSES:
         for f in dataclasses.fields(cls):
             values = ((np.nan, np.inf, -np.inf) if f.type in FLOAT_TYPES
@@ -308,18 +294,9 @@ class TestDeclaredRanges:
         with pytest.raises(ValueError, match=rf"^{name} must be a number, got {value!r}$"):
             cls(**{name: value})
 
-    @pytest.mark.parametrize("value", ["no", 1, None])
-    def test_include_observational_must_be_a_bool(self, value):
-        with pytest.raises(ValueError, match=rf"^include_observational must be a bool, "
-                                             rf"got {value!r}$"):
-            sb.ExperimentConfig(include_observational=value)
-
     @pytest.mark.parametrize("cls, name, value", numeric_field_cases())
     def test_nonfinite_or_fractional_value_names_the_field(self, cls, name,
                                                            value):
-        if (name, value) == ("tau", np.inf):
-            assert cls(tau=value).tau == np.inf
-            return
         with pytest.raises(ValueError, match=f"^{name} must"):
             cls(**{name: value})
 
@@ -330,7 +307,7 @@ class TestTextForms:
     SAMPLES = {
         "int": (0, -3, 12), "float": (0.1, -2.5e-07, 1e300, np.inf, 3),
         "str": ("iid", "mean-variance"), "bool": (True, False),
-        "int | None": (None, 4), "float | None": (None, 0.5, np.inf),
+        "int | None": (None, 4),
         "tuple[int, ...]": ((2, 0), (7,)), "tuple[str, ...]": (("iid", "icp"),),
         "frozenset[int]": (frozenset(), frozenset({3, 1, 10})),
     }
@@ -339,7 +316,7 @@ class TestTextForms:
         not_keys = {"fixed_scm", *CONFIG_SECTIONS.values()}
         walked = [(cls, f) for cls in (sb.RunRecord, *CONFIG_CLASSES)
                   for f in dataclasses.fields(cls) if f.name not in not_keys]
-        assert len(walked) == 8 + 31
+        assert len(walked) == 8 + 28
         for cls, f in walked:
             assert f.type in _TEXT_FORMS, f"{cls.__name__}.{f.name}"
 

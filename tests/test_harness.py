@@ -66,12 +66,15 @@ class TestEnvironmentsFor:
             assert clamp.node == env.id
             assert 3.0 <= clamp.value <= 7.0
 
-    def test_observational_environment_is_optional(self):
-        scm = sb.four_node_demo_scm()
-        envs = sb.environments_for(scm, sb.GenConfig(), np.random.default_rng(0),
-                                   include_observational=True)
-        assert [e.id for e in envs] == [0, 1, 2, 3]
-        assert envs[0].interventions == ()
+    @pytest.mark.parametrize("confounders", [0, 1, 2])
+    def test_ids_are_the_observed_candidates_once_each(self, confounders):
+        # latent confounders get no environment: identify_parents takes ids 1..l
+        gen = sb.GenConfig(nodes_min=5, nodes_max=7)
+        draw = np.random.default_rng(30 + confounders)
+        scm = sb.add_confounders(sb.random_scm(gen, draw), confounders, draw, gen)
+        envs = sb.environments_for(scm, gen, draw)
+        assert [e.id for e in envs] == list(range(1, scm.num_observed))
+        assert [c.node for e in envs for c in e.interventions] == [e.id for e in envs]
 
     def test_determinism(self):
         scm = sb.four_node_demo_scm()
@@ -172,7 +175,7 @@ class TestRunExperiment:
         assert len(report.errors) == 8  # 2 dags x 2 levels x 2 methods
         for err in report.errors:
             assert set(err) == {"dag_id", "method", "confounders", "error"}
-            assert err["error"].startswith("generation:")
+            assert err["error"].startswith("generation: GenerationError: ")
         assert report.cells["iid"][0]["n"] == 0
 
     def test_errors_come_in_dag_level_method_order_from_workers(self):
@@ -183,14 +186,34 @@ class TestRunExperiment:
         assert keys == [(d, lvl, m) for d in range(2) for lvl in (0, 1)
                         for m in ("iid", "icp")]
 
-    def test_observational_environment_round_trip(self):
-        cfg = sb.ExperimentConfig(num_dags=1, samples_per_env=1500,
-                                  confounder_levels=(0,), methods=("iid",),
-                                  master_seed=3, include_observational=True,
-                                  fixed_scm=sb.four_node_demo_scm())
-        report = sb.run_experiment(cfg)
-        assert report.errors == ()
-        assert report.records[0].z == {1, 2}
+    def test_a_diverged_training_names_its_exception_type(self):
+        # an Adam step of lr = 1e200 overflows the loss at the second update
+        cfg = sb.ExperimentConfig(num_dags=1, samples_per_env=400,
+                                  confounder_levels=(0,), methods=("iid", "icp"),
+                                  fixed_scm=sb.four_node_demo_scm(),
+                                  train=sb.TrainConfig(learning_rate=1e200))
+        with np.errstate(over="ignore"):
+            report = sb.run_experiment(cfg)
+        assert report.errors == ({"dag_id": 0, "method": "iid", "confounders": 0,
+                                  "error": "TrainingDivergedError: non-finite loss at step 2"},)
+        assert [r.method for r in report.records] == ["icp"]
+
+    @pytest.mark.parametrize("exc, error", [
+        (ValueError("bad batch"), "ValueError: bad batch"),
+        (np.linalg.LinAlgError("Singular matrix"), "LinAlgError: Singular matrix"),
+        (sb.TrainingDivergedError("non-finite loss"),
+         "TrainingDivergedError: non-finite loss"),
+        (KeyError(3), "KeyError: 3"),
+    ], ids=["ValueError", "LinAlgError", "TrainingDivergedError", "KeyError"])
+    def test_a_method_failure_names_its_exception_type(self, monkeypatch, exc, error):
+        def failing(batches, train_cfg, rng):
+            raise exc
+
+        monkeypatch.setattr(sb.harness, "identify_parents", failing)
+        report = sb.run_experiment(self.small_config(num_dags=1))
+        assert report.errors == ({"dag_id": 0, "method": "iid", "confounders": 0,
+                                  "error": error},)
+        assert [r.method for r in report.records] == ["icp"]
 
     def test_a_method_writing_into_a_batch_fails_only_its_own_cell(self, monkeypatch):
         cfg = sb.ExperimentConfig(num_dags=1, samples_per_env=400,
@@ -228,7 +251,7 @@ class TestRunExperiment:
         report = sb.run_experiment(cfg)
         assert [(e["dag_id"], e["confounders"], e["method"], e["error"])
                 for e in report.errors] == [
-            (d, 1, m, "setup: no rows at one confounder")
+            (d, 1, m, "setup: RuntimeError: no rows at one confounder")
             for d in range(2) for m in ("iid", "icp")]
         assert ([dataclasses.replace(r, wall_time=0.0) for r in report.records]
                 == [dataclasses.replace(r, wall_time=0.0) for r in clean.records
@@ -420,6 +443,16 @@ class TestCsvRoundTrip:
                         + line + "\n")
         with pytest.raises(ValueError, match=f"line 3, column '{column}'"):
             sb.read_records_csv(path)
+
+    @pytest.mark.parametrize("text", ["maybe", "yes", "True", "1"])
+    def test_malformed_boolean(self, tmp_path, text):
+        # booleans are spelled as write_records_csv writes them
+        path = tmp_path / "bad.csv"
+        path.write_text(sb.harness.CSV_HEADER + f"\n0,iid,0,1,1,1.0,{text},0.5\n")
+        with pytest.raises(ValueError) as info:
+            sb.read_records_csv(path)
+        assert str(info.value) == ("line 2, column 'violated': expected one of "
+                                   f"['true', 'false'], got '{text}'")
 
 
 class TestReportJson:

@@ -1,12 +1,13 @@
 """Tests for the invariance-penalty parent identifier."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
 import scmbench as sb
-from scmbench import harness
+from scmbench import harness, identifier
 
 OBS = sb.Environment(id=0)
 
@@ -126,34 +127,28 @@ def five_candidate_batches(seed: int, n: int):
 
 
 # identify_parents on the demo model (batch seed 21, rng seed 22), by case:
-# (observational batch?, TrainConfig overrides, sorted estimated set,
-# rounds_run, sha256 of fid_trace.tobytes(), sha256 of tau_trace.tobytes())
+# (the constant that replaces the null-calibrated threshold, or None; sorted
+# estimated set, rounds_run, sha256 of fid_trace.tobytes(), sha256 of
+# tau_trace.tobytes())
 PINNED_RESULTS = {
     "default": (
-        False, {}, [1, 2], 2,
+        None, [1, 2], 2,
         "f0d31d3ccfcc5971464ae3234180a2f0ef79fc0e1a9672a94346ef83b0c765ea",
         "c856b0043fd3055276975ff458219fa645daea5c48e101ad2da1280ebbc6a1fe"),
-    "observational": (
-        True, {}, [1, 2], 2,
-        "d323da1d5f912497b6c9c0eaa0b1afa781fb4a76b155b248277128aabc0edb5c",
-        "6da35190daa7008548f95fa64f9d20c5485f7e8500f68781f7a15ef8f8518bf4"),
-    "rounds=1": (
-        False, dict(rounds=1), [1, 2], 1,
-        "9290aa2107e90388556a1e5247117bb52640c648077c7e7f7e6f7e6e832d7720",
-        "896bb2eb8d4af74e314f628d7945f52b5f3444e8db9978bef0c91983019d3d7a"),
     "tau=0.01": (
-        False, dict(tau=0.01), [1, 2], 2,
+        0.01, [1, 2], 2,
         "f0d31d3ccfcc5971464ae3234180a2f0ef79fc0e1a9672a94346ef83b0c765ea",
         "c5e1f4c71c3d389d29391287c19eaf39177d2480d44005da232ffacac7b6b001"),
     # tau = 0 evicts until one environment is left
     "tau=0": (
-        False, dict(tau=0.0), [2], 2,
+        0.0, [2], 2,
         "f0d31d3ccfcc5971464ae3234180a2f0ef79fc0e1a9672a94346ef83b0c765ea",
         "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb"),
-    "observational-tau=0": (
-        True, dict(tau=0.0), [], 3,
-        "f91c13de0f9525f29ca0240dc836809bad0c26fc693c2b68a8330e5d463c8413",
-        "9d908ecfb6b256def8b49a7c504e6c889c4b0e41fe6ce3e01863dd7b61a20aa0"),
+    # tau = inf evicts no one: one round, whose fid row is the default's first
+    "tau=inf": (
+        np.inf, [1, 2, 3], 1,
+        "9290aa2107e90388556a1e5247117bb52640c648077c7e7f7e6f7e6e832d7720",
+        "9402bb655bc3b7331a00f1219ef647565bbe517c74aa0e41026885785867d1cd"),
 }
 
 # identify_parents in one cell of the default sweep at master seed 0, called
@@ -164,6 +159,21 @@ PINNED_SWEEP_CELL = [
     [2, 3, 4, 5, 6, 7], 4,
     "783f8686ead58e89bb65b7a30afd1001b15e1e47ef168f64d4fb7c686fb97a9f",
     "2db30181f8b39aeb6cd53f12fbde7691b24e27a19bf52a4e1b4297ec4b4f0e45"]
+
+
+def fix_tau(monkeypatch, tau: float) -> None:
+    """Make every round's threshold ``tau`` instead of the null calibration."""
+    monkeypatch.setattr(identifier, "_null_tau", lambda *args: tau)
+
+
+def pinned_result(demo_batches, monkeypatch, case: str):
+    """identify_parents as PINNED_RESULTS[case] ran it, and the pinned rest."""
+    tau, *expected = PINNED_RESULTS[case]
+    if tau is not None:
+        fix_tau(monkeypatch, tau)
+    result = sb.identify_parents(demo_batches(21), sb.TrainConfig(),
+                                 np.random.default_rng(22))
+    return result, expected
 
 
 def assert_traces_explain(result, l: int):
@@ -351,12 +361,6 @@ class TestIdentifyParents:
                                      np.random.default_rng(3))
         assert result.estimated_set == {1, 2}
 
-    def test_observational_batch_is_accepted(self, demo_batches):
-        batches = demo_batches(4, include_observational=True)
-        result = sb.identify_parents(batches, sb.TrainConfig(),
-                                     np.random.default_rng(4))
-        assert result.estimated_set == {1, 2}
-
     def test_determinism(self, demo_batches):
         batches = demo_batches(5)
         a = sb.identify_parents(batches, sb.TrainConfig(),
@@ -368,9 +372,9 @@ class TestIdentifyParents:
         assert np.array_equal(a.tau_trace, b.tau_trace)
         assert a.rounds_run == b.rounds_run
 
-    def test_infinite_threshold_disables_elimination(self, demo_batches):
-        cfg = sb.TrainConfig(tau=np.inf)
-        result = sb.identify_parents(demo_batches(7), cfg,
+    def test_infinite_threshold_disables_elimination(self, demo_batches, monkeypatch):
+        fix_tau(monkeypatch, np.inf)
+        result = sb.identify_parents(demo_batches(7), sb.TrainConfig(),
                                      np.random.default_rng(7))
         assert result.estimated_set == {1, 2, 3}
         assert result.rounds_run == 1
@@ -390,11 +394,8 @@ class TestIdentifyParents:
         assert result.estimated_set <= {1, 2, 3}
 
     @pytest.mark.parametrize("case", PINNED_RESULTS)
-    def test_matches_the_pinned_results(self, demo_batches, case):
-        observational, overrides, *expected = PINNED_RESULTS[case]
-        batches = demo_batches(21, include_observational=observational)
-        result = sb.identify_parents(batches, sb.TrainConfig(**overrides),
-                                     np.random.default_rng(22))
+    def test_matches_the_pinned_results(self, demo_batches, monkeypatch, case):
+        result, expected = pinned_result(demo_batches, monkeypatch, case)
         assert [sorted(result.estimated_set), result.rounds_run,
                 hashlib.sha256(result.fid_trace.tobytes()).hexdigest(),
                 hashlib.sha256(result.tau_trace.tobytes()).hexdigest()] == expected
@@ -419,11 +420,8 @@ class TestIdentifyParents:
                 hashlib.sha256(result.tau_trace.tobytes()).hexdigest()] == PINNED_SWEEP_CELL
 
     @pytest.mark.parametrize("case", PINNED_RESULTS)
-    def test_traces_explain_the_pinned_results(self, demo_batches, case):
-        observational, overrides, *_ = PINNED_RESULTS[case]
-        batches = demo_batches(21, include_observational=observational)
-        result = sb.identify_parents(batches, sb.TrainConfig(**overrides),
-                                     np.random.default_rng(22))
+    def test_traces_explain_the_pinned_results(self, demo_batches, monkeypatch, case):
+        result, _ = pinned_result(demo_batches, monkeypatch, case)
         assert_traces_explain(result, 3)
 
     def test_traces_explain_the_pinned_sweep_cell(self, monkeypatch):
@@ -440,13 +438,6 @@ class TestIdentifyParents:
         assert sorted(result.estimated_set) == PINNED_SWEEP_CELL[0]
         assert_traces_explain(result, 9)
 
-    def test_rounds_cap_limits_eliminations(self, demo_batches):
-        cfg = sb.TrainConfig(rounds=1)
-        result = sb.identify_parents(demo_batches(9), cfg,
-                                     np.random.default_rng(9))
-        assert result.rounds_run == 1
-        assert len(result.estimated_set) >= 2
-
     def test_keeps_full_parent_sets(self):
         scm = all_parents_scm()
         gen = sb.GenConfig()
@@ -460,17 +451,28 @@ class TestIdentifyParents:
             kept += result.estimated_set == {1, 2, 3, 4, 5}
         assert kept >= 18, f"kept the full parent set in only {kept}/20 runs"
 
+    @pytest.mark.parametrize("pick, ids", [
+        (lambda obs, b: [obs] + b, [0, 1, 2, 3]),
+        (lambda obs, b: [obs] + b[:2], [0, 1, 2]),
+        (lambda obs, b: b + [b[0]], [1, 1, 2, 3]),
+        (lambda obs, b: b[:2], [1, 2]),
+        (lambda obs, b: [sb.SampleBatch(env=x.env + 4, data=x.data) for x in b],
+         [5, 6, 7]),
+    ], ids=["observational-added", "observational-for-a-candidate", "duplicate",
+            "missing", "relabeled"])
+    def test_rejects_environment_ids_other_than_one_per_candidate(
+            self, demo_batches, pick, ids):
+        rng = np.random.default_rng(0)
+        observational = sb.sample(sb.four_node_demo_scm(), OBS, 100, rng)
+        bad = pick(observational, demo_batches(10, n=100))
+        with pytest.raises(ValueError, match=re.escape(
+                f"environment ids must be 1..3, each exactly once, got {ids}")):
+            sb.identify_parents(bad, sb.TrainConfig(), rng)
+
     def test_rejects_malformed_environments(self, demo_batches):
         batches = demo_batches(10, n=100)
         rng = np.random.default_rng(0)
         cfg = sb.TrainConfig()
-        with pytest.raises(ValueError, match="duplicate"):
-            sb.identify_parents(batches + [batches[0]], cfg, rng)
-        with pytest.raises(ValueError, match="cover"):
-            sb.identify_parents(batches[:2], cfg, rng)
-        relabeled = [sb.SampleBatch(env=b.env + 4, data=b.data) for b in batches]
-        with pytest.raises(ValueError, match="cover"):
-            sb.identify_parents(relabeled, cfg, rng)
         narrow = [sb.SampleBatch(env=1, data=np.zeros((5, 2)) + rng.normal(size=(5, 2)))]
         with pytest.raises(ValueError, match="two candidates"):
             sb.identify_parents(narrow, cfg, rng)
@@ -490,12 +492,13 @@ class TestTrainConfigValidation:
         dict(learning_rate=0.0),
         dict(epochs_per_round=0),
         dict(batch_size=0),
-        dict(rounds=0),
         dict(holdout_fraction=0.0),
         dict(holdout_fraction=1.0),
-        dict(tau=-0.1),
         dict(tau_multiplier=0.0),
         dict(calibration_permutations=0),
+        dict(learning_rate=-0.001),
+        dict(holdout_fraction=-0.25),
+        dict(tau_multiplier=-1.0),
     ])
     def test_rejects_bad_values(self, overrides):
         (field,) = overrides

@@ -243,15 +243,14 @@ class TestSample:
         draw = np.random.default_rng(20 + confounders)
         for _ in range(3):
             scm = sb.add_confounders(sb.random_scm(gen, draw), confounders, draw, gen)
-            envs = sb.environments_for(scm, gen, draw, include_observational=True)
+            envs = [OBS] + sb.environments_for(scm, gen, draw)
             assert len(envs) == scm.num_observed
             for env in envs:
                 self._assert_same_draw(scm, env, n, seed=env.id)
 
     def test_matches_the_reference_sampler_on_the_demo(self):
         scm = sb.four_node_demo_scm()
-        envs = sb.environments_for(scm, sb.GenConfig(), np.random.default_rng(0),
-                                   include_observational=True)
+        envs = [OBS] + sb.environments_for(scm, sb.GenConfig(), np.random.default_rng(0))
         for env in envs:
             for n in (1, 3, 2000):
                 self._assert_same_draw(scm, env, n, seed=n)

@@ -1,10 +1,16 @@
-"""tools/seed_sweep.py reads its integers as strictly as the scmbench CLI."""
+"""tools/seed_sweep.py reads its integers as strictly as the scmbench CLI,
+and writes each seed's records as ``scmbench run`` does."""
 
 import argparse
+import dataclasses
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
+
+import scmbench as sb
+from scmbench.configfile import config_to_ini
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "seed_sweep.py"
 spec = importlib.util.spec_from_file_location("seed_sweep", SCRIPT)
@@ -42,3 +48,53 @@ def test_bad_threads_stop_at_the_parser(tmp_path, capsys):
     assert info.value.code == 2
     assert "threads must lie in [1, inf), got 0" in capsys.readouterr().err
     assert not (tmp_path / "seeds.json").exists()
+
+
+def test_records_are_written_per_seed(tmp_path):
+    cfg = sb.ExperimentConfig(num_dags=1, samples_per_env=200,
+                              confounder_levels=(0, 1), methods=("iid", "icp"),
+                              gen=sb.GenConfig(nodes_min=4, nodes_max=4))
+    config = tmp_path / "config.ini"
+    config.write_text(config_to_ini(cfg))
+    assert seed_sweep.main(["--config", str(config), "--seeds", "3,5", "--threads", "1",
+                            "--out", str(tmp_path / "seeds.json"),
+                            "--records", str(tmp_path / "records")]) == 0
+
+    def masked(records):
+        return [dataclasses.replace(r, wall_time=0.0) for r in records]
+
+    summary = json.loads((tmp_path / "seeds.json").read_text())
+    assert [s["seed"] for s in summary["seeds"]] == [3, 5]
+    assert sorted(p.name for p in (tmp_path / "records").iterdir()) == ["seed-3", "seed-5"]
+    for seed in (3, 5):
+        records = sb.read_records_csv(tmp_path / "records" / f"seed-{seed}" / "records.csv")
+        report = sb.run_experiment(dataclasses.replace(cfg, master_seed=seed))
+        assert report.errors == () and len(records) == 4
+        assert masked(records) == masked(report.records)
+
+
+def one_dag_config(tmp_path) -> Path:
+    config = tmp_path / "config.ini"
+    config.write_text(config_to_ini(sb.ExperimentConfig(
+        num_dags=1, samples_per_env=200, confounder_levels=(0,), methods=("icp",),
+        gen=sb.GenConfig(nodes_min=4, nodes_max=4))))
+    return config
+
+
+def test_no_records_are_written_without_the_flag(tmp_path):
+    config = one_dag_config(tmp_path)
+    assert seed_sweep.main(["--config", str(config), "--seeds", "0", "--threads", "1",
+                            "--out", str(tmp_path / "seeds.json")]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.ini", "seeds.json"]
+
+
+def test_a_rerun_replaces_the_records_of_its_seeds(tmp_path):
+    config = one_dag_config(tmp_path)
+    records = tmp_path / "records"
+    stale = records / "seed-0" / "records.csv"
+    stale.parent.mkdir(parents=True)
+    stale.write_text("stale\n")
+    assert seed_sweep.main(["--config", str(config), "--seeds", "0", "--threads", "1",
+                            "--out", str(tmp_path / "seeds.json"),
+                            "--records", str(records)]) == 0
+    assert [r.method for r in sb.read_records_csv(stale)] == ["icp"]

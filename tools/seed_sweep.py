@@ -2,7 +2,8 @@
 
 Run from the root of a checkout:
 
-    python3 tools/seed_sweep.py --seeds 0-10 --threads 2 --out seeds.json
+    python3 tools/seed_sweep.py --seeds 0-10 --threads 2 --out seeds.json \
+        [--records records/]
 
 Every seed runs the sweep of ``--config`` (an ``scmbench init`` file; the
 default config when omitted) with that master seed. The JSON written to
@@ -12,6 +13,8 @@ margin fails; null where the config lacks the cell), the failed-cell count and
 the wall time. It also pools the level-0 iid records of all seeds into one
 FWER with its exact (Clopper-Pearson) 95 % confidence interval. The criteria
 pin seed 0 only; this shows how far the other seeds sit from their bounds.
+With ``--records DIR``, each seed's records also go to
+``DIR/seed-<seed>/records.csv``, written as ``scmbench run`` writes them.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from scmbench.configfile import read_config  # noqa: E402
 from scmbench.harness import (ExperimentConfig, _check_threads, _parse_int,  # noqa: E402
-                              run_experiment)
+                              run_experiment, write_records_csv)
 
 # the bounds of tests/test_acceptance.py: criterion 1 at level 0 for both
 # methods, criterion 2 at levels 1 and 2
@@ -95,6 +98,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--threads", type=parse_threads, default=2,
                         help="worker processes (default 2)")
     parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--records", type=Path,
+                        help="directory to write each seed's records.csv under")
     args = parser.parse_args(argv)
 
     cfg = read_config(args.config)[0] if args.config else ExperimentConfig()
@@ -105,6 +110,10 @@ def main(argv: list[str] | None = None) -> int:
         seed_start = time.perf_counter()
         report = run_experiment(dataclasses.replace(cfg, master_seed=seed), args.threads)
         wall_s = time.perf_counter() - seed_start
+        if args.records is not None:
+            seed_dir = args.records / f"seed-{seed}"
+            seed_dir.mkdir(parents=True, exist_ok=True)
+            write_records_csv(report.records, seed_dir / "records.csv")
         level_0_iid = [r for r in report.records if r.method == "iid" and r.confounders == 0]
         violations += sum(r.violated for r in level_0_iid)
         dags += len(level_0_iid)
