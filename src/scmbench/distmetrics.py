@@ -67,7 +67,7 @@ def _coefficients(labels: np.ndarray, sizes: list[int]) -> tuple[np.ndarray, flo
     lcm = math.lcm(*sizes)
     unit = 2 ** max(0, lcm.bit_length() - 53)
     u = np.array([lcm // m / unit for m in sizes])
-    weight = u.take(labels)
+    weight = u.take(labels.astype(np.intp))  # take is several times slower on small ints
     c = np.cumsum(weight, axis=1)
     c -= weight
     c *= 2
@@ -86,11 +86,15 @@ def _ksample_tests(pooled: np.ndarray, sizes: list[int] | np.ndarray, num_permut
     """ksample_equality_test on each row of ``pooled``, whose columns hold the
     (two or more) groups of ``sizes`` in order, against one set of permuted
     labels: row i gets the statistic and p a call on it alone with the same
-    rng would give. Blocks of permuted label rows are the outer loop and rows
-    the inner one, so each block's coefficients (see _coefficients) are built
-    once and only one block's are held. Each label row's product with a row is
-    summed on its own, not by BLAS, whose rounding depends on the block. A row
-    whose values are all identical gets (0, 1)."""
+    rng would give. The permuted labels are labels[rng.permutation(n)],
+    drawn num_permutations times in order from ``rng`` and none when every
+    row is constant, so neither the block size nor the other rows move a
+    row's result. Observed rows are sorted and scored in chunks of at most
+    _BLOCK_LABELS values; blocks of permuted label rows are the outer loop
+    and rows the inner one, so each block's coefficients (see _coefficients)
+    are built once and only one block's are held. Each label row's product
+    with a row is summed on its own, not by BLAS, whose rounding depends on
+    the block. A row whose values are all identical gets (0, 1)."""
     _check_bound("num_permutations", num_permutations, "[99, inf)", integer=True)
     if pooled.shape[1] != sum(sizes):
         raise ValueError(f"group sizes {sizes} need {sum(sizes)} columns, got {pooled.shape[1]}")
@@ -99,21 +103,22 @@ def _ksample_tests(pooled: np.ndarray, sizes: list[int] | np.ndarray, num_permut
     sizes = [int(m) for m in sizes]  # Python ints, so lcm // m never meets int64
     k = len(sizes)
     labels = np.repeat(np.arange(k, dtype=np.min_scalar_type(k)), sizes)
+    block_rows = max(1, _BLOCK_LABELS // labels.size)
     stats, p = np.zeros(len(pooled)), np.ones(len(pooled))
     live = np.flatnonzero(np.ptp(pooled, axis=1) != 0.0)
-    sorted_rows = pooled[live]  # a copy, sorted row by row in place
-    for i, row in zip(live, sorted_rows):
-        order = np.argsort(row, kind="stable")
-        row[:] = row[order]
-        c, scale = _coefficients(labels[None, order], sizes)
-        stats[i] = (row * c).sum(axis=1)[0] / scale
+    sorted_rows = pooled[live]  # a copy, sorted chunk by chunk in place
+    for start in range(0, live.size, block_rows):
+        chunk = sorted_rows[start:start + block_rows]
+        order = np.argsort(chunk, axis=1, kind="stable")
+        chunk[:] = np.take_along_axis(chunk, order, axis=1)
+        c, scale = _coefficients(labels[order], sizes)
+        stats[live[start:start + block_rows]] = (chunk * c).sum(axis=1) / scale
     floor = stats[live] - np.abs(100 * np.finfo(float).eps * stats[live])
-    children = rng.spawn(num_permutations if live.size else 0)  # none live: draw nothing
-    block_rows = max(1, _BLOCK_LABELS // labels.size)
+    draws = num_permutations if live.size else 0  # none live: draw nothing
     exceed = np.zeros(live.size, dtype=np.int64)
-    for start in range(0, len(children), block_rows):
-        c, scale = _coefficients(np.stack([labels[child.permutation(labels.size)]
-                                           for child in children[start:start + block_rows]]),
+    for start in range(0, draws, block_rows):
+        c, scale = _coefficients(np.stack([labels[rng.permutation(labels.size)]
+                                           for _ in range(min(block_rows, draws - start))]),
                                  sizes)
         for j, row in enumerate(sorted_rows):
             exceed[j] += np.count_nonzero((row * c).sum(axis=1) / scale >= floor[j])
@@ -128,9 +133,10 @@ def ksample_equality_test(groups: list[EmpiricalSample], num_permutations: int,
     The statistic is the sum of pairwise energy distances. Labels are shuffled
     ``num_permutations`` times; p = (1 + #{perm >= observed - 100 eps |observed|})
     / (1 + B), so near-ties count as in scipy.stats.permutation_test and p is
-    1.0 when all groups hold literally identical values. Each permutation
-    draws from its own spawned generator, which makes the result independent
-    of evaluation order."""
+    1.0 when all groups hold literally identical values. The permutations are
+    ``rng.permutation(n)`` calls, made in order from the caller's generator
+    (none when all values are identical), so p depends only on the groups
+    and the generator's state, not on how the permutations are scored."""
     if len(groups) < 2:
         raise ValueError("need at least two groups")
     stats, p = _ksample_tests(np.concatenate([g.values for g in groups])[None, :],

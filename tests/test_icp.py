@@ -403,12 +403,12 @@ class TestIcpIdentify:
             y = 0.5 * x[:, 0] + 0.2 * env * x[:, 1] + 0.3 * x[:, 2] + rng.normal(size=80)
             batches.append(sb.SampleBatch(env=env, data=np.column_stack([y, x])))
         cfg = sb.IcpConfig(test="energy-permutation", num_permutations=99)
-        full = sb.icp_identify(batches, cfg, seed=4)
+        full = sb.icp_identify(batches, cfg, seed=5)
         assert len(set(full.p_values.values())) == 8
         for cap, count in ((0, 1), (1, 4), (2, 7)):
             capped = sb.icp_identify(
                 batches, sb.IcpConfig(test="energy-permutation", num_permutations=99,
-                                      max_subset_size=cap), seed=4)
+                                      max_subset_size=cap), seed=5)
             assert len(capped.p_values) == count
             for key, p in capped.p_values.items():
                 assert p == full.p_values[key]
@@ -427,18 +427,18 @@ class TestIcpIdentify:
 
     def test_energy_permutation_p_values_are_pinned(self, demo_batches):
         # sha256 of the p-values in subset order, one k-sample test per
-        # subset on one shared draw: [.005, .005, .005, .005, .82, .005, .005, .005]
+        # subset on one shared draw: [.005, .005, .005, .005, .855, .005, .005, .005]
         result = sb.icp_identify(demo_batches(0, n=500),
                                  sb.IcpConfig(test="energy-permutation"), seed=0)
         pvals = list(result.p_values.values())
         assert hashlib.sha256(np.array(pvals).tobytes()).hexdigest() == (
-            "2e8b21964b6282ce5e286b00b7c0c29fb8924d2d34f7302674582ad4a626d5a9")
+            "a2d1fcaf6b5e5b63313622fee11f26d570d789c46b67485c5cbd50841529030e")
 
     def test_energy_p_values_at_the_benchmark_shape_are_pinned(self):
         # sha256 of the 192 p-values of 12 cells shaped like perfbench's
         # icp-energy workload: 5 nodes (4 environments of 500 rows, so every
         # group has u = 1), 199 permutations, confounder levels 0-2. The
-        # seeds give 13 p-values above the floor .005, from .02 to 1.0
+        # seeds give 13 p-values above the floor .005, from .015 to .995
         gen = sb.GenConfig(nodes_min=5, nodes_max=5)
         pvals = []
         for seed in (3, 5, 7, 15):
@@ -451,7 +451,7 @@ class TestIcpIdentify:
                                          seed=seed)
                 pvals.extend(result.p_values.values())
         assert hashlib.sha256(np.array(pvals).tobytes()).hexdigest() == (
-            "b459cb5edf8f792fbab6d6126f35ccb2dad66bba1e509f6d26fdd36edc5fda7d")
+            "01b552fcddd336a6f5e2592a81096c3a0bdaf211d0578bf426866e8f85cb3d8c")
 
     @pytest.mark.parametrize("name, digest", [
         # all 2,048 p-values are 0
