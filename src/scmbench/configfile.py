@@ -43,7 +43,6 @@ _COMMENTS = {
     ("experiment", "confounder_levels"): "benchmark cells, in report column order",
     ("experiment", "master_seed"):
         "omit master_seed to fall back to the WORKBENCH_SEED environment variable",
-    ("icp", "max_subset_size"): "blank means unlimited subset size",
 }
 
 
@@ -107,7 +106,7 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
         for key, (field_name, fmt, _) in _SCHEMA[section].items():
             if (section, key) in _COMMENTS:
                 lines.append(f"# {_COMMENTS[section, key]}")
-            lines.append(f"{key} = {fmt(getattr(obj, field_name))}".rstrip())
+            lines.append(f"{key} = {fmt(getattr(obj, field_name))}")
         lines.append("")
     return "\n".join(lines)
 

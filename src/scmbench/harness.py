@@ -318,9 +318,6 @@ _TEXT_FORMS = {
     "float": (lambda v: repr(float(v)), _parse_float),
     "str": (str, str),
     "bool": ({v: t for t, v in _BOOLS.items()}.__getitem__, _parse_bool),
-    # None is blank
-    "int | None": (lambda v: "" if v is None else str(v),
-                   lambda text: None if text == "" else _parse_int(text)),
     "tuple[int, ...]": (lambda v: ", ".join(map(str, v)),
                         lambda text: tuple(map(_parse_int, _parse_list(text)))),
     "tuple[str, ...]": (", ".join, _parse_list),

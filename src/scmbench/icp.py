@@ -23,8 +23,8 @@ from .scm import SampleBatch, _bounded, _check_batches, _check_bound, _check_bou
 
 _RIDGE = 1e-10
 _TESTS = ("mean-variance", "energy-permutation")
-# subset layouts a process keeps (see _layout); the default sweep's five
-# candidate counts, 7 to 11, keep about 4 MB
+# candidate counts whose subset layout a process keeps (see _layout); the
+# default sweep's five, 7 to 11, keep about 4 MB
 _LAYOUTS_KEPT = 8
 
 
@@ -35,7 +35,6 @@ class EnumerationBudgetError(RuntimeError):
 @dataclass(frozen=True)
 class IcpConfig:
     alpha: float = _bounded(0.05, "(0, 1)")
-    max_subset_size: int | None = _bounded(None, "[0, inf)")
     test: str = "mean-variance"
     num_permutations: int = _bounded(199, "[99, inf)")
     enumeration_budget: int = _bounded(4096, "[1, inf)")
@@ -67,6 +66,7 @@ def _mean_variance_pvalue(sizes: np.ndarray, sums: np.ndarray,
     The tails are evaluated in full only for rows whose most extreme
     environment does not already give p = 0, which is exact as every per-env p
     is >= 0, and for rows with a non-finite t, df or ratio, which could give NaN.
+    A NaN p raises ValueError instead of being returned.
     """
     k = sizes.size
     n = np.broadcast_to(sizes.astype(float), sums.shape)
@@ -108,6 +108,9 @@ def _mean_variance_pvalue(sizes: np.ndarray, sums: np.ndarray,
     full = (per_env(probe) != 0.0) | ~np.isfinite(t + df + ratio).all(axis=-1)
     p = np.zeros(len(t))
     p[full] = np.minimum(1.0, k * per_env(full).min(axis=-1))
+    if np.isnan(p).any():  # df squares se2, which overflows from variances of about 1e154
+        raise ValueError("mean-variance p-value is NaN: the residual variances "
+                         "overflow Welch's degrees of freedom")
     return p
 
 
@@ -131,24 +134,24 @@ def invariance_pvalue(residuals_by_env: list[EmpiricalSample], cfg: IcpConfig,
     return ksample_equality_test(residuals_by_env, cfg.num_permutations, rng)[1]
 
 
-def _subsets(n_candidates: int, cap: int) -> list[tuple[int, ...]]:
-    return [subset for size in range(cap + 1)
+def _subsets(n_candidates: int) -> list[tuple[int, ...]]:
+    return [subset for size in range(n_candidates + 1)
             for subset in combinations(range(1, n_candidates + 1), size)]
 
 
 @lru_cache(maxsize=_LAYOUTS_KEPT)
-def _layout(n_cand: int, cap: int) -> tuple[tuple[frozenset[int], ...],
-                                             tuple[tuple[np.ndarray, ...], ...]]:
-    """Where each subset's numbers sit, a pure function of (n_cand, cap) that
-    every call shares read-only: the subset keys in _subsets order, and per
-    subset size s the flat indices, for all subsets of that size, of their
-    (s+1, s+1) Gram blocks and (s+1, 1) right-hand sides in the pooled moment
-    matrix and of their s+1 coefficients in the coefficient matrix."""
-    subsets = _subsets(n_cand, cap)
+def _layout(n_cand: int) -> tuple[tuple[frozenset[int], ...],
+                                  tuple[tuple[np.ndarray, ...], ...]]:
+    """Where each subset's numbers sit, a pure function of n_cand that every
+    call shares read-only: the subset keys in _subsets order, and per subset
+    size s the flat indices, for all subsets of that size, of their (s+1, s+1)
+    Gram blocks and (s+1, 1) right-hand sides in the pooled moment matrix and
+    of their s+1 coefficients in the coefficient matrix."""
+    subsets = _subsets(n_cand)
     side = n_cand + 2  # both matrices have n_cand + 2 columns, x_0 last
     blocks = []
     start = 0
-    for size in range(cap + 1):
+    for size in range(n_cand + 1):
         stop = start + math.comb(n_cand, size)
         cols = np.array(subsets[start:stop], dtype=np.intp).reshape(stop - start, size) - 1
         cols = np.hstack([cols, np.full((stop - start, 1), n_cand)])  # plus the intercept
@@ -181,21 +184,20 @@ def icp_identify(batches: list[SampleBatch], cfg: IcpConfig,
     gives. Subsets are indexed and reported in _subsets order.
 
     Which subsets exist, where their Gram blocks and coefficients sit, and
-    their frozenset keys are a pure function of (candidate count, cap):
-    _layout builds them once per process, after the budget check, and every
-    call reads the same read-only arrays and keys, so no result depends on
-    which calls ran before.
+    their frozenset keys are a pure function of the candidate count: _layout
+    builds them once per process, after the budget check, and every call reads
+    the same read-only arrays and keys, so no result depends on which calls
+    ran before.
     """
     _check_bound("seed", seed, "[0, inf)", integer=True)
     n_cand = _check_batches(batches, min_batches=2, min_rows=3) - 1
     if n_cand < 1:
         raise ValueError("need at least one candidate column")
-    cap = n_cand if cfg.max_subset_size is None else min(cfg.max_subset_size, n_cand)
-    total = sum(math.comb(n_cand, s) for s in range(cap + 1))
+    total = 2 ** n_cand
     if total > cfg.enumeration_budget:
         raise EnumerationBudgetError(
             f"{total} subsets exceed the budget of {cfg.enumeration_budget}")
-    keys, blocks = _layout(n_cand, cap)
+    keys, blocks = _layout(n_cand)
 
     width = n_cand + 1  # candidate columns plus intercept; x_0 sits at index width
     designs = [np.hstack([b.data[:, 1:], np.ones((b.n, 1)), b.data[:, :1]]) for b in batches]
@@ -218,11 +220,11 @@ def icp_identify(batches: list[SampleBatch], cfg: IcpConfig,
         resid_sumsq = np.einsum("kin,ni->nk", moment_coef, coef)
         p_all = _mean_variance_pvalue(sizes, resid_sum, resid_sumsq).tolist()
     else:
-        resid = np.empty((total, sizes.sum()))  # row i: subset i's residuals, env by env
-        for row, c in zip(resid, coef):
-            np.concatenate([-(a @ c) for a in designs], out=row)
+        resid = np.empty((total, sizes.sum(), 1))  # row i: subset i's residuals, env by env
+        for a, part in zip(designs, np.split(resid, np.cumsum(sizes)[:-1], axis=1)):
+            np.matmul(a, -coef[:, :, None], out=part)  # one a @ -coef[i] per subset
         rng = np.random.default_rng(np.random.SeedSequence([seed]))
-        p_all = _ksample_tests(resid, sizes, cfg.num_permutations, rng)[1].tolist()
+        p_all = _ksample_tests(resid[:, :, 0], sizes, cfg.num_permutations, rng)[1].tolist()
 
     p_values = dict(zip(keys, p_all))
     accepted = [key for key, p in p_values.items() if p > cfg.alpha]

@@ -38,11 +38,11 @@ def _check_bound(name: str, value, interval: str, integer: bool = False) -> None
 
 
 def _check_bounds(obj) -> None:
-    """Check every field of a dataclass declared with _bounded. A None value
-    is not checked; each entry of a tuple or frozenset is checked."""
+    """Check every field of a dataclass declared with _bounded; each entry of
+    a tuple or frozenset is checked."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if "interval" in f.metadata and value is not None:
+        if "interval" in f.metadata:
             integer = f.type.startswith(("int", "tuple[int", "frozenset[int"))
             for v in value if isinstance(value, (tuple, frozenset)) else (value,):
                 _check_bound(f.name, v, f.metadata["interval"], integer)

@@ -206,21 +206,31 @@ class TestRun:
         assert (out_a / "table.txt").read_text() == (out_b / "table.txt").read_text()
 
     def test_records_do_not_depend_on_blas_threads(self, tmp_path):
-        cfg_path = small_config(tmp_path, methods=("iid", "icp"), confounder_levels=(0, 1),
-                                samples_per_env=400, gen=sb.GenConfig(nodes_min=8, nodes_max=9))
+        # both methods with mean-variance ICP, then ICP's energy-permutation test
+        configs = {
+            "mean-variance": dict(methods=("iid", "icp"),
+                                  gen=sb.GenConfig(nodes_min=8, nodes_max=9)),
+            "energy": dict(gen=sb.GenConfig(nodes_min=5, nodes_max=6),
+                           icp=sb.IcpConfig(test="energy-permutation")),
+        }
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        bodies = {}
-        for blas_threads in ("1", "2"):
-            out = tmp_path / f"blas-{blas_threads}"
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, PYTHONPATH=path)
-            proc = subprocess.run(
-                [sys.executable, "-m", "scmbench.cli", "run", "--config", str(cfg_path),
-                 "--out", str(out)], env=env, capture_output=True, text=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr
-            bodies[blas_threads] = [line.rsplit(",", 1)[0]  # wall_time is measured
-                                    for line in (out / "records.csv").read_text().splitlines()]
-        assert len(bodies["1"]) == 1 + 2 * 2 * 2  # header, dags x levels x methods
-        assert bodies["1"] == bodies["2"]
+        for name, overrides in configs.items():
+            (tmp_path / name).mkdir()
+            cfg_path = small_config(tmp_path / name, confounder_levels=(0, 1),
+                                    samples_per_env=400, **overrides)
+            bodies = {}
+            for blas_threads in ("1", "2"):
+                out = tmp_path / name / f"blas-{blas_threads}"
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, PYTHONPATH=path)
+                proc = subprocess.run(
+                    [sys.executable, "-m", "scmbench.cli", "run", "--config", str(cfg_path),
+                     "--out", str(out)], env=env, capture_output=True, text=True, timeout=300)
+                assert proc.returncode == 0, proc.stderr
+                bodies[blas_threads] = [line.rsplit(",", 1)[0]  # wall_time is measured
+                                        for line in (out / "records.csv").read_text().splitlines()]
+            methods = len(overrides.get("methods", ("icp",)))
+            assert len(bodies["1"]) == 1 + 2 * 2 * methods  # header, dags x levels x methods
+            assert bodies["1"] == bodies["2"]
 
 
 class TestReport:

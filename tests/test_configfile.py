@@ -51,7 +51,8 @@ class TestDefaults:
         ("train", "rounds", "3"),
         ("train", "tau", "0.5"),
         ("experiment", "include_observational", "false"),
-    ], ids=["tau_auto", "rounds", "tau", "include_observational"])
+        ("icp", "max_subset_size", "2"),
+    ], ids=["tau_auto", "rounds", "tau", "include_observational", "max_subset_size"])
     def test_removed_key_is_rejected(self, tmp_path, section, key, value):
         path = write(tmp_path, f"[{section}]\n{key} = {value}\n")
         with pytest.raises(ConfigError) as info:
@@ -67,12 +68,20 @@ class TestRoundTrip:
             gen=sb.GenConfig(nodes_min=4, nodes_max=6, edge_prob=0.7,
                              min_parents=3),
             train=sb.TrainConfig(hidden_width=8, tau_multiplier=2.5),
-            icp=sb.IcpConfig(alpha=0.01, max_subset_size=2,
-                             test="energy-permutation"))
+            icp=sb.IcpConfig(alpha=0.01, test="energy-permutation"))
         path = write(tmp_path, config_to_ini(cfg))
         parsed, seed_present = read_config(path)
         assert parsed == cfg
         assert seed_present
+
+    def test_written_lines_have_no_trailing_space(self):
+        # every written value has text, so no line ends in "key = "
+        for cfg in (sb.ExperimentConfig(),
+                    sb.ExperimentConfig(methods=("icp",), confounder_levels=(3,),
+                                        icp=sb.IcpConfig(test="energy-permutation"))):
+            lines = config_to_ini(cfg).splitlines()
+            assert [line for line in lines if line != line.rstrip()] == []
+            assert "[icp]" in lines
 
     def test_every_settable_field_round_trips(self, tmp_path):
         cfg = sb.ExperimentConfig(
@@ -87,9 +96,8 @@ class TestRoundTrip:
                 hidden_width=8, learning_rate=0.003, epochs_per_round=50,
                 batch_size=64, holdout_fraction=0.25, tau_multiplier=2.5,
                 calibration_permutations=16),
-            icp=sb.IcpConfig(alpha=0.01, max_subset_size=2,
-                             test="energy-permutation", num_permutations=499,
-                             enumeration_budget=100))
+            icp=sb.IcpConfig(alpha=0.01, test="energy-permutation",
+                             num_permutations=499, enumeration_budget=100))
         default = sb.ExperimentConfig()
         echo = _config_echo(cfg)
         not_keys = {"fixed_scm", *CONFIG_SECTIONS.values()}
@@ -107,16 +115,10 @@ class TestRoundTrip:
                 assert value != getattr(base, f.name), (section, f.name)
                 assert json.dumps(shown[f.name]) == json.dumps(value)
                 settable += 1
-        assert settable == 28
+        assert settable == 27
         parsed, seed_present = read_config(write(tmp_path, config_to_ini(cfg)))
         assert parsed == cfg
         assert seed_present
-
-    def test_blank_optionals_parse_to_none(self, tmp_path):
-        path = tmp_path / "scmbench.ini"
-        write_default_config(path)
-        cfg, _ = read_config(path)
-        assert cfg.icp.max_subset_size is None
 
     def test_missing_keys_fall_back_to_defaults(self, tmp_path):
         path = write(tmp_path, "[experiment]\nnum_dags = 3\n")
@@ -164,7 +166,7 @@ class TestErrors:
          "expected an integer, got '+500'"),
         ("[experiment]\nconfounder_levels = 0, \u0661\n",
          "[experiment] confounder_levels", "expected an integer, got '\u0661'"),
-        ("[icp]\nmax_subset_size = 1_0\n", "[icp] max_subset_size",
+        ("[icp]\nenumeration_budget = 1_0\n", "[icp] enumeration_budget",
          "expected an integer, got '1_0'"),
         # master_seed is omitted, not left blank, to defer to WORKBENCH_SEED
         ("[experiment]\nmaster_seed =\n", "[experiment] master_seed",
@@ -194,7 +196,7 @@ class TestErrors:
         ("[experiment]\nmethods =\n", "[experiment] methods",
          "expected a comma-separated list, got ''"),
     ], ids=["num_dags=1_0", "samples_per_env=+500", "confounder_levels=arabic-1",
-            "max_subset_size=1_0", "master_seed=blank", "num_dags=-1", "lr=nan",
+            "enumeration_budget=1_0", "master_seed=blank", "num_dags=-1", "lr=nan",
             "nodes_min=13", "lr=0_0.5", "lr=+1", "lr=infinity", "lr=1E-3",
             "edge_prob=.5", "alpha=fullwidth-1.0", "methods=iid-comma",
             "confounder_levels=empty-item", "methods=blank"])
@@ -256,7 +258,7 @@ class TestErrors:
 CONFIG_CLASSES = (sb.ExperimentConfig, sb.GenConfig, sb.TrainConfig,
                   sb.IcpConfig)
 FLOAT_TYPES = ("float",)
-INT_TYPES = ("int", "int | None")
+INT_TYPES = ("int",)
 
 
 def numeric_field_cases():
@@ -307,7 +309,6 @@ class TestTextForms:
     SAMPLES = {
         "int": (0, -3, 12), "float": (0.1, -2.5e-07, 1e300, np.inf, 3),
         "str": ("iid", "mean-variance"), "bool": (True, False),
-        "int | None": (None, 4),
         "tuple[int, ...]": ((2, 0), (7,)), "tuple[str, ...]": (("iid", "icp"),),
         "frozenset[int]": (frozenset(), frozenset({3, 1, 10})),
     }
@@ -316,7 +317,7 @@ class TestTextForms:
         not_keys = {"fixed_scm", *CONFIG_SECTIONS.values()}
         walked = [(cls, f) for cls in (sb.RunRecord, *CONFIG_CLASSES)
                   for f in dataclasses.fields(cls) if f.name not in not_keys]
-        assert len(walked) == 8 + 28
+        assert len(walked) == 8 + 27
         for cls, f in walked:
             assert f.type in _TEXT_FORMS, f"{cls.__name__}.{f.name}"
 

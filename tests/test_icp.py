@@ -35,14 +35,23 @@ def explicit_residuals(batches, subset):
             for b in batches]
 
 
-def wide_batches(seed: int = 11, n: int = 400):
-    """One clamp environment per candidate of a random 9-node model with one
-    confounder: 8 candidates, so 256 subsets."""
-    gen = sb.GenConfig(nodes_min=9, nodes_max=9)
+def wide_batches(seed: int = 11, n: int = 400, nodes: int = 9):
+    """One clamp environment per candidate of a random model with one
+    confounder: at the default 9 nodes, 8 candidates, so 256 subsets."""
+    gen = sb.GenConfig(nodes_min=nodes, nodes_max=nodes)
     rng = np.random.default_rng(seed)
     scm = sb.add_confounders(sb.random_scm(gen, rng), 1, rng, gen)
     envs = sb.environments_for(scm, gen, rng)
     return [sb.sample(scm, env, n, rng) for env in envs]
+
+
+def unequal_batches(seed: int = 2):
+    """The 4-node demo model's three environments cut to 120, 200 and 161
+    rows, so each environment's residuals start at their own column."""
+    rng = np.random.default_rng(seed)
+    scm = sb.four_node_demo_scm()
+    envs = sb.environments_for(scm, sb.GenConfig(), rng)
+    return [sb.sample(scm, env, n, rng) for env, n in zip(envs, (120, 200, 161))]
 
 
 def two_mechanism_batches(n: int = 800):
@@ -350,6 +359,21 @@ class TestMeanVariancePvalue:
         groups = [sb.EmpiricalSample(np.arange(10.0) * (i + 1), label=i) for i in range(3)]
         assert type(invariance_pvalue(groups, sb.IcpConfig())) is float
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_variances_raise_instead_of_returning_nan(self):
+        # Welch's df squares se2, which overflows from variances of about
+        # 1e154: data at 1e78 scale gave p = NaN
+        rng = np.random.default_rng(0)
+        values = [rng.normal(size=50) for _ in range(3)]
+
+        def p_at(scale):
+            return invariance_pvalue([sb.EmpiricalSample(v * scale, label=i)
+                                      for i, v in enumerate(values)], sb.IcpConfig())
+
+        assert p_at(1.0) == p_at(1e76) == 1.0
+        with pytest.raises(ValueError, match="overflow Welch's degrees of freedom"):
+            p_at(1e78)
+
 
 class TestIcpIdentify:
     def test_recovers_demo_parents(self, demo_batches):
@@ -372,58 +396,60 @@ class TestIcpIdentify:
 
     def test_sufficient_statistics_match_explicit_residuals(self, demo_batches):
         cfg = sb.IcpConfig()
-        for batches, count in ((demo_batches(2, n=800), 8), (wide_batches(), 256)):
+        for batches, count in ((demo_batches(2, n=800), 8), (wide_batches(), 256),
+                               (unequal_batches(), 8)):
             result = sb.icp_identify(batches, cfg, seed=0)
             assert len(result.p_values) == count
             for subset, p_fast in result.p_values.items():
                 p_explicit = invariance_pvalue(explicit_residuals(batches, subset), cfg)
                 assert p_fast == pytest.approx(p_explicit, abs=1e-8)
 
-    def test_capped_subsets_follow_the_enumeration_order(self):
-        batches = wide_batches()
-        full = sb.icp_identify(batches, sb.IcpConfig(), seed=0)
-        assert list(full.p_values) == [frozenset(s) for s in _subsets(8, 8)]
-        for cap, count in ((0, 1), (3, 93)):
-            capped = sb.icp_identify(batches, sb.IcpConfig(max_subset_size=cap), seed=0)
-            keys = [frozenset(s) for s in _subsets(8, cap)]
-            assert len(keys) == count
-            assert list(capped.p_values) == keys
-            for key in keys:
-                assert capped.p_values[key] == pytest.approx(full.p_values[key], abs=1e-12)
-
-    def test_capped_energy_p_values_equal_full_enumeration(self):
-        # a subset's coefficients and its share of the one permutation draw
-        # do not depend on which other subsets are tested. x_0's weight on
-        # x_2, and x_2's scale, grow mildly with the environment, so the
-        # eight p-values differ
-        rng = np.random.default_rng(13)
-        batches = []
-        for env in (1, 2, 3):
-            x = rng.normal(size=(80, 3)) * [1.0, 1.0 + 0.3 * env, 1.0]
-            y = 0.5 * x[:, 0] + 0.2 * env * x[:, 1] + 0.3 * x[:, 2] + rng.normal(size=80)
-            batches.append(sb.SampleBatch(env=env, data=np.column_stack([y, x])))
-        cfg = sb.IcpConfig(test="energy-permutation", num_permutations=99)
-        full = sb.icp_identify(batches, cfg, seed=5)
-        assert len(set(full.p_values.values())) == 8
-        for cap, count in ((0, 1), (1, 4), (2, 7)):
-            capped = sb.icp_identify(
-                batches, sb.IcpConfig(test="energy-permutation", num_permutations=99,
-                                      max_subset_size=cap), seed=5)
-            assert len(capped.p_values) == count
-            for key, p in capped.p_values.items():
-                assert p == full.p_values[key]
+    @pytest.mark.parametrize("test", ["mean-variance", "energy-permutation"])
+    def test_subsets_follow_the_enumeration_order(self, test):
+        # every subset, by size, then in combinations order
+        result = sb.icp_identify(wide_batches(5, n=100),
+                                 sb.IcpConfig(test=test, num_permutations=99), seed=0)
+        keys = [frozenset(s) for s in _subsets(8)]
+        assert len(keys) == 256 and keys[:3] == [frozenset(), {1}, {2}]
+        assert keys[9] == {1, 2} and keys[-1] == frozenset(range(1, 9))
+        assert list(result.p_values) == keys
 
     def test_energy_permutation_matches_per_subset_oracle(self, demo_batches):
         cfg = sb.IcpConfig(test="energy-permutation", num_permutations=99)
-        batches = demo_batches(8, n=120)
         seed = 3
-        result = sb.icp_identify(batches, cfg, seed=seed)
-        oracle = {}
-        for subset in _subsets(3, 3):
-            rng = np.random.default_rng(np.random.SeedSequence([seed]))
-            oracle[frozenset(subset)] = invariance_pvalue(
-                explicit_residuals(batches, subset), cfg, rng)
-        assert list(result.p_values.items()) == list(oracle.items())
+        for batches in (demo_batches(8, n=120), unequal_batches()):
+            result = sb.icp_identify(batches, cfg, seed=seed)
+            oracle = {}
+            for subset in _subsets(3):
+                rng = np.random.default_rng(np.random.SeedSequence([seed]))
+                oracle[frozenset(subset)] = invariance_pvalue(
+                    explicit_residuals(batches, subset), cfg, rng)
+            assert list(result.p_values.items()) == list(oracle.items())
+
+    @pytest.mark.parametrize("sizes", [(3, 3), (120, 200, 161), (7, 299, 3, 50)],
+                             ids=["equal", "three-unequal", "four-unequal"])
+    def test_energy_residuals_sit_at_their_environments_columns(self, monkeypatch, sizes):
+        # the residual matrix is written one environment at a time; row i must
+        # hold subset i's residuals, environment by environment, at each
+        # environment's own column offset
+        captured = []
+
+        def spy(resid, *args):
+            captured.append(resid.copy())
+            return ksample_tests(resid, *args)
+
+        ksample_tests = icp._ksample_tests
+        monkeypatch.setattr(icp, "_ksample_tests", spy)
+        rng = np.random.default_rng(len(sizes))
+        batches = [sb.SampleBatch(env=e, data=rng.normal(size=(n, 4)))
+                   for e, n in enumerate(sizes, 1)]
+        sb.icp_identify(batches, sb.IcpConfig(test="energy-permutation",
+                                              num_permutations=99), seed=0)
+        (resid,) = captured
+        assert resid.shape == (8, sum(sizes))
+        for row, subset in zip(resid, _subsets(3)):
+            expected = np.concatenate([r.values for r in explicit_residuals(batches, subset)])
+            np.testing.assert_allclose(row, expected, rtol=0, atol=1e-10)
 
     def test_energy_permutation_p_values_are_pinned(self, demo_batches):
         # sha256 of the p-values in subset order, one k-sample test per
@@ -479,11 +505,18 @@ class TestIcpIdentify:
         result = sb.icp_identify(batches, cfg, seed=7)
         assert result.estimated_set == {1, 2}
 
-    def test_subset_size_cap(self, demo_batches):
-        cfg = sb.IcpConfig(max_subset_size=1)
-        result = sb.icp_identify(demo_batches(5, n=500), cfg, seed=0)
-        assert set(result.p_values) == {frozenset(), frozenset([1]),
-                                        frozenset([2]), frozenset([3])}
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_residual_variances_raise(self, demo_batches):
+        # at 1e80 scale all eight p-values were NaN and the estimate empty
+        batches = demo_batches(0, n=5000)
+
+        def identify(scale):
+            scaled = [sb.SampleBatch(env=b.env, data=b.data * scale) for b in batches]
+            return sb.icp_identify(scaled, sb.IcpConfig(), seed=0)
+
+        assert identify(1e76).estimated_set == {1, 2}
+        with pytest.raises(ValueError, match="overflow Welch's degrees of freedom"):
+            identify(1e80)
 
     def test_enumeration_budget(self, demo_batches):
         cfg = sb.IcpConfig(enumeration_budget=3)
@@ -497,9 +530,11 @@ class TestIcpIdentify:
             sb.icp_identify(demo_batches(6, n=200), cfg, seed=0)
         assert icp._layout.cache_info().currsize == 0
         sb.icp_identify(demo_batches(6, n=200), sb.IcpConfig(), seed=0)
+        sb.icp_identify(wide_batches(n=100, nodes=6), sb.IcpConfig(), seed=0)
+        assert icp._layout.cache_info().currsize == 2
         with pytest.raises(sb.EnumerationBudgetError):
             sb.icp_identify(wide_batches(), sb.IcpConfig(enumeration_budget=255), seed=0)
-        assert icp._layout.cache_info().currsize == 1
+        assert icp._layout.cache_info().currsize == 2
 
     def test_layout_cache_keeps_every_default_candidate_count(self):
         gen = sb.GenConfig()
@@ -507,14 +542,12 @@ class TestIcpIdentify:
         assert gen.nodes_max - gen.nodes_min + 1 <= icp._LAYOUTS_KEPT
 
     def test_results_do_not_depend_on_call_order(self, demo_batches):
-        wide = wide_batches()
-        cases = [(wide, sb.IcpConfig()),
-                 (wide, sb.IcpConfig(max_subset_size=3)),
-                 (wide, sb.IcpConfig(max_subset_size=0)),
+        # 8, 5, 3 and 6 candidates: four layouts in the cache at once
+        cases = [(wide_batches(), sb.IcpConfig()),
+                 (wide_batches(n=200, nodes=6), sb.IcpConfig()),
                  (demo_batches(2, n=300), sb.IcpConfig()),
-                 (wide_batches(5, n=100),
-                  sb.IcpConfig(test="energy-permutation", num_permutations=99,
-                               max_subset_size=2))]
+                 (wide_batches(5, n=100, nodes=7),
+                  sb.IcpConfig(test="energy-permutation", num_permutations=99))]
 
         def run(batches, cfg):
             result = sb.icp_identify(batches, cfg, seed=1)
@@ -526,11 +559,12 @@ class TestIcpIdentify:
             icp._layout.cache_clear()
             references.append(run(*case))
         icp._layout.cache_clear()
-        for i in (4, 0, 3, 2, 4, 1, 0, 3, 1, 2):
+        for i in (3, 0, 2, 1, 3, 1, 0, 2, 0, 3):
             assert run(*cases[i]) == references[i]
+        assert icp._layout.cache_info().currsize == 4
 
-        keys, blocks = icp._layout(8, 3)
-        assert keys == tuple(frozenset(s) for s in _subsets(8, 3))
+        keys, blocks = icp._layout(8)
+        assert keys == tuple(frozenset(s) for s in _subsets(8))
         for index in (a for block in blocks for a in block):
             with pytest.raises(ValueError, match="read-only"):
                 index.flat[0] = 0
@@ -566,10 +600,11 @@ class TestIcpConfigValidation:
     @pytest.mark.parametrize("overrides", [
         dict(alpha=0.0),
         dict(alpha=1.0),
-        dict(max_subset_size=-1),
         dict(test="anderson"),
         dict(num_permutations=50),
         dict(enumeration_budget=0),
+        dict(num_permutations=98),
+        dict(enumeration_budget=-1),
     ])
     def test_rejects_bad_values(self, overrides):
         (field,) = overrides
