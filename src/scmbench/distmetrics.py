@@ -50,6 +50,16 @@ def frechet_gaussian1d(a: Gaussian1D, b: Gaussian1D) -> float:
     return (a.mean - b.mean) ** 2 + (a.std - b.std) ** 2
 
 
+def _moments(n: np.ndarray, s: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(mean, css, rest_n, rest_mean, rest_css) of each part, from its count n,
+    sum s and sum of squares q along the last axis, and of the rest of its row
+    (the row's totals minus the part): mean = s/n, css = max(q - n*mean**2, 0)."""
+    rest_n, rest_s, rest_q = (a.sum(axis=-1, keepdims=True) - a for a in (n, s, q))
+    mean, rest_mean = s / n, rest_s / rest_n
+    return (mean, np.maximum(q - n * mean ** 2, 0.0), rest_n, rest_mean,
+            np.maximum(rest_q - rest_n * rest_mean ** 2, 0.0))
+
+
 # Permuted label rows are scored in blocks of at most this many labels.
 _BLOCK_LABELS = 2 ** 17
 

@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 from scipy import special
 
-from .distmetrics import EmpiricalSample, _ksample_tests, ksample_equality_test
+from .distmetrics import EmpiricalSample, _ksample_tests, _moments, ksample_equality_test
 from .scm import SampleBatch, _bounded, _check_batches, _check_bound, _check_bounds
 
 _RIDGE = 1e-10
@@ -61,7 +61,7 @@ def _mean_variance_pvalue(sizes: np.ndarray, sums: np.ndarray,
     sizes (k,) holds each environment's residual count, row i of sums and sumsq
     (rows, k) its residual sum and sum of squares for subset i, and the result
     (rows,) subset i's p. An environment and its complement take their moments
-    from one formula, mean = s/n and var = max(q - n*mean**2, 0) / (n-1).
+    from distmetrics._moments: mean = s/n and var = max(q - n*mean**2, 0) / (n-1).
 
     The tails are evaluated in full only for rows whose most extreme
     environment does not already give p = 0, which is exact as every per-env p
@@ -70,15 +70,8 @@ def _mean_variance_pvalue(sizes: np.ndarray, sums: np.ndarray,
     """
     k = sizes.size
     n = np.broadcast_to(sizes.astype(float), sums.shape)
-    comp_n = n.sum(axis=-1, keepdims=True) - n
-
-    def moments(m, s, q):
-        mean = s / m
-        return mean, np.maximum(q - m * mean ** 2, 0.0) / (m - 1.0)
-
-    means, variances = moments(n, sums, sumsq)
-    comp_mean, comp_var = moments(comp_n, sums.sum(axis=-1, keepdims=True) - sums,
-                                  sumsq.sum(axis=-1, keepdims=True) - sumsq)
+    means, css, comp_n, comp_mean, comp_css = _moments(n, sums, sumsq)
+    variances, comp_var = css / (n - 1.0), comp_css / (comp_n - 1.0)
 
     # variances this small are treated as degenerate point masses
     zero_own = variances <= 1e-12 * (1.0 + means ** 2)

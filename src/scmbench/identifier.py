@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distmetrics import fit_gaussian, frechet_gaussian1d
+from .distmetrics import _moments
 from .scm import SampleBatch, _bounded, _check_batches, _check_bounds
 
 
@@ -195,9 +195,11 @@ class IdentificationResult:
     rounds_run: int
 
 
-def _shift(own: np.ndarray, rest: np.ndarray) -> float:
-    """One split's score: Frechet distance between Gaussian fits of the parts."""
-    return frechet_gaussian1d(fit_gaussian(own), fit_gaussian(rest))
+def _scores(n: np.ndarray, s: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Frechet distance between the Gaussian fits (mean, population std) of each
+    part and of the rest of its row, from n, s and q as in distmetrics._moments."""
+    mean, css, rest_n, rest_mean, rest_css = _moments(n, s, q)
+    return (mean - rest_mean) ** 2 + (np.sqrt(css / n) - np.sqrt(rest_css / rest_n)) ** 2
 
 
 def _null_tau(pooled: np.ndarray, own_size: int, cfg: TrainConfig,
@@ -208,11 +210,17 @@ def _null_tau(pooled: np.ndarray, own_size: int, cfg: TrainConfig,
     from this null, so thresholding at the plain null maximum would evict a
     true parent about once per calibration_permutations rounds. Inflating a
     robust upper quantile by tau_multiplier pushes that probability to the
-    permille range while staying far below genuine distortion scores.
+    permille range while staying far below genuine distortion scores. Each
+    draw's own part is rng.permutation(N)[:own_size]; NaN if any draw is not finite.
     """
-    perms = (rng.permutation(pooled.size) for _ in range(cfg.calibration_permutations))
-    fids = np.array([_shift(pooled[p[:own_size]], pooled[p[own_size:]]) for p in perms])
-    return float(max(cfg.tau_multiplier * np.quantile(fids, 0.95), fids.max()))
+    own = np.stack([pooled[rng.permutation(pooled.size)[:own_size]]
+                    for _ in range(cfg.calibration_permutations)])
+    s, q = own.sum(axis=1), np.einsum("ij,ij->i", own, own)
+    fids = _scores(np.array([own_size, pooled.size - own_size]),
+                   np.column_stack([s, pooled.sum() - s]),
+                   np.column_stack([q, pooled @ pooled - q]))[:, 0]
+    return (float(max(cfg.tau_multiplier * np.quantile(fids, 0.95), fids.max()))
+            if np.isfinite(fids).all() else np.nan)
 
 
 def identify_parents(batches: list[SampleBatch], cfg: TrainConfig,
@@ -252,19 +260,18 @@ def identify_parents(batches: list[SampleBatch], cfg: TrainConfig,
     taus: list[float] = []
     # a lone environment has no complement to compare against
     while len(split) >= 2:
-        active = sorted(split)
-        mask = np.isin(candidates, active)
+        mask = np.isin(candidates, list(split))
         rng_train, rng_cal = rng.spawn(2)
         reg = train_regressor([t for t, _ in split.values()], mask, cfg, rng_train)
-        residuals = {env: np.abs(reg.predict(h[:, 1:] * mask) - h[:, 0])
-                     for env, (_, h) in split.items()}
-        pooled = np.concatenate(list(residuals.values()))
-        owner = np.repeat(list(residuals), [v.size for v in residuals.values()])
+        residuals = [np.abs(reg.predict(h[:, 1:] * mask) - h[:, 0]) for _, h in split.values()]
+        scores = _scores(*np.array([(r.size, r.sum(), r @ r) for r in residuals]).T)
+        if scores.size == 2:  # each is the other's rest: equal but for rounding, so tie them
+            scores[1] = scores[0]
+        tau = _null_tau(np.concatenate(residuals), min(r.size for r in residuals), cfg, rng_cal)
+        if not np.isfinite(scores).all() or np.isnan(tau):
+            raise ValueError(f"non-finite candidate or null score in round {len(taus) + 1}")
         row = np.full(l, np.nan)
-        for j in active:
-            row[j - 1] = _shift(residuals[j], pooled[owner != j])
-        own_size = min(residuals[j].size for j in active)
-        tau = _null_tau(pooled, own_size, cfg, rng_cal)
+        row[np.array(list(split)) - 1] = scores
         fid_rows.append(row)
         taus.append(tau)
         victim = penalty_step(row, tau)

@@ -133,21 +133,21 @@ def five_candidate_batches(seed: int, n: int):
 PINNED_RESULTS = {
     "default": (
         None, [1, 2], 2,
-        "f0d31d3ccfcc5971464ae3234180a2f0ef79fc0e1a9672a94346ef83b0c765ea",
-        "c856b0043fd3055276975ff458219fa645daea5c48e101ad2da1280ebbc6a1fe"),
+        "c3c0ada74c56b82a3b53b2c42ad8dbc74b534b8a24ff7eb07ac61fdfc61ccc3b",
+        "8854c388bf7bdd15019a918f408f686b9483f6a75dcfdccce716f3640faad780"),
     "tau=0.01": (
         0.01, [1, 2], 2,
-        "f0d31d3ccfcc5971464ae3234180a2f0ef79fc0e1a9672a94346ef83b0c765ea",
+        "c3c0ada74c56b82a3b53b2c42ad8dbc74b534b8a24ff7eb07ac61fdfc61ccc3b",
         "c5e1f4c71c3d389d29391287c19eaf39177d2480d44005da232ffacac7b6b001"),
     # tau = 0 evicts until one environment is left
     "tau=0": (
         0.0, [2], 2,
-        "f0d31d3ccfcc5971464ae3234180a2f0ef79fc0e1a9672a94346ef83b0c765ea",
+        "c3c0ada74c56b82a3b53b2c42ad8dbc74b534b8a24ff7eb07ac61fdfc61ccc3b",
         "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb"),
     # tau = inf evicts no one: one round, whose fid row is the default's first
     "tau=inf": (
         np.inf, [1, 2, 3], 1,
-        "9290aa2107e90388556a1e5247117bb52640c648077c7e7f7e6f7e6e832d7720",
+        "c326bf8c66a28258e589f75b70bf2633f53261d57dc48271aa2f8d430ab4ea24",
         "9402bb655bc3b7331a00f1219ef647565bbe517c74aa0e41026885785867d1cd"),
 }
 
@@ -157,8 +157,8 @@ PINNED_RESULTS = {
 # sha256 of fid_trace.tobytes(), sha256 of tau_trace.tobytes())
 PINNED_SWEEP_CELL = [
     [2, 3, 4, 5, 6, 7], 4,
-    "783f8686ead58e89bb65b7a30afd1001b15e1e47ef168f64d4fb7c686fb97a9f",
-    "2db30181f8b39aeb6cd53f12fbde7691b24e27a19bf52a4e1b4297ec4b4f0e45"]
+    "04ab041a7955fa57248d15faa3a31eb509ffebb72cbcad88f1dac51dbea3a537",
+    "3b0eae02327e7707c8220d43a0562a03ffb2254cc1b4c607cc60f4e39da6a88f"]
 
 
 def fix_tau(monkeypatch, tau: float) -> None:
@@ -355,6 +355,75 @@ class TestResidualScores:
                 reg.predict(x)
 
 
+def _reference_scores(parts):
+    """Each part's score from two-pass Gaussian fits of it and of the copy of
+    every other part's values."""
+    pooled = np.concatenate(parts)
+    owner = np.repeat(np.arange(len(parts)), [p.size for p in parts])
+    return np.array([sb.frechet_gaussian1d(sb.fit_gaussian(p),
+                                           sb.fit_gaussian(pooled[owner != j]))
+                     for j, p in enumerate(parts)])
+
+
+def _reference_null_tau(pooled, own_size, cfg, rng):
+    """_null_tau with a two-pass fit of both halves of every permutation."""
+    fids = []
+    for _ in range(cfg.calibration_permutations):
+        p = rng.permutation(pooled.size)
+        fids.append(_reference_scores([pooled[p[:own_size]], pooled[p[own_size:]]])[0])
+    fids = np.array(fids)
+    return float(max(cfg.tau_multiplier * np.quantile(fids, 0.95), fids.max()))
+
+
+def _moment_scores(parts):
+    return identifier._scores(*np.array([(p.size, p.sum(), p @ p) for p in parts]).T)
+
+
+class TestScores:
+    """The identifier's scores and null from counts, sums and sums of squares
+    match Gaussian fits of explicit copies of the parts."""
+
+    def test_matches_the_gaussian_fit_oracle(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            sizes = rng.integers(2, 901, size=rng.integers(2, 12))
+            parts = [np.abs(rng.normal(rng.uniform(-1, 1), rng.uniform(0.2, 3), size=m))
+                     for m in sizes]
+            got, want = _moment_scores(parts), _reference_scores(parts)
+            assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    @pytest.mark.parametrize("value", [0.7, 0.1])
+    def test_constant_part_matches_the_oracle(self, value):
+        # q - n*mean**2 of a constant part cancels to rounding, not to zero:
+        # above it for 0.7 at 600 rows, below it for 0.1 at 37 and 600
+        rng = np.random.default_rng(1)
+        for m in (2, 37, 600):
+            parts = [np.full(m, value), np.abs(rng.normal(size=500)), np.abs(rng.normal(size=233))]
+            got, want = _moment_scores(parts), _reference_scores(parts)
+            assert np.all(np.abs(got - want) <= 1e-6 * want)
+
+    @pytest.mark.parametrize("sizes", [(600,) * 10, (2, 5, 900), (3, 3)])
+    def test_null_tau_matches_the_two_pass_oracle(self, sizes):
+        pooled = np.abs(np.random.default_rng(2).normal(size=sum(sizes)))
+        cfg = sb.TrainConfig()
+        rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
+        got = identifier._null_tau(pooled, min(sizes), cfg, rng)
+        want = _reference_null_tau(pooled, min(sizes), cfg, rng_ref)
+        assert abs(got - want) <= 1e-12 * want
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_null_tau_is_nan_when_a_draw_is_not_finite(self, monkeypatch):
+        pooled = np.full(20, 1e156)  # squares overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(identifier._null_tau(pooled, 5, sb.TrainConfig(),
+                                                 np.random.default_rng(0)))
+        # one infinite draw leaves the 95th percentile finite
+        monkeypatch.setattr(identifier, "_scores",
+                            lambda n, s, q: np.r_[np.inf, np.ones(len(s) - 1)][:, None])
+        assert np.isnan(identifier._null_tau(np.ones(20), 5, sb.TrainConfig(),
+                                             np.random.default_rng(0)))
+
+
 class TestIdentifyParents:
     def test_recovers_demo_parents(self, demo_batches):
         result = sb.identify_parents(demo_batches(3), sb.TrainConfig(),
@@ -423,6 +492,30 @@ class TestIdentifyParents:
     def test_traces_explain_the_pinned_results(self, demo_batches, monkeypatch, case):
         result, _ = pinned_result(demo_batches, monkeypatch, case)
         assert_traces_explain(result, 3)
+
+    def test_two_environments_tie_toward_the_smaller_id(self, demo_batches, monkeypatch):
+        # each one's rest is the other, so the two scores are one number
+        result, _ = pinned_result(demo_batches, monkeypatch, "tau=0")
+        first, second, evicted = result.fid_trace[-1]
+        assert np.isnan(evicted) and first == second
+        assert result.estimated_set == {2}
+
+    @pytest.mark.parametrize("weight, tau", [(1e300, None), (1e156, None), (1.0, np.nan)],
+                             ids=["residuals-near-1e300", "residuals-near-1e156", "nan-tau"])
+    def test_non_finite_scores_name_the_round(self, demo_batches, monkeypatch, weight, tau):
+        # squares of residuals near 1e156 and beyond overflow
+        def stub(batches, mask, cfg, rng):
+            return sb.Regressor(w1=np.zeros((3, 1)), b1=np.zeros(1), w2=np.zeros(1),
+                                b2=0.0, ws=np.array([weight, 0.0, 0.0]))
+
+        monkeypatch.setattr(identifier, "train_regressor", stub)
+        if tau is not None:
+            fix_tau(monkeypatch, tau)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError,
+                               match="^non-finite candidate or null score in round 1$"):
+                sb.identify_parents(demo_batches(4, n=100), sb.TrainConfig(),
+                                    np.random.default_rng(0))
 
     def test_traces_explain_the_pinned_sweep_cell(self, monkeypatch):
         results = []
