@@ -90,7 +90,11 @@ def train_regressor(batches: list[SampleBatch], mask: np.ndarray,
     clamps that input far from its pooled mean). The five parameters, their
     gradients and the Adam moments are views into one flat buffer each, and
     every step's mini-batch rows are drawn at once after the weight init.
-    Raises TrainingDivergedError on non-finite loss.
+    The step loop runs in float32 (data, parameters, gradients, Adam moments
+    and step size); the standardization, the least-squares start and the
+    folded parameters stay in float64. Raises TrainingDivergedError on
+    non-finite loss, which float32 reaches once the batch's summed squared
+    error, or the learning rate, passes its maximum of about 3.4e38.
     """
     width = _check_batches(batches, min_batches=1, min_rows=1)
     mask = np.asarray(mask)
@@ -114,7 +118,7 @@ def train_regressor(batches: list[SampleBatch], mask: np.ndarray,
     x = (x_raw - x_mu) / x_sd
     y = (y_raw - y_mu) / y_sd
 
-    theta = np.zeros(l * h + 2 * h + 1 + l)
+    theta = np.zeros(l * h + 2 * h + 1 + l, dtype=np.float32)
     grad = np.zeros_like(theta)
     w1, b1, w2, b2, ws = _param_views(theta, l, h)
     g_w1, g_b1, g_w2, g_b2, g_ws = _param_views(grad, l, h)
@@ -129,6 +133,8 @@ def train_regressor(batches: list[SampleBatch], mask: np.ndarray,
         xa = x[:, act]
         gram = xa.T @ xa + 1e-8 * n * np.eye(act.size)
         ws[act] = np.linalg.solve(gram, xa.T @ y)
+    # Python scalars take the arrays' dtype, so every step below stays float32
+    x, y = x.astype(np.float32), y.astype(np.float32)
     m_state = np.zeros_like(theta)
     v_state = np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -169,6 +175,7 @@ def train_regressor(batches: list[SampleBatch], mask: np.ndarray,
         theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
     # fold standardization into the parameters: raw units in, raw units out
+    w1, b1, w2, b2, ws = _param_views(theta.astype(float), l, h)
     w1_fold = w1 / x_sd[:, None]
     b1_fold = b1 - (x_mu / x_sd) @ w1
     w2_fold = w2 * y_sd

@@ -232,6 +232,31 @@ class TestRun:
             assert len(bodies["1"]) == 1 + 2 * 2 * methods  # header, dags x levels x methods
             assert bodies["1"] == bodies["2"]
 
+    @pytest.mark.parametrize("batch_size", [1024, 8192])
+    def test_trainer_bits_do_not_depend_on_blas_threads(self, batch_size):
+        # 12 candidates; OpenBLAS 0.3.31 splits the float32 step's (batch x 12)
+        # by (12 x 16) products over a second thread from about 6,000 rows on,
+        # so only the 8,192-row batches run them on two threads
+        script = "\n".join([
+            "import hashlib, numpy as np, scmbench as sb",
+            "rng = np.random.default_rng(3)",
+            "data = rng.standard_normal((3000, 13))",
+            "data[:, 0] = np.tanh(data[:, 1:] @ rng.normal(size=12)) + data[:, 1:4].sum(axis=1)",
+            "reg = sb.train_regressor([sb.SampleBatch(env=0, data=data)], np.ones(12),",
+            f"                         sb.TrainConfig(batch_size={batch_size}), rng)",
+            "parts = (reg.w1, reg.b1, reg.w2, np.float64(reg.b2), reg.ws)",
+            "print(hashlib.sha256(b''.join(p.tobytes() for p in parts)).hexdigest())",
+        ])
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        digests = set()
+        for blas_threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, PYTHONPATH=path)
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            digests.add(proc.stdout)
+        assert len(digests) == 1
+
 
 class TestReport:
     def test_renders_a_table_from_the_csv(self, tmp_path, capsys):

@@ -37,8 +37,10 @@ def all_parents_scm():
 
 def _reference_train_regressor(batches, mask, cfg, rng):
     """Per-parameter trainer oracle: one array and one Adam update per
-    parameter and one index draw per step. train_regressor must return the
-    same bits and leave rng in the same state."""
+    parameter and one index draw per step, with the steps in float32 and the
+    standardization, least-squares start and fold in float64.
+    train_regressor must return the same bits and leave rng in the same
+    state."""
     if not batches:
         raise ValueError("need at least one batch")
     data = np.vstack([b.data for b in batches])
@@ -60,17 +62,18 @@ def _reference_train_regressor(batches, mask, cfg, rng):
     x = (x_raw - x_mu) / x_sd
     y = (y_raw - y_mu) / y_sd
 
-    w1 = rng.normal(0.0, 1.0 / np.sqrt(max(l, 1)), size=(l, h))
-    b1 = np.zeros(h)
-    w2 = rng.normal(0.0, 0.1 / np.sqrt(h), size=h)
-    b2 = 0.0
-    ws = np.zeros(l)
+    w1 = rng.normal(0.0, 1.0 / np.sqrt(max(l, 1)), size=(l, h)).astype(np.float32)
+    b1 = np.zeros(h, dtype=np.float32)
+    w2 = rng.normal(0.0, 0.1 / np.sqrt(h), size=h).astype(np.float32)
+    b2 = np.zeros((), dtype=np.float32)
+    ws = np.zeros(l, dtype=np.float32)
     act = np.nonzero(mask)[0]
     if act.size:
         xa = x[:, act]
         gram = xa.T @ xa + 1e-8 * n * np.eye(act.size)
         ws[act] = np.linalg.solve(gram, xa.T @ y)
-    params = [w1, b1, w2, np.array(b2), ws]
+    x, y = x.astype(np.float32), y.astype(np.float32)
+    params = [w1, b1, w2, b2, ws]
     m_state = [np.zeros_like(p) for p in params]
     v_state = [np.zeros_like(p) for p in params]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -95,7 +98,7 @@ def _reference_train_regressor(batches, mask, cfg, rng):
         d_pred = 2.0 * err / err.size
         g_ws = xb.T @ d_pred
         g_w2 = hidden.T @ d_pred
-        g_b2 = np.array(d_pred.sum())
+        g_b2 = d_pred.sum()
         d_hidden = np.outer(d_pred, params[2]) * (1.0 - hidden ** 2)
         g_w1 = xb.T @ d_hidden
         g_b1 = d_hidden.sum(axis=0)
@@ -109,6 +112,7 @@ def _reference_train_regressor(batches, mask, cfg, rng):
             v_hat = v / (1 - beta2 ** step)
             p -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
+    params = [p.astype(float) for p in params]
     w1_fold = params[0] / x_sd[:, None]
     b1_fold = params[1] - (x_mu / x_sd) @ params[0]
     w2_fold = params[2] * y_sd
@@ -133,21 +137,21 @@ def five_candidate_batches(seed: int, n: int):
 PINNED_RESULTS = {
     "default": (
         None, [1, 2], 2,
-        "c3c0ada74c56b82a3b53b2c42ad8dbc74b534b8a24ff7eb07ac61fdfc61ccc3b",
-        "8854c388bf7bdd15019a918f408f686b9483f6a75dcfdccce716f3640faad780"),
+        "9bffb7424f6a55bdb091f6f097117cff90a39e1d5cd850b72759becd9f3c3f67",
+        "8299adb3c9868fa28d0c68c367c2eeb9a3a82e5a49009607967af56b435c8cf0"),
     "tau=0.01": (
         0.01, [1, 2], 2,
-        "c3c0ada74c56b82a3b53b2c42ad8dbc74b534b8a24ff7eb07ac61fdfc61ccc3b",
+        "9bffb7424f6a55bdb091f6f097117cff90a39e1d5cd850b72759becd9f3c3f67",
         "c5e1f4c71c3d389d29391287c19eaf39177d2480d44005da232ffacac7b6b001"),
     # tau = 0 evicts until one environment is left
     "tau=0": (
         0.0, [2], 2,
-        "c3c0ada74c56b82a3b53b2c42ad8dbc74b534b8a24ff7eb07ac61fdfc61ccc3b",
+        "9bffb7424f6a55bdb091f6f097117cff90a39e1d5cd850b72759becd9f3c3f67",
         "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb"),
     # tau = inf evicts no one: one round, whose fid row is the default's first
     "tau=inf": (
         np.inf, [1, 2, 3], 1,
-        "c326bf8c66a28258e589f75b70bf2633f53261d57dc48271aa2f8d430ab4ea24",
+        "888eec67d580b9f05405a54442cab3cc604a019cbb01a7dc10bcfc5ae093d883",
         "9402bb655bc3b7331a00f1219ef647565bbe517c74aa0e41026885785867d1cd"),
 }
 
@@ -157,8 +161,8 @@ PINNED_RESULTS = {
 # sha256 of fid_trace.tobytes(), sha256 of tau_trace.tobytes())
 PINNED_SWEEP_CELL = [
     [2, 3, 4, 5, 6, 7], 4,
-    "04ab041a7955fa57248d15faa3a31eb509ffebb72cbcad88f1dac51dbea3a537",
-    "3b0eae02327e7707c8220d43a0562a03ffb2254cc1b4c607cc60f4e39da6a88f"]
+    "e696cbb1d80cfadfd370d61327788fbca6e729f194c3083fa0dfff8eb85ac081",
+    "4a101597a33d1278ac23372a4dd3c934ff888c07d33dd12f1deb2a21caf1b602"]
 
 
 def fix_tau(monkeypatch, tau: float) -> None:
@@ -259,18 +263,21 @@ class TestTrainRegressor:
         for field in ("w1", "b1", "w2", "b2", "ws"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
 
-    def test_divergence_is_reported(self):
+    @pytest.mark.parametrize("learning_rate", [1e200, 1e39],
+                             ids=["1e200", "past-float32-max"])
+    def test_divergence_is_reported(self, learning_rate):
+        # both rates lie in (0, inf) but are inf in the float32 step, so the
+        # first update makes the parameters non-finite; a float64 step takes
+        # 1e39 and returns coefficients near 1e39 instead
         train, _ = chain_batches(seed=5, n_train=500, n_eval=10)
-        cfg = sb.TrainConfig(learning_rate=1e200, epochs_per_round=5)
+        cfg = sb.TrainConfig(learning_rate=learning_rate, epochs_per_round=5)
         mask = np.ones(1)
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(sb.TrainingDivergedError) as expected:
-                _reference_train_regressor([train], mask, cfg,
-                                           np.random.default_rng(0))
+                _reference_train_regressor([train], mask, cfg, np.random.default_rng(0))
             with pytest.raises(sb.TrainingDivergedError) as got:
                 sb.train_regressor([train], mask, cfg, np.random.default_rng(0))
-        assert str(got.value) == str(expected.value)
-        assert str(got.value).startswith("non-finite loss at step ")
+        assert str(got.value) == str(expected.value) == "non-finite loss at step 2"
 
     @pytest.mark.parametrize("masked, overrides, n", [
         pytest.param((), {}, 700, id="all-active"),
@@ -293,6 +300,7 @@ class TestTrainRegressor:
             got = sb.train_regressor(batches, mask, cfg, rng_new)
             for field in ("w1", "b1", "w2", "b2", "ws"):
                 assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+                assert np.asarray(getattr(got, field)).dtype == np.float64, field
             assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
     def test_rejects_mismatched_width(self):
