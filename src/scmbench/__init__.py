@@ -10,10 +10,9 @@ from .icp import (EnumerationBudgetError, IcpConfig, IcpResult,
 from .identifier import (IdentificationResult, Regressor, TrainConfig,
                          TrainingDivergedError, identify_parents, penalty_step,
                          train_regressor)
-from .scm import (Environment, GenConfig, GenerationError, Intervention,
-                  LinearGaussianScm, SampleBatch, add_confounders,
-                  analytic_moments, four_node_demo_scm, intervene, parents,
-                  random_scm, sample)
+from .scm import (Environment, GenConfig, GenerationError, LinearGaussianScm,
+                  SampleBatch, add_confounders, analytic_moments,
+                  four_node_demo_scm, intervene, parents, random_scm, sample)
 from .transport import transport_adjust
 
 __version__ = "0.1.0"
@@ -29,7 +28,7 @@ __all__ = [
     "IdentificationResult", "Regressor", "TrainConfig",
     "TrainingDivergedError", "identify_parents", "penalty_step",
     "train_regressor",
-    "Environment", "GenConfig", "GenerationError", "Intervention",
+    "Environment", "GenConfig", "GenerationError",
     "LinearGaussianScm", "SampleBatch", "add_confounders", "analytic_moments",
     "four_node_demo_scm", "intervene", "parents", "random_scm", "sample",
     "transport_adjust",

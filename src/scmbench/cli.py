@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from pathlib import Path
 
@@ -17,8 +16,6 @@ from .harness import (ExperimentConfig, Report, _blaming, _check_threads,
                       _parse_int, aggregate_cells, read_records_csv,
                       run_experiment, write_records_csv, write_report_json)
 from .scm import four_node_demo_scm
-
-SEED_ENV_VAR = "WORKBENCH_SEED"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="config file from 'init'")
     p_run.add_argument("--out", default="scmbench-out", help="output directory")
     p_run.add_argument("--seed", default=None,
-                       help="master seed override (wins over config and environment)")
+                       help="master seed override (wins over the config's master_seed)")
     p_run.add_argument("--threads", default="1",
                        help="worker processes; results are identical for any value")
     p_run.add_argument("--force", action="store_true", help="overwrite existing outputs")
@@ -51,16 +48,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(cfg: ExperimentConfig, flag: str | None,
-                  in_config: bool) -> ExperimentConfig:
-    """cfg with its master seed from, in priority order, the --seed flag, the
-    config file, WORKBENCH_SEED, or 0; ExperimentConfig checks the bound."""
-    if flag is None and in_config:
+def _resolve_seed(cfg: ExperimentConfig, flag: str | None) -> ExperimentConfig:
+    """cfg with its master seed from the --seed flag when given, else as the
+    config has it; ExperimentConfig checks the bound."""
+    if flag is None:
         return cfg
-    source, text = (("--seed", flag) if flag is not None
-                    else (SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, "0")))
-    with _blaming(source, ConfigError):
-        return dataclasses.replace(cfg, master_seed=_parse_int(text))
+    with _blaming("--seed", ConfigError):
+        return dataclasses.replace(cfg, master_seed=_parse_int(flag))
 
 
 def render_table(cells: dict, methods: list[str], levels: list[int]) -> str:
@@ -128,8 +122,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     with _blaming("--threads", ConfigError):
         threads = _parse_int(args.threads)
         _check_threads(threads)
-    cfg, seed_present = read_config(args.config)
-    return _sweep(_resolve_seed(cfg, args.seed, seed_present), args, threads)
+    return _sweep(_resolve_seed(read_config(args.config), args.seed), args, threads)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -159,8 +152,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         return [f"truth: {show(truth)}",
                 *(f"{r.method}:   {show(r.z)}" for r in report.records), ""]
 
-    return _sweep(_resolve_seed(demo, args.seed, in_config=False), args,
-                  preamble=estimates)
+    return _sweep(_resolve_seed(demo, args.seed), args, preamble=estimates)
 
 
 _COMMANDS = {"init": _cmd_init, "run": _cmd_run, "report": _cmd_report, "demo": _cmd_demo}

@@ -13,17 +13,16 @@ class ConfigError(ValueError):
     """Unreadable or invalid configuration file."""
 
 
-# field -> INI key, where the two differ
-_KEYS = {"learning_rate": "lr"}
 # ExperimentConfig fields that are not [experiment] keys: the nested sections,
 # and the fixed model, which only code can set
-_NOT_KEYS = {"fixed_scm", *filter(None, CONFIG_SECTIONS.values())}
+_SKIPPED_FIELDS = {"fixed_scm", *filter(None, CONFIG_SECTIONS.values())}
 
 
-def _section_schema(cls: type) -> dict[str, tuple[str, Callable, Callable]]:
-    """INI key -> (field, format, parse) for the settable fields of ``cls``."""
-    return {_KEYS.get(f.name, f.name): (f.name, *_text_form(cls, f))
-            for f in dataclasses.fields(cls) if f.name not in _NOT_KEYS}
+def _section_schema(cls: type) -> dict[str, tuple[Callable, Callable]]:
+    """INI key (the field's name) -> (format, parse) for the settable fields
+    of ``cls``."""
+    return {f.name: _text_form(cls, f)
+            for f in dataclasses.fields(cls) if f.name not in _SKIPPED_FIELDS}
 
 
 def _sections(cfg: ExperimentConfig) -> dict[str, Any]:
@@ -34,15 +33,13 @@ def _sections(cfg: ExperimentConfig) -> dict[str, Any]:
 
 _CLASSES = {section: type(obj)
             for section, obj in _sections(ExperimentConfig()).items()}
-# section -> key -> (dataclass field, format, parse)
+# section -> key -> (format, parse)
 _SCHEMA = {section: _section_schema(cls) for section, cls in _CLASSES.items()}
 
 # comment lines written above a key; the dataclasses hold every default
 _HEADER = "# scmbench experiment configuration"
 _COMMENTS = {
     ("experiment", "confounder_levels"): "benchmark cells, in report column order",
-    ("experiment", "master_seed"):
-        "omit master_seed to fall back to the WORKBENCH_SEED environment variable",
 }
 
 
@@ -53,12 +50,12 @@ def write_default_config(path) -> None:
 
 def _build(section: str, values: dict[str, Any]) -> Any:
     """A section's config; its ValueError gains the section and blamed key."""
-    with _blaming(lambda name: f"[{section}] {_KEYS.get(name, name)}", ConfigError):
+    with _blaming(lambda name: f"[{section}] {name}", ConfigError):
         return _CLASSES[section](**values)
 
 
-def read_config(path) -> tuple[ExperimentConfig, bool]:
-    """Parse a config file; returns (config, whether master_seed was given).
+def read_config(path) -> ExperimentConfig:
+    """Parse a config file.
 
     Missing sections or keys fall back to defaults. Unknown sections (no
     header names "", so [DEFAULT] is one), unknown keys (case-sensitive, set
@@ -85,17 +82,16 @@ def read_config(path) -> tuple[ExperimentConfig, bool]:
             entry = _SCHEMA[section].get(key)
             if entry is None:
                 raise ConfigError(f"unknown key '{key}' in [{section}]")
-            field_name, _, parse = entry
+            _, parse = entry
             with _blaming(f"[{section}] {key}", ConfigError):
                 # configparser joins an indented line onto the value above
                 if "\n" in raw:
                     raise ValueError(f"expected a value on one line, got {raw!r}")
-                values[section][field_name] = parse(raw)
+                values[section][key] = parse(raw)
 
-    master_seed_present = "master_seed" in values["experiment"]
     nested = {attr: _build(section, values[section])
               for section, attr in CONFIG_SECTIONS.items() if attr}
-    return _build("experiment", {**values["experiment"], **nested}), master_seed_present
+    return _build("experiment", {**values["experiment"], **nested})
 
 
 def config_to_ini(cfg: ExperimentConfig) -> str:
@@ -103,10 +99,10 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
     lines = [_HEADER, ""]
     for section, obj in _sections(cfg).items():
         lines.append(f"[{section}]")
-        for key, (field_name, fmt, _) in _SCHEMA[section].items():
+        for key, (fmt, _) in _SCHEMA[section].items():
             if (section, key) in _COMMENTS:
                 lines.append(f"# {_COMMENTS[section, key]}")
-            lines.append(f"{key} = {fmt(getattr(obj, field_name))}")
+            lines.append(f"{key} = {fmt(getattr(obj, key))}")
         lines.append("")
     return "\n".join(lines)
 

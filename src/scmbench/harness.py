@@ -22,9 +22,9 @@ import numpy as np
 
 from .icp import IcpConfig, icp_identify
 from .identifier import TrainConfig, identify_parents
-from .scm import (Environment, GenConfig, Intervention, LinearGaussianScm,
-                  SampleBatch, _bounded, _check_bound, _check_bounds,
-                  add_confounders, parents, random_scm, sample)
+from .scm import (Environment, GenConfig, LinearGaussianScm, SampleBatch,
+                  _bounded, _check_bound, _check_bounds, add_confounders,
+                  parents, random_scm, sample)
 
 KNOWN_METHODS = ("iid", "icp")
 # INI section -> the ExperimentConfig field holding its settings (None: the
@@ -128,13 +128,11 @@ def _rng(master_seed: int, *keys: int) -> np.random.Generator:
 
 def environments_for(scm: LinearGaussianScm, gen: GenConfig,
                      rng: np.random.Generator) -> list[Environment]:
-    """One clamp environment per candidate (env id = clamped node), each with
-    a value drawn once from the intervention range."""
-    envs: list[Environment] = []
-    for j in range(1, scm.num_observed):
-        value = float(rng.uniform(gen.intervention_value_min, gen.intervention_value_max))
-        envs.append(Environment(id=j, interventions=(Intervention(node=j, value=value),)))
-    return envs
+    """One clamp environment per candidate, in node order, each with a value
+    drawn once from the intervention range."""
+    return [Environment(id=j, value=float(rng.uniform(gen.intervention_value_min,
+                                                      gen.intervention_value_max)))
+            for j in range(1, scm.num_observed)]
 
 
 def _run_method(method: str, batches: list[SampleBatch], cfg: ExperimentConfig,

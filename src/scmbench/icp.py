@@ -82,8 +82,9 @@ def _mean_variance_pvalue(sizes: np.ndarray, sums: np.ndarray,
     se2 = variances / n + comp_var / comp_n
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (means - comp_mean) / np.sqrt(se2)
-        df = se2 ** 2 / ((variances / n) ** 2 / (n - 1.0)
-                         + (comp_var / comp_n) ** 2 / (comp_n - 1.0))
+        # Welch's df from the own term's share of se2, finite where se2 ** 2 overflows
+        share = variances / n / se2
+        df = 1.0 / (share ** 2 / (n - 1.0) + (1.0 - share) ** 2 / (comp_n - 1.0))
         ratio = variances / comp_var
         # the variance test's |t|: log(ratio) is near normal under the null
         z_var = np.abs(np.log(ratio)) / np.sqrt(2.0 / (n - 1.0) + 2.0 / (comp_n - 1.0))
@@ -101,9 +102,9 @@ def _mean_variance_pvalue(sizes: np.ndarray, sums: np.ndarray,
     full = (per_env(probe) != 0.0) | ~np.isfinite(t + df + ratio).all(axis=-1)
     p = np.zeros(len(t))
     p[full] = np.minimum(1.0, k * per_env(full).min(axis=-1))
-    if np.isnan(p).any():  # df squares se2, which overflows from variances of about 1e154
-        raise ValueError("mean-variance p-value is NaN: the residual variances "
-                         "overflow Welch's degrees of freedom")
+    if np.isnan(p).any():  # sums of squares overflow from residuals of about 1e153
+        raise ValueError("mean-variance p-value is NaN: the residuals' sums "
+                         "of squares overflow")
     return p
 
 

@@ -99,19 +99,12 @@ class GenConfig:
 
 
 @dataclass(frozen=True)
-class Intervention:
-    """Hard clamp do(x_node = value)."""
-
-    node: int
-    value: float
-
-
-@dataclass(frozen=True)
 class Environment:
-    """A labelled experimental regime: a set of simultaneous clamps."""
+    """A labelled experimental regime: observational when ``value`` is None,
+    else the hard clamp do(x_id = value)."""
 
     id: int
-    interventions: tuple[Intervention, ...] = ()
+    value: float | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,34 +250,27 @@ def random_scm(cfg: GenConfig, rng: np.random.Generator) -> LinearGaussianScm:
 
 
 def intervene(scm: LinearGaussianScm, env: Environment) -> LinearGaussianScm:
-    """Return a copy with every clamp applied: incoming weights zeroed, noise
-    mean set to the clamp value, noise std set to zero.
-
-    Rejects clamps on node 0, on latent nodes, on unknown nodes, and duplicate
-    targets within one environment.
+    """Return a copy with the environment's clamp applied: the incoming
+    weights of x_id zeroed, its noise mean set to the value and its noise std
+    to zero. Rejects clamps on node 0, on latent nodes and on unknown nodes.
     """
-    if not env.interventions:
+    if env.value is None:
         return scm
+    j = env.id
+    if not 0 <= j < scm.p:
+        raise ValueError(f"intervention target {j} is not a node")
+    if j == 0:
+        raise ValueError("cannot intervene on the outcome node")
+    if j >= scm.num_observed:
+        raise ValueError("cannot intervene on a latent node")
+    if not np.isfinite(env.value):
+        raise ValueError("intervention value must be finite")
     weights = scm.weights.copy()
     means = scm.noise_means.copy()
     stds = scm.noise_stds.copy()
-    seen: set[int] = set()
-    for iv in env.interventions:
-        j = iv.node
-        if not 0 <= j < scm.p:
-            raise ValueError(f"intervention target {j} is not a node")
-        if j == 0:
-            raise ValueError("cannot intervene on the outcome node")
-        if j >= scm.num_observed:
-            raise ValueError("cannot intervene on a latent node")
-        if j in seen:
-            raise ValueError(f"duplicate intervention target {j}")
-        if not np.isfinite(iv.value):
-            raise ValueError("intervention value must be finite")
-        seen.add(j)
-        weights[j, :] = 0.0
-        means[j] = float(iv.value)
-        stds[j] = 0.0
+    weights[j, :] = 0.0
+    means[j] = float(env.value)
+    stds[j] = 0.0
     return replace(scm, weights=weights, noise_means=means, noise_stds=stds)
 
 
@@ -316,7 +302,7 @@ def analytic_moments(scm: LinearGaussianScm,
 
     Solves (I - B) m = noise_means and (I - B) S (I - B)^T = diag(noise_stds^2)
     by forward substitution along ``topo_order``; a node untouched by the
-    clamps (a non-descendant) therefore reproduces bit-identical moments.
+    clamp (a non-descendant) therefore reproduces bit-identical moments.
     Singularity of (I - B) cannot occur for a validated DAG.
     """
     applied = intervene(scm, env)

@@ -10,7 +10,7 @@ import pytest
 
 import scmbench as sb
 from scmbench import harness
-from scmbench.cli import SEED_ENV_VAR, main, render_table
+from scmbench.cli import main, render_table
 from scmbench.configfile import config_to_ini, read_config
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -33,18 +33,11 @@ def strip_seed(path):
     path.write_text("\n".join(lines) + "\n")
 
 
-@pytest.fixture(autouse=True)
-def clean_seed_env(monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-
-
 class TestInit:
     def test_writes_a_parseable_default_config(self, tmp_path, capsys):
         target = tmp_path / "new.ini"
         assert main(["init", "--out", str(target)]) == 0
-        cfg, seed_present = read_config(target)
-        assert cfg == sb.ExperimentConfig()
-        assert seed_present
+        assert read_config(target) == sb.ExperimentConfig()
         assert str(target) in capsys.readouterr().out
 
     def test_refuses_to_overwrite_without_force(self, tmp_path, capsys):
@@ -54,7 +47,7 @@ class TestInit:
         assert "use --force" in capsys.readouterr().err
         assert target.read_text() == "keep me"
         assert main(["init", "--out", str(target), "--force"]) == 0
-        assert read_config(target)[0] == sb.ExperimentConfig()
+        assert read_config(target) == sb.ExperimentConfig()
 
 
 class TestRun:
@@ -79,28 +72,12 @@ class TestRun:
         assert main(["run", "--config", str(cfg_path), "--out", str(out),
                      "--force"]) == 0
 
-    def test_flag_seed_beats_config_and_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "7")
+    def test_flag_seed_beats_config(self, tmp_path):
         cfg_path = small_config(tmp_path)  # config says 5
         out = tmp_path / "results"
         assert main(["run", "--config", str(cfg_path), "--out", str(out),
                      "--seed", "9"]) == 0
         assert json.loads((out / "report.json").read_text())["master_seed"] == 9
-
-    def test_config_seed_beats_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "7")
-        cfg_path = small_config(tmp_path)
-        out = tmp_path / "results"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-        assert json.loads((out / "report.json").read_text())["master_seed"] == 5
-
-    def test_environment_seed_is_the_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "7")
-        cfg_path = small_config(tmp_path)
-        strip_seed(cfg_path)
-        out = tmp_path / "results"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-        assert json.loads((out / "report.json").read_text())["master_seed"] == 7
 
     def test_seed_defaults_to_zero(self, tmp_path):
         cfg_path = small_config(tmp_path)
@@ -109,15 +86,14 @@ class TestRun:
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert json.loads((out / "report.json").read_text())["master_seed"] == 0
 
-    def test_invalid_environment_seed_is_a_config_error(self, tmp_path,
-                                                        monkeypatch, capsys):
-        monkeypatch.setenv(SEED_ENV_VAR, "not-a-seed")
+    def test_environment_variable_is_not_a_seed_source(self, tmp_path, monkeypatch):
+        # the seed comes from --seed or the config alone
+        monkeypatch.setenv("WORKBENCH_SEED", "7")
         cfg_path = small_config(tmp_path)
         strip_seed(cfg_path)
         out = tmp_path / "results"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 1
-        assert SEED_ENV_VAR in capsys.readouterr().err
-        assert not out.exists()
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["master_seed"] == 0
 
     def test_negative_flag_seed_is_a_config_error(self, tmp_path, capsys):
         cfg_path = small_config(tmp_path)
@@ -134,21 +110,13 @@ class TestRun:
         ("--threads", "1_0", "expected an integer, got '1_0'"),
         ("--threads", "+2", "expected an integer, got '+2'"),
         ("--threads", "-1", "threads must lie in [1, inf), got -1"),
-        (SEED_ENV_VAR, "1_0", "expected an integer, got '1_0'"),
-        (SEED_ENV_VAR, " 0_1", "expected an integer, got ' 0_1'"),
-        (SEED_ENV_VAR, "-1", "master_seed must lie in [0, inf), got -1"),
     ], ids=["--seed=1_0", "--seed=space-1", "--threads=1_0", "--threads=+2",
-            "--threads=-1", "env=1_0", "env=space-0_1", "env=-1"])
-    def test_integers_from_flags_and_environment_are_read_strictly(
-            self, tmp_path, monkeypatch, capsys, source, value, message):
+            "--threads=-1"])
+    def test_integers_from_flags_are_read_strictly(self, tmp_path, capsys,
+                                                   source, value, message):
         cfg_path = small_config(tmp_path)
         out = tmp_path / "results"
-        argv = ["run", "--config", str(cfg_path), "--out", str(out)]
-        if source == SEED_ENV_VAR:
-            strip_seed(cfg_path)
-            monkeypatch.setenv(SEED_ENV_VAR, value)
-        else:
-            argv += [source, value]
+        argv = ["run", "--config", str(cfg_path), "--out", str(out), source, value]
         assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {source}: {message}\n"
         assert not out.exists()
@@ -161,7 +129,7 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, field", [
-        ("[train]\nlr = nan\n", "learning_rate"),
+        ("[train]\nlearning_rate = nan\n", "learning_rate"),
         ("[generation]\nweight_max = inf\n", "weight_max"),
         ("[experiment]\nnum_dags = -1\n", "num_dags"),
     ])

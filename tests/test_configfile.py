@@ -1,5 +1,6 @@
 """Tests for the INI experiment-configuration round trip."""
 
+import configparser
 import dataclasses
 import json
 
@@ -22,9 +23,7 @@ class TestDefaults:
     def test_default_file_round_trips_to_default_config(self, tmp_path):
         path = tmp_path / "scmbench.ini"
         write_default_config(path)
-        cfg, seed_present = read_config(path)
-        assert cfg == sb.ExperimentConfig()
-        assert seed_present
+        assert read_config(path) == sb.ExperimentConfig()
 
     def test_unsupported_annotation_is_a_type_error(self):
         @dataclasses.dataclass(frozen=True)
@@ -34,12 +33,21 @@ class TestDefaults:
         with pytest.raises(TypeError, match=r"Odd\.ratio"):
             _section_schema(Odd)
 
-    def test_default_text_documents_the_seed_fallback(self, tmp_path):
+    def test_default_text_starts_with_the_header(self, tmp_path):
         path = tmp_path / "scmbench.ini"
         write_default_config(path)
-        text = path.read_text()
-        assert "WORKBENCH_SEED" in text
-        assert text.startswith("# scmbench experiment configuration\n")
+        assert path.read_text().startswith("# scmbench experiment configuration\n")
+
+    def test_ini_keys_are_the_report_echo_keys(self):
+        # the INI file and report.json's config echo name each value alike
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.optionxform = str
+        parser.read_string(config_to_ini(sb.ExperimentConfig()))
+        echo = _config_echo(sb.ExperimentConfig())
+        for section, attr in CONFIG_SECTIONS.items():
+            shown = echo if attr is None else echo[section]
+            keys = [k for k in shown if k not in {"fixed_scm", *CONFIG_SECTIONS}]
+            assert list(parser[section]) == keys
 
     def test_generation_seed_is_rejected(self, tmp_path):
         path = write(tmp_path, "[generation]\nseed = 7\n")
@@ -52,7 +60,9 @@ class TestDefaults:
         ("train", "tau", "0.5"),
         ("experiment", "include_observational", "false"),
         ("icp", "max_subset_size", "2"),
-    ], ids=["tau_auto", "rounds", "tau", "include_observational", "max_subset_size"])
+        ("train", "lr", "0.01"),
+    ], ids=["tau_auto", "rounds", "tau", "include_observational", "max_subset_size",
+            "lr"])
     def test_removed_key_is_rejected(self, tmp_path, section, key, value):
         path = write(tmp_path, f"[{section}]\n{key} = {value}\n")
         with pytest.raises(ConfigError) as info:
@@ -70,9 +80,7 @@ class TestRoundTrip:
             train=sb.TrainConfig(hidden_width=8, tau_multiplier=2.5),
             icp=sb.IcpConfig(alpha=0.01, test="energy-permutation"))
         path = write(tmp_path, config_to_ini(cfg))
-        parsed, seed_present = read_config(path)
-        assert parsed == cfg
-        assert seed_present
+        assert read_config(path) == cfg
 
     def test_written_lines_have_no_trailing_space(self):
         # every written value has text, so no line ends in "key = "
@@ -116,27 +124,23 @@ class TestRoundTrip:
                 assert json.dumps(shown[f.name]) == json.dumps(value)
                 settable += 1
         assert settable == 27
-        parsed, seed_present = read_config(write(tmp_path, config_to_ini(cfg)))
-        assert parsed == cfg
-        assert seed_present
+        assert read_config(write(tmp_path, config_to_ini(cfg))) == cfg
 
     def test_missing_keys_fall_back_to_defaults(self, tmp_path):
         path = write(tmp_path, "[experiment]\nnum_dags = 3\n")
-        cfg, seed_present = read_config(path)
+        cfg = read_config(path)
         assert cfg.num_dags == 3
         assert cfg.samples_per_env == sb.ExperimentConfig().samples_per_env
-        assert not seed_present
+        assert cfg.master_seed == 0
 
     def test_empty_file_is_all_defaults(self, tmp_path):
-        cfg, seed_present = read_config(write(tmp_path, ""))
-        assert cfg == sb.ExperimentConfig()
-        assert not seed_present
+        assert read_config(write(tmp_path, "")) == sb.ExperimentConfig()
 
     def test_floats_may_be_written_as_integers(self, tmp_path):
         path = write(tmp_path, "[generation]\nintervention_value_min = -3\n"
                                "intervention_value_max = 1e+1\n"
-                               "[train]\nlr = 1e-05\n")
-        cfg, _ = read_config(path)
+                               "[train]\nlearning_rate = 1e-05\n")
+        cfg = read_config(path)
         assert cfg.gen.intervention_value_min == -3.0
         assert cfg.gen.intervention_value_max == 10.0
         assert cfg.train.learning_rate == 1e-05
@@ -154,8 +158,8 @@ class TestErrors:
             read_config(path)
 
     def test_malformed_value_names_section_and_key(self, tmp_path):
-        path = write(tmp_path, "[train]\nlr = fast\n")
-        with pytest.raises(ConfigError, match=r"\[train\] lr"):
+        path = write(tmp_path, "[train]\nlearning_rate = fast\n")
+        with pytest.raises(ConfigError, match=r"\[train\] learning_rate"):
             read_config(path)
 
     @pytest.mark.parametrize("text, where, message", [
@@ -168,22 +172,32 @@ class TestErrors:
          "[experiment] confounder_levels", "expected an integer, got '\u0661'"),
         ("[icp]\nenumeration_budget = 1_0\n", "[icp] enumeration_budget",
          "expected an integer, got '1_0'"),
-        # master_seed is omitted, not left blank, to defer to WORKBENCH_SEED
+        # master_seed is omitted, not left blank, to take its default
         ("[experiment]\nmaster_seed =\n", "[experiment] master_seed",
          "expected an integer, got ''"),
+        # the seed is read as strictly as --seed reads it
+        ("[experiment]\nmaster_seed = 1_0\n", "[experiment] master_seed",
+         "expected an integer, got '1_0'"),
+        ("[experiment]\nmaster_seed = +1\n", "[experiment] master_seed",
+         "expected an integer, got '+1'"),
         # a constructor's error gains the section and the key
         ("[experiment]\nnum_dags = -1\n", "[experiment] num_dags",
          "num_dags must lie in [1, inf), got -1"),
-        ("[train]\nlr = nan\n", "[train] lr",
+        ("[experiment]\nmaster_seed = -1\n", "[experiment] master_seed",
+         "master_seed must lie in [0, inf), got -1"),
+        ("[train]\nlearning_rate = nan\n", "[train] learning_rate",
          "learning_rate must lie in (0, inf), got nan"),
         ("[generation]\nnodes_min = 13\n", "[generation] nodes_max",
          "nodes_max must be >= nodes_min"),
         # floats are the forms str and repr of a float write, and integers
-        ("[train]\nlr = 0_0.5\n", "[train] lr", "expected a number, got '0_0.5'"),
-        ("[train]\nlr = +1\n", "[train] lr", "expected a number, got '+1'"),
-        ("[train]\nlr = infinity\n", "[train] lr",
+        ("[train]\nlearning_rate = 0_0.5\n", "[train] learning_rate",
+         "expected a number, got '0_0.5'"),
+        ("[train]\nlearning_rate = +1\n", "[train] learning_rate",
+         "expected a number, got '+1'"),
+        ("[train]\nlearning_rate = infinity\n", "[train] learning_rate",
          "expected a number, got 'infinity'"),
-        ("[train]\nlr = 1E-3\n", "[train] lr", "expected a number, got '1E-3'"),
+        ("[train]\nlearning_rate = 1E-3\n", "[train] learning_rate",
+         "expected a number, got '1E-3'"),
         ("[generation]\nedge_prob = .5\n", "[generation] edge_prob",
          "expected a number, got '.5'"),
         ("[icp]\nalpha = \uff11.0\n", "[icp] alpha",
@@ -196,8 +210,10 @@ class TestErrors:
         ("[experiment]\nmethods =\n", "[experiment] methods",
          "expected a comma-separated list, got ''"),
     ], ids=["num_dags=1_0", "samples_per_env=+500", "confounder_levels=arabic-1",
-            "enumeration_budget=1_0", "master_seed=blank", "num_dags=-1", "lr=nan",
-            "nodes_min=13", "lr=0_0.5", "lr=+1", "lr=infinity", "lr=1E-3",
+            "enumeration_budget=1_0", "master_seed=blank", "master_seed=1_0",
+            "master_seed=+1", "num_dags=-1", "master_seed=-1",
+            "learning_rate=nan", "nodes_min=13", "learning_rate=0_0.5",
+            "learning_rate=+1", "learning_rate=infinity", "learning_rate=1E-3",
             "edge_prob=.5", "alpha=fullwidth-1.0", "methods=iid-comma",
             "confounder_levels=empty-item", "methods=blank"])
     def test_bad_value_names_section_and_key(self, tmp_path, text, where,
@@ -220,9 +236,9 @@ class TestErrors:
             read_config(write(tmp_path, text))
 
     @pytest.mark.parametrize("text, message", [
-        ("[train]\nLR = 0.5\n", "unknown key 'LR' in [train]"),
+        ("[train]\nLEARNING_RATE = 0.5\n", "unknown key 'LEARNING_RATE' in [train]"),
         ("[experiment]\nNUM_DAGS = 3\n", "unknown key 'NUM_DAGS' in [experiment]"),
-    ], ids=["LR", "NUM_DAGS"])
+    ], ids=["LEARNING_RATE", "NUM_DAGS"])
     def test_keys_are_case_sensitive(self, tmp_path, text, message):
         with pytest.raises(ConfigError) as info:
             read_config(write(tmp_path, text))

@@ -60,11 +60,9 @@ class TestEnvironmentsFor:
         gen = sb.GenConfig()
         envs = sb.environments_for(scm, gen, np.random.default_rng(0))
         assert [e.id for e in envs] == [1, 2, 3]
-        for env in envs:
-            assert len(env.interventions) == 1
-            clamp = env.interventions[0]
-            assert clamp.node == env.id
-            assert 3.0 <= clamp.value <= 7.0
+        # one scalar draw per environment, in node order
+        draws = np.random.default_rng(0).uniform(3.0, 7.0, size=3)
+        assert [e.value for e in envs] == draws.tolist()
 
     @pytest.mark.parametrize("confounders", [0, 1, 2])
     def test_ids_are_the_observed_candidates_once_each(self, confounders):
@@ -74,7 +72,7 @@ class TestEnvironmentsFor:
         scm = sb.add_confounders(sb.random_scm(gen, draw), confounders, draw, gen)
         envs = sb.environments_for(scm, gen, draw)
         assert [e.id for e in envs] == list(range(1, scm.num_observed))
-        assert [c.node for e in envs for c in e.interventions] == [e.id for e in envs]
+        assert all(e.value is not None for e in envs)
 
     def test_determinism(self):
         scm = sb.four_node_demo_scm()
@@ -187,7 +185,8 @@ class TestRunExperiment:
                         for m in ("iid", "icp")]
 
     def test_a_diverged_training_names_its_exception_type(self):
-        # lr = 1e200 is inf in the float32 step, so the second update's loss is not finite
+        # learning_rate = 1e200 is inf in the float32 step, so the second
+        # update's loss is not finite
         cfg = sb.ExperimentConfig(num_dags=1, samples_per_env=400,
                                   confounder_levels=(0,), methods=("iid", "icp"),
                                   fixed_scm=sb.four_node_demo_scm(),

@@ -197,8 +197,8 @@ def _reference_mean_variance_pvalue(sizes, sums, sumsq):
     se2 = variances / n + comp_var / comp_n
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (means - comp_mean) / np.sqrt(se2)
-        df = se2 ** 2 / ((variances / n) ** 2 / (n - 1.0)
-                         + (comp_var / comp_n) ** 2 / (comp_n - 1.0))
+        share = variances / n / se2
+        df = 1.0 / (share ** 2 / (n - 1.0) + (1.0 - share) ** 2 / (comp_n - 1.0))
         p_mean = 2.0 * stats.t.sf(np.abs(t), df)
         f_cdf = stats.f.cdf(variances / comp_var, n - 1.0, comp_n - 1.0)
     p_var = 2.0 * np.minimum(f_cdf, 1.0 - f_cdf)
@@ -359,20 +359,47 @@ class TestMeanVariancePvalue:
         groups = [sb.EmpiricalSample(np.arange(10.0) * (i + 1), label=i) for i in range(3)]
         assert type(invariance_pvalue(groups, sb.IcpConfig())) is float
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_overflowing_variances_raise_instead_of_returning_nan(self):
-        # Welch's df squares se2, which overflows from variances of about
-        # 1e154: data at 1e78 scale gave p = NaN
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_p_is_scale_free_until_the_sums_of_squares_overflow(self):
+        # Welch's df never squares se2, so only the sums of squares overflow
         rng = np.random.default_rng(0)
-        values = [rng.normal(size=50) for _ in range(3)]
+        same = [rng.normal(size=50) for _ in range(3)]
+        shifted = [rng.normal(size=50) + 0.3 * i for i in range(3)]
 
-        def p_at(scale):
+        def p_at(values, scale):
             return invariance_pvalue([sb.EmpiricalSample(v * scale, label=i)
                                       for i, v in enumerate(values)], sb.IcpConfig())
 
-        assert p_at(1.0) == p_at(1e76) == 1.0
-        with pytest.raises(ValueError, match="overflow Welch's degrees of freedom"):
-            p_at(1e78)
+        assert p_at(same, 1.0) == p_at(same, 1e78) == p_at(same, 1e80) == 1.0
+        assert 0.01 < p_at(shifted, 1.0) < 0.5
+        for scale in (1e78, 1e80):
+            assert p_at(shifted, scale) == pytest.approx(p_at(shifted, 1.0), rel=1e-12)
+        with pytest.raises(ValueError, match="sums of squares overflow"):
+            p_at(same, 1e160)
+
+    def test_welch_df_matches_the_textbook_formula(self, monkeypatch):
+        # icp takes df from the own term's share of se2, not from se2 ** 2
+        sizes, sums, sumsq = _null_statistics()
+        seen = []
+
+        def stdtr(df, t):
+            seen.append(df)
+            return special.stdtr(df, t)
+
+        monkeypatch.setattr(icp, "special", SimpleNamespace(stdtr=stdtr, fdtr=special.fdtr))
+        assert (_mean_variance_pvalue(sizes, sums, sumsq) > 0.0).all()
+        n = sizes.astype(float)
+        means = sums / n
+        var = (sumsq - n * means ** 2) / (n - 1.0)
+        comp_n = n.sum() - n
+        comp_mean = (sums.sum(axis=-1, keepdims=True) - sums) / comp_n
+        comp_var = ((sumsq.sum(axis=-1, keepdims=True) - sumsq)
+                    - comp_n * comp_mean ** 2) / (comp_n - 1.0)
+        own, comp = var / n, comp_var / comp_n
+        textbook = (own + comp) ** 2 / (own ** 2 / (n - 1.0) + comp ** 2 / (comp_n - 1.0))
+        assert seen[-1].shape == textbook.shape  # every row's tails in full
+        np.testing.assert_allclose(seen[-1], textbook, rtol=1e-12, atol=0.0)
 
 
 class TestIcpIdentify:
@@ -505,18 +532,24 @@ class TestIcpIdentify:
         result = sb.icp_identify(batches, cfg, seed=7)
         assert result.estimated_set == {1, 2}
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_overflowing_residual_variances_raise(self, demo_batches):
-        # at 1e80 scale all eight p-values were NaN and the estimate empty
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_p_values_are_scale_free_until_the_sums_of_squares_overflow(self, demo_batches):
         batches = demo_batches(0, n=5000)
 
         def identify(scale):
             scaled = [sb.SampleBatch(env=b.env, data=b.data * scale) for b in batches]
             return sb.icp_identify(scaled, sb.IcpConfig(), seed=0)
 
-        assert identify(1e76).estimated_set == {1, 2}
-        with pytest.raises(ValueError, match="overflow Welch's degrees of freedom"):
-            identify(1e80)
+        base = identify(1.0)
+        assert base.estimated_set == {1, 2}
+        for scale in (1e78, 1e80):
+            result = identify(scale)
+            assert result.estimated_set == {1, 2}
+            # the least-squares residuals round differently at each scale
+            assert result.p_values == pytest.approx(base.p_values, rel=1e-9)
+        with pytest.raises(ValueError, match="sums of squares overflow"):
+            identify(1e160)
 
     def test_enumeration_budget(self, demo_batches):
         cfg = sb.IcpConfig(enumeration_budget=3)

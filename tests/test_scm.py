@@ -53,7 +53,7 @@ class TestAnalyticMoments:
         assert np.array_equal(cov, [[5.0, 2.0], [2.0, 1.0]])
 
     def test_chain_moments_under_clamp(self):
-        env = sb.Environment(id=1, interventions=(sb.Intervention(1, 3.0),))
+        env = sb.Environment(id=1, value=3.0)
         mean, cov = sb.analytic_moments(chain_scm(), env)
         assert np.array_equal(mean, [6.0, 3.0])
         assert np.array_equal(cov, [[1.0, 0.0], [0.0, 0.0]])
@@ -68,7 +68,7 @@ class TestAnalyticMoments:
 
     def test_sampled_moments_match_analytic(self):
         scm = sb.random_scm(sb.GenConfig(), np.random.default_rng(5))
-        clamp = sb.Environment(id=1, interventions=(sb.Intervention(1, 4.0),))
+        clamp = sb.Environment(id=1, value=4.0)
         n = 50_000
         for env in (OBS, clamp):
             mean, cov = sb.analytic_moments(scm, env)
@@ -94,8 +94,7 @@ class TestInterventionLocality:
     def test_non_descendants_keep_exact_moments(self):
         scm = sb.random_scm(sb.GenConfig(), np.random.default_rng(3))
         target = min(sb.parents(scm, 0))
-        env = sb.Environment(id=target,
-                             interventions=(sb.Intervention(target, 5.0),))
+        env = sb.Environment(id=target, value=5.0)
         affected = {target} | reachable_from(scm, target)
         others = sorted(set(range(scm.num_observed)) - affected)
         assert others, "expected at least one unaffected node"
@@ -108,8 +107,7 @@ class TestInterventionLocality:
     def test_descendants_do_change(self):
         scm = sb.random_scm(sb.GenConfig(), np.random.default_rng(3))
         target = min(sb.parents(scm, 0))
-        env = sb.Environment(id=target,
-                             interventions=(sb.Intervention(target, 5.0),))
+        env = sb.Environment(id=target, value=5.0)
         mean_base, _ = sb.analytic_moments(scm, OBS)
         mean_env, _ = sb.analytic_moments(scm, env)
         assert mean_env[0] != mean_base[0]
@@ -123,7 +121,7 @@ class TestIntervene:
 
     def test_clamp_rewrites_mechanism(self):
         scm = chain_scm()
-        env = sb.Environment(id=1, interventions=(sb.Intervention(1, 2.5),))
+        env = sb.Environment(id=1, value=2.5)
         applied = sb.intervene(scm, env)
         assert np.all(applied.weights[1] == 0.0)
         assert applied.noise_means[1] == 2.5
@@ -132,23 +130,22 @@ class TestIntervene:
         assert np.array_equal(applied.weights[0], scm.weights[0])
         assert applied.noise_stds[0] == scm.noise_stds[0]
 
-    @pytest.mark.parametrize("interventions, message", [
-        ((sb.Intervention(0, 1.0),), "outcome"),
-        ((sb.Intervention(5, 1.0),), "not a node"),
-        ((sb.Intervention(-1, 1.0),), "not a node"),
-        ((sb.Intervention(1, 1.0), sb.Intervention(1, 2.0)), "duplicate"),
-        ((sb.Intervention(1, float("nan")),), "finite"),
+    @pytest.mark.parametrize("env, message", [
+        (sb.Environment(id=0, value=1.0), "outcome"),
+        (sb.Environment(id=5, value=1.0), "not a node"),
+        (sb.Environment(id=-1, value=1.0), "not a node"),
+        (sb.Environment(id=1, value=float("nan")), "finite"),
+        (sb.Environment(id=1, value=float("inf")), "finite"),
+        (sb.Environment(id=1, value=float("-inf")), "finite"),
     ])
-    def test_rejects_bad_clamps(self, interventions, message):
-        env = sb.Environment(id=1, interventions=interventions)
+    def test_rejects_bad_clamps(self, env, message):
         with pytest.raises(ValueError, match=message):
             sb.intervene(chain_scm(), env)
 
     def test_rejects_latent_target(self):
         scm = sb.add_confounders(chain_scm(), 1, np.random.default_rng(0))
-        env = sb.Environment(id=1, interventions=(sb.Intervention(2, 1.0),))
         with pytest.raises(ValueError, match="latent"):
-            sb.intervene(scm, env)
+            sb.intervene(scm, sb.Environment(id=2, value=1.0))
 
 
 class TestRandomScm:
@@ -219,7 +216,7 @@ class TestSample:
 
     def test_clamped_column_is_exactly_constant(self):
         scm = sb.random_scm(sb.GenConfig(), np.random.default_rng(2))
-        env = sb.Environment(id=1, interventions=(sb.Intervention(1, 4.25),))
+        env = sb.Environment(id=1, value=4.25)
         batch = sb.sample(scm, env, 500, np.random.default_rng(0))
         assert np.all(batch.data[:, 1] == 4.25)
 

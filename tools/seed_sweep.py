@@ -102,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="directory to write each seed's records.csv under")
     args = parser.parse_args(argv)
 
-    cfg = read_config(args.config)[0] if args.config else ExperimentConfig()
+    cfg = read_config(args.config) if args.config else ExperimentConfig()
     per_seed = []
     violations = dags = 0
     start = time.perf_counter()
