@@ -39,7 +39,8 @@ _SCHEMA = {section: _section_schema(cls) for section, cls in _CLASSES.items()}
 # comment lines written above a key; the dataclasses hold every default
 _HEADER = "# scmbench experiment configuration"
 _COMMENTS = {
-    ("experiment", "confounder_levels"): "benchmark cells, in report column order",
+    ("experiment", "confounder_levels"): ("benchmark cells; records follow this order, "
+                                          "the table runs from most to fewest confounders"),
 }
 
 

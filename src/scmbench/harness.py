@@ -106,20 +106,11 @@ class Report:
     records: tuple[RunRecord, ...]
 
 
-def jaccard(z: frozenset[int] | set[int], pa0: frozenset[int] | set[int]) -> float:
+def jaccard(z: frozenset[int], pa0: frozenset[int]) -> float:
     """|intersection| / |union|, with two empty sets scoring 1.0."""
-    z = frozenset(z)
-    pa0 = frozenset(pa0)
     if not z and not pa0:
         return 1.0
     return len(z & pa0) / len(z | pa0)
-
-
-def fwer(records: list[RunRecord]) -> float:
-    """Fraction of records whose estimate is not a subset of the truth."""
-    if not records:
-        raise ValueError("need at least one record")
-    return sum(r.violated for r in records) / len(records)
 
 
 def _rng(master_seed: int, *keys: int) -> np.random.Generator:
@@ -210,7 +201,7 @@ def aggregate_cells(records: list[RunRecord] | tuple[RunRecord, ...],
             cells[method][level] = {
                 "mean_js": float(js.mean()),
                 "sd_js": sd,
-                "fwer": fwer(cell),
+                "fwer": sum(r.violated for r in cell) / len(cell),
                 "n": len(cell),
             }
     return cells

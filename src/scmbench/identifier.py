@@ -184,22 +184,20 @@ def train_regressor(batches: list[SampleBatch], mask: np.ndarray,
     return Regressor(w1=w1_fold, b1=b1_fold, w2=w2_fold, b2=b2_fold, ws=ws_fold)
 
 
-def penalty_step(scores: np.ndarray, tau: float) -> int | None:
-    """Candidate j (scores[j - 1], NaN where inactive) with the largest score
-    if it exceeds tau, else None. Ties break toward the smallest index."""
-    if np.all(np.isnan(scores)):
-        raise ValueError("need at least one candidate score")
-    j = int(np.nanargmax(scores))
-    return j + 1 if scores[j] > tau else None
-
-
 @dataclass(frozen=True, eq=False)
 class IdentificationResult:
     estimated_set: frozenset[int]
-    final_weights: np.ndarray  # boolean mask over x_1..x_l when the loop stopped
-    fid_trace: np.ndarray
+    fid_trace: np.ndarray  # (rounds, l): round r's score of x_j at [r, j - 1], NaN once evicted
     tau_trace: np.ndarray
-    rounds_run: int
+
+    @property
+    def rounds_run(self) -> int:
+        return self.tau_trace.size
+
+    @property
+    def final_weights(self) -> np.ndarray:
+        """Boolean mask over x_1..x_l when the loop stopped."""
+        return np.isin(np.arange(1, self.fid_trace.shape[1] + 1), list(self.estimated_set))
 
 
 def _scores(n: np.ndarray, s: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -281,16 +279,12 @@ def identify_parents(batches: list[SampleBatch], cfg: TrainConfig,
         row[np.array(list(split)) - 1] = scores
         fid_rows.append(row)
         taus.append(tau)
-        victim = penalty_step(row, tau)
-        if victim is None:
+        # the largest score, ties toward the smallest id, is evicted if it exceeds tau
+        worst = int(np.nanargmax(row))
+        if row[worst] <= tau:
             break
-        del split[victim]
+        del split[worst + 1]
 
-    survivors = list(split)
-    return IdentificationResult(
-        estimated_set=frozenset(survivors),
-        final_weights=np.isin(candidates, survivors),
-        fid_trace=np.vstack(fid_rows),
-        tau_trace=np.asarray(taus),
-        rounds_run=len(taus),
-    )
+    return IdentificationResult(estimated_set=frozenset(split),
+                                fid_trace=np.vstack(fid_rows),
+                                tau_trace=np.asarray(taus))

@@ -55,7 +55,7 @@ class TestRun:
         cfg_path = small_config(tmp_path)
         out = tmp_path / "results"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
-        records = sb.read_records_csv(out / "records.csv")
+        records = harness.read_records_csv(out / "records.csv")
         assert len(records) == 2
         report = json.loads((out / "report.json").read_text())
         assert report["master_seed"] == 5
@@ -150,7 +150,7 @@ class TestRun:
         out = tmp_path / "results"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert "warning: 2 cell(s) failed; see report.json\n" in capsys.readouterr().err
-        assert sb.read_records_csv(out / "records.csv") == []
+        assert harness.read_records_csv(out / "records.csv") == []
         report = json.loads((out / "report.json").read_text())
         assert len(report["errors"]) == 2
 
@@ -207,11 +207,12 @@ class TestRun:
         # so only the 8,192-row batches run them on two threads
         script = "\n".join([
             "import hashlib, numpy as np, scmbench as sb",
+            "from scmbench.identifier import train_regressor",
             "rng = np.random.default_rng(3)",
             "data = rng.standard_normal((3000, 13))",
             "data[:, 0] = np.tanh(data[:, 1:] @ rng.normal(size=12)) + data[:, 1:4].sum(axis=1)",
-            "reg = sb.train_regressor([sb.SampleBatch(env=0, data=data)], np.ones(12),",
-            f"                         sb.TrainConfig(batch_size={batch_size}), rng)",
+            "reg = train_regressor([sb.SampleBatch(env=0, data=data)], np.ones(12),",
+            f"                      sb.TrainConfig(batch_size={batch_size}), rng)",
             "parts = (reg.w1, reg.b1, reg.w2, np.float64(reg.b2), reg.ws)",
             "print(hashlib.sha256(b''.join(p.tobytes() for p in parts)).hexdigest())",
         ])
@@ -241,7 +242,7 @@ class TestReport:
 
     def test_empty_csv_is_an_explicit_error(self, tmp_path, capsys):
         path = tmp_path / "records.csv"
-        path.write_text(sb.harness.CSV_HEADER + "\n")
+        path.write_text(harness.CSV_HEADER + "\n")
         assert main(["report", str(path)]) == 1
         assert "no records" in capsys.readouterr().err
 
@@ -253,14 +254,14 @@ class TestReport:
 
     def test_unknown_value_names_the_line_and_column(self, tmp_path, capsys):
         path = tmp_path / "records.csv"
-        path.write_text(sb.harness.CSV_HEADER + "\n0,iid,0,1,1,1.0,maybe,0.5\n")
+        path.write_text(harness.CSV_HEADER + "\n0,iid,0,1,1,1.0,maybe,0.5\n")
         assert main(["report", str(path)]) == 1
         assert "line 2, column 'violated'" in capsys.readouterr().err
         assert not (tmp_path / "table.txt").exists()
 
     def test_row_disagreeing_with_its_sets_is_rejected(self, tmp_path, capsys):
         path = tmp_path / "records.csv"
-        path.write_text(sb.harness.CSV_HEADER + "\n0,iid,0,1,1,nan,false,0.5\n")
+        path.write_text(harness.CSV_HEADER + "\n0,iid,0,1,1,nan,false,0.5\n")
         assert main(["report", str(path)]) == 1
         assert "line 2, column 'js'" in capsys.readouterr().err
         assert not (tmp_path / "table.txt").exists()
@@ -268,7 +269,7 @@ class TestReport:
     def test_repeated_cell_is_rejected(self, tmp_path, capsys):
         path = tmp_path / "records.csv"
         row = "0,iid,0,1,1,1.0,false,0.5\n"
-        path.write_text(sb.harness.CSV_HEADER + "\n" + row * 3)
+        path.write_text(harness.CSV_HEADER + "\n" + row * 3)
         assert main(["report", str(path)]) == 1
         assert "line 3: dag_id, method and confounders repeat line 2" in (
             capsys.readouterr().err)
@@ -286,7 +287,7 @@ class TestDemo:
         shown = capsys.readouterr().out
         assert "truth: {1, 2}" in shown
         assert "iid:" in shown and "icp:" in shown
-        records = sb.read_records_csv(out / "records.csv")
+        records = harness.read_records_csv(out / "records.csv")
         assert {r.method for r in records} == {"iid", "icp"}
         assert all(r.z == {1, 2} for r in records)
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-import scmbench as sb
+from scmbench import harness
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "compare_sweeps.py"
 spec = importlib.util.spec_from_file_location("compare_sweeps", SCRIPT)
@@ -16,15 +16,15 @@ spec.loader.exec_module(compare_sweeps)
 
 def record(dag, level, method, z, pa0=(1, 2)):
     z, pa0 = frozenset(z), frozenset(pa0)
-    return sb.RunRecord(dag_id=dag, method=method, confounders=level, z=z, pa0=pa0,
-                        js=sb.harness.jaccard(z, pa0), violated=not z <= pa0,
-                        wall_time=0.5)
+    return harness.RunRecord(dag_id=dag, method=method, confounders=level, z=z, pa0=pa0,
+                             js=harness.jaccard(z, pa0), violated=not z <= pa0,
+                             wall_time=0.5)
 
 
 def write_tree(root, by_seed):
     for seed, records in by_seed.items():
         (root / f"seed-{seed}").mkdir(parents=True)
-        sb.write_records_csv(records, root / f"seed-{seed}" / "records.csv")
+        harness.write_records_csv(records, root / f"seed-{seed}" / "records.csv")
     return root
 
 
@@ -92,7 +92,7 @@ def refused(tmp_path, capsys, base, head, message):
 def test_refuses_a_key_on_one_side_only(tmp_path, capsys):
     base, head = trees(tmp_path)
     path = head / "seed-7" / "records.csv"
-    sb.write_records_csv(sb.read_records_csv(path)[:-1], path)  # drop dag 2's icp row
+    harness.write_records_csv(harness.read_records_csv(path)[:-1], path)  # drop dag 2's icp row
     refused(tmp_path, capsys, base, head,
             "1 (seed, dag, level, method) key(s) only in BASE, first (7, 2, 1, 'icp')")
     refused(tmp_path, capsys, head, base,

@@ -10,7 +10,7 @@ import pytest
 import scmbench as sb
 from scmbench.configfile import (ConfigError, _section_schema, config_to_ini,
                                  read_config, write_default_config)
-from scmbench.harness import _TEXT_FORMS, CONFIG_SECTIONS, _config_echo
+from scmbench.harness import _TEXT_FORMS, CONFIG_SECTIONS, RunRecord, _config_echo
 
 
 def write(tmp_path, text: str):
@@ -36,7 +36,10 @@ class TestDefaults:
     def test_default_text_starts_with_the_header(self, tmp_path):
         path = tmp_path / "scmbench.ini"
         write_default_config(path)
-        assert path.read_text().startswith("# scmbench experiment configuration\n")
+        text = path.read_text()
+        assert text.startswith("# scmbench experiment configuration\n")
+        assert ("# benchmark cells; records follow this order, the table runs from "
+                "most to fewest confounders\nconfounder_levels = 0, 1, 2\n") in text
 
     def test_ini_keys_are_the_report_echo_keys(self):
         # the INI file and report.json's config echo name each value alike
@@ -331,7 +334,7 @@ class TestTextForms:
 
     def test_every_record_and_settable_config_field_has_a_text_form(self):
         not_keys = {"fixed_scm", *CONFIG_SECTIONS.values()}
-        walked = [(cls, f) for cls in (sb.RunRecord, *CONFIG_CLASSES)
+        walked = [(cls, f) for cls in (RunRecord, *CONFIG_CLASSES)
                   for f in dataclasses.fields(cls) if f.name not in not_keys]
         assert len(walked) == 8 + 27
         for cls, f in walked:

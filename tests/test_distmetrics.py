@@ -120,18 +120,18 @@ def exact_exceed_and_ties(groups, num_permutations, rng):
 
 class TestGaussianFit:
     def test_fit_matches_hand_computation(self):
-        fit = sb.fit_gaussian(np.array([0.0, 2.0]))
+        fit = distmetrics.fit_gaussian(np.array([0.0, 2.0]))
         assert fit.mean == 1.0
         assert fit.std == 1.0  # population (not sample) standard deviation
 
     def test_fit_degenerate_sample_has_zero_std(self):
-        fit = sb.fit_gaussian(np.array([3.0, 3.0, 3.0]))
+        fit = distmetrics.fit_gaussian(np.array([3.0, 3.0, 3.0]))
         assert fit.mean == 3.0
         assert fit.std == 0.0
 
     def test_fit_rejects_single_observation(self):
         with pytest.raises(ValueError, match="two observations"):
-            sb.fit_gaussian(np.array([1.0]))
+            distmetrics.fit_gaussian(np.array([1.0]))
 
     def test_gaussian_validation(self):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -9,15 +9,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import scmbench as sb
+from scmbench import harness
 
 node_sets = st.frozensets(st.integers(0, 8), max_size=6)
 
 
 def record(dag_id=0, method="iid", confounders=0, z=frozenset({1}),
            pa0=frozenset({1}), wall_time=0.1):
-    return sb.RunRecord(dag_id=dag_id, method=method, confounders=confounders,
-                        z=z, pa0=pa0, js=sb.jaccard(z, pa0),
-                        violated=not z <= pa0, wall_time=wall_time)
+    return harness.RunRecord(dag_id=dag_id, method=method, confounders=confounders,
+                             z=z, pa0=pa0, js=harness.jaccard(z, pa0),
+                             violated=not z <= pa0, wall_time=wall_time)
 
 
 class TestJaccard:
@@ -29,29 +30,28 @@ class TestJaccard:
         ({1}, {1, 2}, 0.5),
     ])
     def test_hand_computed_values(self, z, pa0, expected):
-        assert sb.jaccard(z, pa0) == expected
+        assert harness.jaccard(frozenset(z), frozenset(pa0)) == expected
 
     @given(a=node_sets, b=node_sets)
     def test_bounds_symmetry_and_identity(self, a, b):
-        js = sb.jaccard(a, b)
+        js = harness.jaccard(a, b)
         assert 0.0 <= js <= 1.0
-        assert js == sb.jaccard(b, a)
+        assert js == harness.jaccard(b, a)
         assert (js == 1.0) == (a == b)
 
 
 class TestFwer:
     def test_hand_computed_values(self):
+        def fwer(records):
+            return harness.aggregate_cells(records, ("iid",), (0,))["iid"][0]["fwer"]
+
         clean = [record(dag_id=i) for i in range(4)]
-        assert sb.fwer(clean) == 0.0
+        assert fwer(clean) == 0.0
         dirty = [record(dag_id=i, z=frozenset({1, 3})) for i in range(4)]
-        assert sb.fwer(dirty) == 1.0
+        assert fwer(dirty) == 1.0
         five_of_fifty = ([record(dag_id=i, z=frozenset({1, 3})) for i in range(5)]
                          + [record(dag_id=i) for i in range(5, 50)])
-        assert sb.fwer(five_of_fifty) == 0.1
-
-    def test_rejects_empty_input(self):
-        with pytest.raises(ValueError, match="at least one"):
-            sb.fwer([])
+        assert fwer(five_of_fifty) == 0.1
 
 
 class TestEnvironmentsFor:
@@ -88,7 +88,7 @@ class TestAggregateCells:
             record(dag_id=1, z=frozenset({1, 3})),
             record(dag_id=0, method="icp", z=frozenset()),
         ]
-        cells = sb.aggregate_cells(records, methods=("iid", "icp"), levels=(0,))
+        cells = harness.aggregate_cells(records, methods=("iid", "icp"), levels=(0,))
         iid = cells["iid"][0]
         assert iid["n"] == 2
         assert iid["mean_js"] == pytest.approx((1.0 + 0.5) / 2.0)
@@ -98,7 +98,7 @@ class TestAggregateCells:
         assert icp == {"mean_js": 0.0, "sd_js": 0.0, "fwer": 0.0, "n": 1}
 
     def test_empty_cell_reports_zero_count(self):
-        cells = sb.aggregate_cells([record()], methods=("iid",), levels=(0, 1))
+        cells = harness.aggregate_cells([record()], methods=("iid",), levels=(0, 1))
         assert cells["iid"][1] == {"mean_js": None, "sd_js": None,
                                    "fwer": None, "n": 0}
 
@@ -130,7 +130,7 @@ class TestRunExperiment:
         report = sb.run_experiment(self.small_config())
         assert report.records, "expected records"
         for rec in report.records:
-            assert rec.js == sb.jaccard(rec.z, rec.pa0)
+            assert rec.js == harness.jaccard(rec.z, rec.pa0)
             assert rec.violated == (not rec.z <= rec.pa0)
             assert rec.wall_time >= 0.0
 
@@ -219,7 +219,7 @@ class TestRunExperiment:
                                   confounder_levels=(0,), methods=("iid", "icp"),
                                   master_seed=0, fixed_scm=sb.four_node_demo_scm())
         clean = sb.run_experiment(cfg)
-        real = sb.harness.identify_parents
+        real = harness.identify_parents
 
         def mutating(batches, train_cfg, rng):
             batches[0].data[0, 0] += 1.0
@@ -239,7 +239,7 @@ class TestRunExperiment:
     def test_a_setup_failure_fails_every_method_at_its_level_only(self, monkeypatch):
         cfg = self.small_config(confounder_levels=(0, 1, 2))
         clean = sb.run_experiment(cfg)
-        real = sb.harness.sample
+        real = harness.sample
 
         def failing(scm, env, n, rng):
             if scm.num_latent == 1:
@@ -337,7 +337,7 @@ class TestRunRecordValidation:
         fields = dict(dag_id=0, method="iid", confounders=0, z=frozenset({1}),
                       pa0=frozenset({1}), js=1.0, violated=False, wall_time=0.1)
         with pytest.raises(ValueError, match=f"^{message}"):
-            sb.RunRecord(**{**fields, **overrides})
+            harness.RunRecord(**{**fields, **overrides})
 
 
 class TestCsvRoundTrip:
@@ -348,8 +348,8 @@ class TestCsvRoundTrip:
                           z=frozenset({2, 5}), pa0=frozenset({2, 5}),
                           wall_time=1.5)]
         path = tmp_path / "records.csv"
-        sb.write_records_csv(records, path)
-        assert sb.read_records_csv(path) == records
+        harness.write_records_csv(records, path)
+        assert harness.read_records_csv(path) == records
 
     def test_aggregates_recomputed_from_csv_match_the_report(self, tmp_path):
         cfg = sb.ExperimentConfig(num_dags=2, samples_per_env=400,
@@ -358,35 +358,35 @@ class TestCsvRoundTrip:
                                   gen=sb.GenConfig(nodes_min=5, nodes_max=6))
         report = sb.run_experiment(cfg)
         path = tmp_path / "records.csv"
-        sb.write_records_csv(report.records, path)
-        recomputed = sb.aggregate_cells(sb.read_records_csv(path),
-                                        methods=("icp",), levels=(0,))
+        harness.write_records_csv(report.records, path)
+        recomputed = harness.aggregate_cells(harness.read_records_csv(path),
+                                             methods=("icp",), levels=(0,))
         assert recomputed == report.cells
 
     def test_header_errors_name_the_offending_column(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("dag_id,method,conf,z,pa0,js,violated,wall_time\nx\n")
         with pytest.raises(ValueError, match="column 2 should be 'confounders'"):
-            sb.read_records_csv(path)
+            harness.read_records_csv(path)
         for extra in ("extra", "nothing"):  # no name makes a ninth column welcome
-            path.write_text(f"{sb.harness.CSV_HEADER},{extra}\n")
+            path.write_text(f"{harness.CSV_HEADER},{extra}\n")
             with pytest.raises(ValueError, match=f"column 8 should be absent, found '{extra}'$"):
-                sb.read_records_csv(path)
-        path.write_text(sb.harness.CSV_HEADER.rsplit(",", 1)[0] + "\n")
+                harness.read_records_csv(path)
+        path.write_text(harness.CSV_HEADER.rsplit(",", 1)[0] + "\n")
         with pytest.raises(ValueError, match="column 7 should be 'wall_time', found nothing$"):
-            sb.read_records_csv(path)
+            harness.read_records_csv(path)
         path.write_text("")
         with pytest.raises(ValueError, match="empty CSV"):
-            sb.read_records_csv(path)
+            harness.read_records_csv(path)
 
     def test_repeated_cell_names_both_lines(self, tmp_path):
         path = tmp_path / "records.csv"
-        path.write_text(sb.harness.CSV_HEADER + "\n0,iid,0,1,1,1.0,false,0.5\n"
+        path.write_text(harness.CSV_HEADER + "\n0,iid,0,1,1,1.0,false,0.5\n"
                         "0,icp,0,1,1,1.0,false,0.5\n1,iid,0,1,1,1.0,false,0.5\n"
                         "0,iid,0,,1,0.0,false,0.7\n")
         with pytest.raises(ValueError, match="^line 5: dag_id, method and "
                                              "confounders repeat line 2$"):
-            sb.read_records_csv(path)
+            harness.read_records_csv(path)
 
     @pytest.mark.parametrize("text, line", [
         ("\n{header}\n{row}\n", 1),
@@ -397,16 +397,16 @@ class TestCsvRoundTrip:
     def test_blank_lines_are_rejected(self, tmp_path, text, line):
         # write_records_csv never writes one, so the reader does not skip them
         path = tmp_path / "records.csv"
-        path.write_text(text.format(header=sb.harness.CSV_HEADER,
+        path.write_text(text.format(header=harness.CSV_HEADER,
                                     row="0,iid,0,1,1,1.0,false,0.5"))
         with pytest.raises(ValueError, match=f"^line {line}: blank line$"):
-            sb.read_records_csv(path)
+            harness.read_records_csv(path)
 
     def test_malformed_record_line_is_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text(sb.harness.CSV_HEADER + "\n0,iid,0\n")
+        path.write_text(harness.CSV_HEADER + "\n0,iid,0\n")
         with pytest.raises(ValueError, match="malformed record"):
-            sb.read_records_csv(path)
+            harness.read_records_csv(path)
 
     @pytest.mark.parametrize("line, column", [
         ("0,iid,0,1,1,1.0,yes,0.5", "violated"),
@@ -438,18 +438,18 @@ class TestCsvRoundTrip:
     ])
     def test_unknown_values_name_the_line_and_column(self, tmp_path, line, column):
         path = tmp_path / "bad.csv"
-        path.write_text(sb.harness.CSV_HEADER + "\n0,icp,0,1,1,1.0,false,0.5\n"
+        path.write_text(harness.CSV_HEADER + "\n0,icp,0,1,1,1.0,false,0.5\n"
                         + line + "\n")
         with pytest.raises(ValueError, match=f"line 3, column '{column}'"):
-            sb.read_records_csv(path)
+            harness.read_records_csv(path)
 
     @pytest.mark.parametrize("text", ["maybe", "yes", "True", "1"])
     def test_malformed_boolean(self, tmp_path, text):
         # booleans are spelled as write_records_csv writes them
         path = tmp_path / "bad.csv"
-        path.write_text(sb.harness.CSV_HEADER + f"\n0,iid,0,1,1,1.0,{text},0.5\n")
+        path.write_text(harness.CSV_HEADER + f"\n0,iid,0,1,1,1.0,{text},0.5\n")
         with pytest.raises(ValueError) as info:
-            sb.read_records_csv(path)
+            harness.read_records_csv(path)
         assert str(info.value) == ("line 2, column 'violated': expected one of "
                                    f"['true', 'false'], got '{text}'")
 
@@ -461,7 +461,7 @@ class TestReportJson:
                                   master_seed=9, fixed_scm=sb.four_node_demo_scm())
         report = sb.run_experiment(cfg)
         path = tmp_path / "report.json"
-        sb.write_report_json(report, path)
+        harness.write_report_json(report, path)
         data = json.loads(path.read_text())
         assert data["master_seed"] == 9
         assert data["config_hash"] == report.config_hash

@@ -8,6 +8,7 @@ import pytest
 
 import scmbench as sb
 from scmbench import harness, identifier
+from scmbench.distmetrics import fit_gaussian
 
 OBS = sb.Environment(id=0)
 
@@ -118,8 +119,8 @@ def _reference_train_regressor(batches, mask, cfg, rng):
     w2_fold = params[2] * y_sd
     ws_fold = params[4] / x_sd * y_sd
     b2_fold = (float(params[3]) - (x_mu / x_sd) @ params[4]) * y_sd + y_mu
-    return sb.Regressor(w1=w1_fold, b1=b1_fold, w2=w2_fold, b2=b2_fold,
-                        ws=ws_fold)
+    return identifier.Regressor(w1=w1_fold, b1=b1_fold, w2=w2_fold, b2=b2_fold,
+                                ws=ws_fold)
 
 
 def five_candidate_batches(seed: int, n: int):
@@ -181,46 +182,19 @@ def pinned_result(demo_batches, monkeypatch, case: str):
 
 
 def assert_traces_explain(result, l: int):
-    """Replaying penalty_step on the traces round by round gives the
-    evictions: only the last round may evict no one, each row is NaN exactly
-    at the candidates evicted before it, and the rest survive."""
+    """Replaying the eviction rule on the traces round by round (the first
+    largest score goes if it exceeds tau) gives the evictions: only the last
+    round may evict no one, each row is NaN exactly at the candidates evicted
+    before it, and the rest survive."""
     evicted = set()
     for r, (row, tau) in enumerate(zip(result.fid_trace, result.tau_trace)):
         assert set(np.flatnonzero(np.isnan(row)) + 1) == evicted
-        victim = sb.penalty_step(row, tau)
-        if victim is None:
-            assert r == result.rounds_run - 1
+        victim = int(np.nanargmax(row))
+        if row[victim] > tau:
+            evicted.add(victim + 1)
         else:
-            evicted.add(victim)
+            assert r == result.rounds_run - 1
     assert result.estimated_set == set(range(1, l + 1)) - evicted
-
-
-class TestPenaltyStep:
-    def test_all_zero_scores_below_threshold(self):
-        assert sb.penalty_step(np.array([0.0, 0.0]), 0.1) is None
-
-    def test_picks_the_largest_score(self):
-        assert sb.penalty_step(np.array([0.5, 0.2]), 0.1) == 1
-        assert sb.penalty_step(np.array([0.2, 0.5]), 0.1) == 2
-
-    def test_tie_breaks_toward_smallest_index(self):
-        assert sb.penalty_step(np.array([0.3, 0.3]), 0.1) == 1
-
-    def test_threshold_is_strict(self):
-        assert sb.penalty_step(np.array([0.1]), 0.1) is None
-
-    def test_rejects_empty_input(self):
-        with pytest.raises(ValueError, match="at least one"):
-            sb.penalty_step(np.array([]), 0.0)
-
-    def test_nan_marks_an_inactive_candidate(self):
-        assert sb.penalty_step(np.array([np.nan, 0.2, 0.5]), 0.1) == 3
-        assert sb.penalty_step(np.array([0.4, np.nan, 0.4]), 0.1) == 1
-        assert sb.penalty_step(np.array([np.nan, 0.05]), 0.1) is None
-
-    def test_rejects_a_row_with_no_active_candidate(self):
-        with pytest.raises(ValueError, match="^need at least one candidate score$"):
-            sb.penalty_step(np.array([np.nan, np.nan]), 0.0)
 
 
 class TestTrainRegressor:
@@ -230,8 +204,8 @@ class TestTrainRegressor:
         train = sb.sample(scm, OBS, 6000, rng)
         hold = sb.sample(scm, OBS, 4000, rng)
         mask = np.zeros(3)
-        reg = sb.train_regressor([train], mask, sb.TrainConfig(),
-                                 np.random.default_rng(1))
+        reg = identifier.train_regressor([train], mask, sb.TrainConfig(),
+                                         np.random.default_rng(1))
         x = hold.data[:, 1:] * mask
         mse = float(np.mean((reg.predict(x) - hold.data[:, 0]) ** 2))
         # Var(x0) = 2^2 + 1.5^2 + 1 = 7.25; a constant predictor can do no better
@@ -242,14 +216,14 @@ class TestTrainRegressor:
         train, hold = chain_batches(seed=7, n_train=300, n_eval=100)
         data = train.data.copy()
         data[:, 0] = 3.5
-        reg = sb.train_regressor([sb.SampleBatch(env=0, data=data)], np.ones(1),
-                                 sb.TrainConfig(), np.random.default_rng(1))
+        reg = identifier.train_regressor([sb.SampleBatch(env=0, data=data)], np.ones(1),
+                                         sb.TrainConfig(), np.random.default_rng(1))
         assert np.max(np.abs(reg.predict(hold.data[:, 1:]) - 3.5)) < 0.01
 
     def test_chain_reaches_the_noise_floor(self):
         train, hold = chain_batches(seed=2)
-        reg = sb.train_regressor([train], np.ones(1), sb.TrainConfig(),
-                                 np.random.default_rng(3))
+        reg = identifier.train_regressor([train], np.ones(1), sb.TrainConfig(),
+                                         np.random.default_rng(3))
         mse = float(np.mean((reg.predict(hold.data[:, 1:])
                              - hold.data[:, 0]) ** 2))
         assert mse == pytest.approx(1.0, rel=0.10)
@@ -258,8 +232,8 @@ class TestTrainRegressor:
         train, _ = chain_batches(seed=4, n_train=1500, n_eval=10)
         mask = np.ones(1)
         cfg = sb.TrainConfig(epochs_per_round=50)
-        a = sb.train_regressor([train], mask, cfg, np.random.default_rng(9))
-        b = sb.train_regressor([train], mask, cfg, np.random.default_rng(9))
+        a = identifier.train_regressor([train], mask, cfg, np.random.default_rng(9))
+        b = identifier.train_regressor([train], mask, cfg, np.random.default_rng(9))
         for field in ("w1", "b1", "w2", "b2", "ws"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
 
@@ -276,7 +250,7 @@ class TestTrainRegressor:
             with pytest.raises(sb.TrainingDivergedError) as expected:
                 _reference_train_regressor([train], mask, cfg, np.random.default_rng(0))
             with pytest.raises(sb.TrainingDivergedError) as got:
-                sb.train_regressor([train], mask, cfg, np.random.default_rng(0))
+                identifier.train_regressor([train], mask, cfg, np.random.default_rng(0))
         assert str(got.value) == str(expected.value) == "non-finite loss at step 2"
 
     @pytest.mark.parametrize("masked, overrides, n", [
@@ -297,7 +271,7 @@ class TestTrainRegressor:
         # identify_parents passes a boolean mask; a 0/1 integer one is the same
         for mask in (active, active.astype(np.int8)):
             rng_new = np.random.default_rng(12)
-            got = sb.train_regressor(batches, mask, cfg, rng_new)
+            got = identifier.train_regressor(batches, mask, cfg, rng_new)
             for field in ("w1", "b1", "w2", "b2", "ws"):
                 assert np.array_equal(getattr(got, field), getattr(ref, field)), field
                 assert np.asarray(getattr(got, field)).dtype == np.float64, field
@@ -306,19 +280,19 @@ class TestTrainRegressor:
     def test_rejects_mismatched_width(self):
         train, _ = chain_batches(seed=6, n_train=100, n_eval=10)
         with pytest.raises(ValueError, match="width"):
-            sb.train_regressor([train], np.ones(3), sb.TrainConfig(),
-                               np.random.default_rng(0))
+            identifier.train_regressor([train], np.ones(3), sb.TrainConfig(),
+                                       np.random.default_rng(0))
         with pytest.raises(ValueError, match="at least 1 batch"):
-            sb.train_regressor([], np.ones(1), sb.TrainConfig(),
-                               np.random.default_rng(0))
+            identifier.train_regressor([], np.ones(1), sb.TrainConfig(),
+                                       np.random.default_rng(0))
 
     def test_rejects_batches_of_mixed_width(self):
         train = sb.sample(sb.four_node_demo_scm(), OBS, 50, np.random.default_rng(0))
         narrow = sb.SampleBatch(env=1, data=train.data[:, :3])
         message = r"^all batches must have the same width, got \[3, 4\]$"
         with pytest.raises(ValueError, match=message):
-            sb.train_regressor([train, narrow], np.ones(3), sb.TrainConfig(),
-                               np.random.default_rng(0))
+            identifier.train_regressor([train, narrow], np.ones(3), sb.TrainConfig(),
+                                       np.random.default_rng(0))
 
     @pytest.mark.parametrize("mask, message", [
         pytest.param([1, 2, 0], "mask must be a 1-D binary vector", id="non-binary"),
@@ -331,8 +305,8 @@ class TestTrainRegressor:
     def test_rejects_a_bad_mask(self, mask, message):
         train = sb.sample(sb.four_node_demo_scm(), OBS, 50, np.random.default_rng(0))
         with pytest.raises(ValueError) as info:
-            sb.train_regressor([train], np.array(mask), sb.TrainConfig(),
-                               np.random.default_rng(0))
+            identifier.train_regressor([train], np.array(mask), sb.TrainConfig(),
+                                       np.random.default_rng(0))
         assert str(info.value) == message
 
 
@@ -342,22 +316,22 @@ class TestResidualScores:
     def test_magnitudes_match_folded_gaussian_mean(self):
         train, hold = chain_batches(seed=7)
         mask = np.ones(1)
-        reg = sb.train_regressor([train], mask, sb.TrainConfig(),
-                                 np.random.default_rng(8))
+        reg = identifier.train_regressor([train], mask, sb.TrainConfig(),
+                                         np.random.default_rng(8))
         scores = np.abs(reg.predict(hold.data[:, 1:] * mask) - hold.data[:, 0])
         assert np.all(scores >= 0.0)
         expected = np.sqrt(2.0 / np.pi)  # E|N(0, 1)|
         assert float(scores.mean()) == pytest.approx(expected, rel=0.20)
 
     def test_perfect_predictor_gives_zero_scores(self):
-        reg = sb.Regressor(w1=np.zeros((1, 2)), b1=np.zeros(2),
-                           w2=np.zeros(2), b2=0.0, ws=np.array([2.0]))
+        reg = identifier.Regressor(w1=np.zeros((1, 2)), b1=np.zeros(2),
+                                   w2=np.zeros(2), b2=0.0, ws=np.array([2.0]))
         data = np.column_stack([np.arange(5.0) * 2.0, np.arange(5.0)])
         assert np.all(reg.predict(data[:, 1:]) == data[:, 0])
 
     def test_rejects_mismatched_width(self):
-        reg = sb.Regressor(w1=np.zeros((1, 2)), b1=np.zeros(2),
-                           w2=np.zeros(2), b2=0.0, ws=np.zeros(1))
+        reg = identifier.Regressor(w1=np.zeros((1, 2)), b1=np.zeros(2),
+                                   w2=np.zeros(2), b2=0.0, ws=np.zeros(1))
         for x in (np.zeros((4, 3)), np.zeros(4)):
             with pytest.raises(ValueError, match="width"):
                 reg.predict(x)
@@ -368,8 +342,7 @@ def _reference_scores(parts):
     every other part's values."""
     pooled = np.concatenate(parts)
     owner = np.repeat(np.arange(len(parts)), [p.size for p in parts])
-    return np.array([sb.frechet_gaussian1d(sb.fit_gaussian(p),
-                                           sb.fit_gaussian(pooled[owner != j]))
+    return np.array([sb.frechet_gaussian1d(fit_gaussian(p), fit_gaussian(pooled[owner != j]))
                      for j, p in enumerate(parts)])
 
 
@@ -508,13 +481,54 @@ class TestIdentifyParents:
         assert np.isnan(evicted) and first == second
         assert result.estimated_set == {2}
 
+    @pytest.mark.parametrize("rows, survivors", [
+        pytest.param([[0.0] * 5], {1, 2, 3, 4, 5}, id="all-below-threshold"),
+        pytest.param([[0.1] * 5], {1, 2, 3, 4, 5}, id="threshold-is-strict"),
+        pytest.param([[0.2, 0.5, 0.1, 0.1, 0.1], [0.05, np.nan, 0.05, 0.05, 0.05]],
+                     {1, 3, 4, 5}, id="largest-score"),
+        pytest.param([[0.1, 0.3, 0.3, 0.1, 0.3], [0.1, np.nan, 0.3, 0.1, 0.3],
+                      [0.1, np.nan, np.nan, 0.1, 0.05]], {1, 4, 5}, id="tie-toward-smallest-id"),
+        pytest.param([[0.9, 0.2, 0.2, 0.2, 0.2], [np.nan, 0.2, 0.5, 0.2, 0.2],
+                      [np.nan, 0.05, np.nan, 0.05, 0.05]], {2, 4, 5},
+                     id="nan-marks-an-evicted-candidate"),
+    ])
+    def test_evicts_the_first_largest_score_above_tau(self, monkeypatch, rows, survivors):
+        # round r scores the active candidates as rows[r] does, against tau = 0.1
+        queue = [np.array(row) for row in rows]
+
+        def scores(n, s, q):
+            row = queue.pop(0)
+            assert n.size == np.count_nonzero(~np.isnan(row))
+            return row[~np.isnan(row)]
+
+        def zero(batches, mask, cfg, rng):
+            return identifier.Regressor(w1=np.zeros((5, 1)), b1=np.zeros(1), w2=np.zeros(1),
+                                        b2=0.0, ws=np.zeros(5))
+
+        monkeypatch.setattr(identifier, "train_regressor", zero)
+        monkeypatch.setattr(identifier, "_scores", scores)
+        fix_tau(monkeypatch, 0.1)
+        result = sb.identify_parents(five_candidate_batches(seed=3, n=20), sb.TrainConfig(),
+                                     np.random.default_rng(0))
+        assert queue == [] and result.estimated_set == survivors
+        assert np.array_equal(result.fid_trace, np.array(rows), equal_nan=True)
+        assert_traces_explain(result, 5)
+
+    def test_a_score_equal_to_tau_is_kept(self, demo_batches, monkeypatch):
+        # round one's scores do not depend on tau; eviction needs a larger score
+        first, _ = pinned_result(demo_batches, monkeypatch, "tau=inf")
+        fix_tau(monkeypatch, float(np.nanmax(first.fid_trace[0])))
+        result = sb.identify_parents(demo_batches(21), sb.TrainConfig(),
+                                     np.random.default_rng(22))
+        assert result.rounds_run == 1 and result.estimated_set == {1, 2, 3}
+
     @pytest.mark.parametrize("weight, tau", [(1e300, None), (1e156, None), (1.0, np.nan)],
                              ids=["residuals-near-1e300", "residuals-near-1e156", "nan-tau"])
     def test_non_finite_scores_name_the_round(self, demo_batches, monkeypatch, weight, tau):
         # squares of residuals near 1e156 and beyond overflow
         def stub(batches, mask, cfg, rng):
-            return sb.Regressor(w1=np.zeros((3, 1)), b1=np.zeros(1), w2=np.zeros(1),
-                                b2=0.0, ws=np.array([weight, 0.0, 0.0]))
+            return identifier.Regressor(w1=np.zeros((3, 1)), b1=np.zeros(1), w2=np.zeros(1),
+                                        b2=0.0, ws=np.array([weight, 0.0, 0.0]))
 
         monkeypatch.setattr(identifier, "train_regressor", stub)
         if tau is not None:

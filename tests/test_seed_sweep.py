@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import scmbench as sb
+from scmbench import harness
 from scmbench.configfile import config_to_ini
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "seed_sweep.py"
@@ -67,7 +68,7 @@ def test_records_are_written_per_seed(tmp_path):
     assert [s["seed"] for s in summary["seeds"]] == [3, 5]
     assert sorted(p.name for p in (tmp_path / "records").iterdir()) == ["seed-3", "seed-5"]
     for seed in (3, 5):
-        records = sb.read_records_csv(tmp_path / "records" / f"seed-{seed}" / "records.csv")
+        records = harness.read_records_csv(tmp_path / "records" / f"seed-{seed}" / "records.csv")
         report = sb.run_experiment(dataclasses.replace(cfg, master_seed=seed))
         assert report.errors == () and len(records) == 4
         assert masked(records) == masked(report.records)
@@ -97,4 +98,4 @@ def test_a_rerun_replaces_the_records_of_its_seeds(tmp_path):
     assert seed_sweep.main(["--config", str(config), "--seeds", "0", "--threads", "1",
                             "--out", str(tmp_path / "seeds.json"),
                             "--records", str(records)]) == 0
-    assert [r.method for r in sb.read_records_csv(stale)] == ["icp"]
+    assert [r.method for r in harness.read_records_csv(stale)] == ["icp"]
