@@ -158,8 +158,7 @@ def _dag_task(args: tuple[ExperimentConfig, int]) -> tuple[list[RunRecord], list
     for level in cfg.confounder_levels:
         try:
             scm_l = add_confounders(base, level,
-                                    _rng(cfg.master_seed, dag_id, _TAG_CONFOUND, level),
-                                    cfg.gen)
+                                    _rng(cfg.master_seed, dag_id, _TAG_CONFOUND, level))
             envs = environments_for(scm_l, cfg.gen,
                                     _rng(cfg.master_seed, dag_id, _TAG_ENV, level))
             sample_rng = _rng(cfg.master_seed, dag_id, _TAG_SAMPLE, level)

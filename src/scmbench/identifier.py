@@ -35,11 +35,9 @@ class TrainConfig:
     ``calibration_permutations`` null draws.
     """
 
-    hidden_width: int = _bounded(16, "[1, inf)")
     learning_rate: float = _bounded(1e-2, "(0, inf)")
     epochs_per_round: int = _bounded(600, "[1, inf)")
     batch_size: int = _bounded(256, "[1, inf)")
-    holdout_fraction: float = _bounded(0.3, "(0, 1)")
     tau_multiplier: float = _bounded(3.0, "(0, inf)")
     calibration_permutations: int = _bounded(64, "[1, inf)")
 
@@ -49,7 +47,8 @@ class TrainConfig:
 
 @dataclass(frozen=True, eq=False)
 class Regressor:
-    """One-hidden-layer network with a parallel linear path, in raw units.
+    """One-hidden-layer network (16 tanh units in ``train_regressor``) with a
+    parallel linear path, in raw units.
 
     Predicts x ws + tanh(x W1 + b1) W2 + b2. The linear path can represent an
     affine mechanism exactly, so for such targets the fit error is not limited
@@ -106,7 +105,7 @@ def train_regressor(batches: list[SampleBatch], mask: np.ndarray,
     x_raw = data[:, 1:] * mask
     y_raw = data[:, 0]
     n, l = x_raw.shape
-    h = cfg.hidden_width
+    h = 16  # hidden units
 
     x_mu = x_raw.mean(axis=0)
     x_sd = x_raw.std(axis=0)
@@ -234,9 +233,9 @@ def identify_parents(batches: list[SampleBatch], cfg: TrainConfig,
 
     ``batches`` must cover each candidate's clamp environment exactly once
     (env id j belongs to the environment clamping x_j) and nothing else. Rows
-    are split head/tail into train/holdout by ``holdout_fraction``, with at
-    least one training and two holdout rows (so each batch needs 3); scores
-    always come from holdout rows.
+    are split head/tail, 70/30, into train/holdout, with at least one
+    training and two holdout rows (so each batch needs 3); scores always come
+    from holdout rows.
 
     When a candidate is eliminated its environment leaves the pool for later
     rounds: with the candidate masked the regressor can no longer condition on
@@ -256,7 +255,7 @@ def identify_parents(batches: list[SampleBatch], cfg: TrainConfig,
     # active set, and eliminating a candidate deletes its entry
     split: dict[int, tuple[SampleBatch, np.ndarray]] = {}
     for b in batches:
-        n_hold = min(max(int(round(b.n * cfg.holdout_fraction)), 2), b.n - 1)
+        n_hold = min(max(int(round(b.n * 0.3)), 2), b.n - 1)
         split[b.env] = (SampleBatch(env=b.env, data=b.data[:b.n - n_hold]),
                         b.data[b.n - n_hold:])
 

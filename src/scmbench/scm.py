@@ -75,25 +75,21 @@ class GenConfig:
     over, at most two form a descendant chain hanging off the outcome and the
     rest become further parents. Every candidate is therefore causally tied to
     node 0, so each intervention environment carries signal about its target.
-    ``min_parents`` (capped at the candidate count) is enforced on the first
-    pass by resampling with bounded retries.
+    The rest of the law is fixed: at least 2 outcome parents (capped at the
+    candidate count) on the first pass, by resampling with bounded retries;
+    edge weight magnitudes U[0.5, 2], the sign flipped with probability 1/2;
+    noise stds U[0.7, 1.5].
     """
 
     nodes_min: int = _bounded(8, "[2, inf)")
     nodes_max: int = _bounded(12, "[2, inf)")
     edge_prob: float = _bounded(0.3, "[0, 1]")
-    weight_min: float = _bounded(0.5, "(0, inf)")
-    weight_max: float = _bounded(2.0, "(0, inf)")
-    sign_flip_prob: float = _bounded(0.5, "[0, 1]")
-    noise_std_min: float = _bounded(0.7, "(0, inf)")
-    noise_std_max: float = _bounded(1.5, "(0, inf)")
     intervention_value_min: float = _bounded(3.0, "(-inf, inf)")
     intervention_value_max: float = _bounded(7.0, "(-inf, inf)")
-    min_parents: int = _bounded(2, "[1, inf)")
 
     def __post_init__(self) -> None:
         _check_bounds(self)
-        for stem in ("nodes", "weight", "noise_std", "intervention_value"):
+        for stem in ("nodes", "intervention_value"):
             if not getattr(self, f"{stem}_min") <= getattr(self, f"{stem}_max"):
                 raise ValueError(f"{stem}_max must be >= {stem}_min")
 
@@ -183,9 +179,9 @@ class SampleBatch:
         return self.data.shape[0]
 
 
-def _draw_weight(rng: np.random.Generator, cfg: GenConfig) -> float:
-    w = rng.uniform(cfg.weight_min, cfg.weight_max)
-    if rng.random() < cfg.sign_flip_prob:
+def _draw_weight(rng: np.random.Generator) -> float:
+    w = rng.uniform(0.5, 2.0)
+    if rng.random() < 0.5:
         w = -w
     return float(w)
 
@@ -194,11 +190,12 @@ def random_scm(cfg: GenConfig, rng: np.random.Generator) -> LinearGaussianScm:
     """Draw a random DAG model in which every candidate matters for node 0.
 
     Candidates (nodes 1..m-1) are drawn as direct parents of the outcome with
-    probability ``edge_prob`` each (at least ``min_parents`` of them, enforced
-    by bounded resampling). Of the leftover candidates, one or two form a
-    descendant chain below the outcome (node 0 -> d1 -> d2, each link the sole
-    incoming edge of its head) and any remaining candidates become additional
-    direct parents.
+    probability ``edge_prob`` each (at least 2 of them, or all if fewer,
+    enforced by bounded resampling). Of the leftover candidates, one or two
+    form a descendant chain below the outcome (node 0 -> d1 -> d2, each link
+    the sole incoming edge of its head) and any remaining candidates become
+    additional direct parents. Each edge weight is U[0.5, 2] in magnitude, its
+    sign flipped with probability 1/2, and each noise std is U[0.7, 1.5].
 
     Parents are mutually unconnected root nodes and descendants never fan out
     or take edges from parents. Both choices keep identification well posed:
@@ -214,7 +211,7 @@ def random_scm(cfg: GenConfig, rng: np.random.Generator) -> LinearGaussianScm:
     """
     m = int(rng.integers(cfg.nodes_min, cfg.nodes_max + 1))
     n_cand = m - 1
-    need = min(cfg.min_parents, n_cand)
+    need = min(2, n_cand)
     for _ in range(_MAX_RETRIES):
         drawn_parent = rng.random(n_cand) < cfg.edge_prob
         if int(drawn_parent.sum()) >= need:
@@ -232,12 +229,12 @@ def random_scm(cfg: GenConfig, rng: np.random.Generator) -> LinearGaussianScm:
 
     weights = np.zeros((m, m))
     for pa in parents_ids:
-        weights[0, pa] = _draw_weight(rng, cfg)
+        weights[0, pa] = _draw_weight(rng)
     for k, d in enumerate(desc_ids):
         src = 0 if k == 0 else desc_ids[k - 1]
-        weights[d, src] = _draw_weight(rng, cfg)
+        weights[d, src] = _draw_weight(rng)
 
-    stds = rng.uniform(cfg.noise_std_min, cfg.noise_std_max, size=m)
+    stds = rng.uniform(0.7, 1.5, size=m)
     topo = tuple(parents_ids) + (0,) + tuple(desc_ids)
     return LinearGaussianScm(
         num_observed=m,
@@ -321,14 +318,13 @@ def analytic_moments(scm: LinearGaussianScm,
     return mean[:k].copy(), cov[:k, :k].copy()
 
 
-def add_confounders(scm: LinearGaussianScm, count: int, rng: np.random.Generator,
-                    gen: GenConfig = GenConfig()) -> LinearGaussianScm:
+def add_confounders(scm: LinearGaussianScm, count: int,
+                    rng: np.random.Generator) -> LinearGaussianScm:
     """Append ``count`` latent root causes, each pointing at node 0 and at one
     uniformly chosen other observed node.
 
-    Edge weights are drawn like regular weights (ranges from ``gen``, defaults
-    to GenConfig()); latent noise is standard normal. count = 0 returns the
-    model unchanged.
+    Edge weights are drawn as random_scm draws them; latent noise is standard
+    normal. count = 0 returns the model unchanged.
     """
     _check_bound("count", count, "[0, inf)", integer=True)
     if count == 0:
@@ -344,8 +340,8 @@ def add_confounders(scm: LinearGaussianScm, count: int, rng: np.random.Generator
     for t in range(count):
         lat = p_old + t
         other = int(rng.integers(1, scm.num_observed))
-        weights[0, lat] = _draw_weight(rng, gen)
-        weights[other, lat] = _draw_weight(rng, gen)
+        weights[0, lat] = _draw_weight(rng)
+        weights[other, lat] = _draw_weight(rng)
     topo = tuple(range(p_old, p_new)) + scm.topo_order
     return LinearGaussianScm(
         num_observed=scm.num_observed,

@@ -130,7 +130,7 @@ class TestRun:
 
     @pytest.mark.parametrize("text, field", [
         ("[train]\nlearning_rate = nan\n", "learning_rate"),
-        ("[generation]\nweight_max = inf\n", "weight_max"),
+        ("[generation]\nintervention_value_max = inf\n", "intervention_value_max"),
         ("[experiment]\nnum_dags = -1\n", "num_dags"),
     ])
     def test_out_of_range_setting_exits_one_naming_the_field(self, tmp_path,

@@ -103,7 +103,8 @@ def test_refuses_a_key_found_twice(tmp_path, capsys):
     base, head = trees(tmp_path)
     (head / "seed-7").rename(head / "seed-04")  # a second spelling of seed 4
     refused(tmp_path, capsys, base, head,
-            f"(seed, dag, level, method) = (4, 0, 1, 'iid') appears twice under {head}")
+            f"{head / 'seed-4' / 'records.csv'}: (seed, dag, level, method) = "
+            f"(4, 0, 1, 'iid') appears twice under {head}")
 
 
 def test_refuses_pairs_with_different_true_parents(tmp_path, capsys):
@@ -118,3 +119,48 @@ def test_refuses_an_empty_tree(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     refused(tmp_path, capsys, base, tmp_path / "empty",
             f"no seed-*/records.csv under {tmp_path / 'empty'}")
+
+
+# each edits a records.csv's lines in place and returns what read_records_csv says
+def bad_method(lines):
+    lines[2] = lines[2].replace(",icp,", ",xyz,")
+    return "line 3, column 'method': method must be one of ('iid', 'icp'), got 'xyz'"
+
+
+def blank_line(lines):
+    lines.insert(2, "\n")
+    return "line 3: blank line"
+
+
+def short_row(lines):
+    lines[2] = lines[2].rsplit(",", 1)[0] + "\n"
+    return f"line 3: malformed record line: {lines[2].rstrip()!r}"
+
+
+def renamed_header(lines):
+    lines[0] = lines[0].replace("dag_id", "dag", 1)
+    return "header column 0 should be 'dag_id', found 'dag'"
+
+
+def repeated_row(lines):
+    lines.append(lines[1])
+    return f"line {len(lines)}: dag_id, method and confounders repeat line 2"
+
+
+@pytest.mark.parametrize("corrupt", [bad_method, blank_line, short_row, renamed_header,
+                                     repeated_row], ids=lambda f: f.__name__)
+def test_a_bad_row_names_its_file(tmp_path, capsys, corrupt):
+    base, head = trees(tmp_path)
+    path = head / "seed-7" / "records.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    message = corrupt(lines)
+    path.write_text("".join(lines))
+    refused(tmp_path, capsys, base, head, f"{path}: {message}")
+
+
+@pytest.mark.parametrize("name", ["seed-x", "seed--1", "seed-+1", "seed-"])
+def test_refuses_a_directory_that_is_not_a_seed(tmp_path, capsys, name):
+    base, head = trees(tmp_path)
+    (head / "seed-7").rename(head / name)
+    refused(tmp_path, capsys, base, head,
+            f"{head / name}: a seed directory must be seed-<n>, n an integer >= 0")

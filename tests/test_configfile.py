@@ -3,6 +3,7 @@
 import configparser
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,20 @@ class TestDefaults:
             keys = [k for k in shown if k not in {"fixed_scm", *CONFIG_SECTIONS}]
             assert list(parser[section]) == keys
 
+    def test_ini_keys_are_the_settable_values(self):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.optionxform = str
+        parser.read_string(config_to_ini(sb.ExperimentConfig()))
+        assert {section: list(parser[section]) for section in parser.sections()} == {
+            "experiment": ["num_dags", "samples_per_env", "confounder_levels", "methods",
+                           "master_seed"],
+            "generation": ["nodes_min", "nodes_max", "edge_prob", "intervention_value_min",
+                           "intervention_value_max"],
+            "train": ["learning_rate", "epochs_per_round", "batch_size", "tau_multiplier",
+                      "calibration_permutations"],
+            "icp": ["alpha", "test", "num_permutations", "enumeration_budget"],
+        }
+
     def test_generation_seed_is_rejected(self, tmp_path):
         path = write(tmp_path, "[generation]\nseed = 7\n")
         with pytest.raises(ConfigError, match=r"unknown key 'seed' in \[generation\]"):
@@ -64,8 +79,17 @@ class TestDefaults:
         ("experiment", "include_observational", "false"),
         ("icp", "max_subset_size", "2"),
         ("train", "lr", "0.01"),
+        ("generation", "weight_min", "0.5"),
+        ("generation", "weight_max", "2.0"),
+        ("generation", "sign_flip_prob", "0.5"),
+        ("generation", "noise_std_min", "0.7"),
+        ("generation", "noise_std_max", "1.5"),
+        ("generation", "min_parents", "2"),
+        ("train", "hidden_width", "16"),
+        ("train", "holdout_fraction", "0.3"),
     ], ids=["tau_auto", "rounds", "tau", "include_observational", "max_subset_size",
-            "lr"])
+            "lr", "weight_min", "weight_max", "sign_flip_prob", "noise_std_min",
+            "noise_std_max", "min_parents", "hidden_width", "holdout_fraction"])
     def test_removed_key_is_rejected(self, tmp_path, section, key, value):
         path = write(tmp_path, f"[{section}]\n{key} = {value}\n")
         with pytest.raises(ConfigError) as info:
@@ -78,9 +102,8 @@ class TestRoundTrip:
         cfg = sb.ExperimentConfig(
             num_dags=7, samples_per_env=321, confounder_levels=(2, 0),
             methods=("icp",), master_seed=99,
-            gen=sb.GenConfig(nodes_min=4, nodes_max=6, edge_prob=0.7,
-                             min_parents=3),
-            train=sb.TrainConfig(hidden_width=8, tau_multiplier=2.5),
+            gen=sb.GenConfig(nodes_min=4, nodes_max=6, edge_prob=0.7),
+            train=sb.TrainConfig(batch_size=8, tau_multiplier=2.5),
             icp=sb.IcpConfig(alpha=0.01, test="energy-permutation"))
         path = write(tmp_path, config_to_ini(cfg))
         assert read_config(path) == cfg
@@ -99,14 +122,11 @@ class TestRoundTrip:
             num_dags=7, samples_per_env=321, confounder_levels=(2, 0),
             methods=("icp",), master_seed=99,
             gen=sb.GenConfig(
-                nodes_min=4, nodes_max=6, edge_prob=0.7, weight_min=0.25,
-                weight_max=1.5, sign_flip_prob=0.125, noise_std_min=0.5,
-                noise_std_max=2.5, intervention_value_min=-1.5,
-                intervention_value_max=2.25, min_parents=3),
+                nodes_min=4, nodes_max=6, edge_prob=0.7, intervention_value_min=-1.5,
+                intervention_value_max=2.25),
             train=sb.TrainConfig(
-                hidden_width=8, learning_rate=0.003, epochs_per_round=50,
-                batch_size=64, holdout_fraction=0.25, tau_multiplier=2.5,
-                calibration_permutations=16),
+                learning_rate=0.003, epochs_per_round=50, batch_size=64,
+                tau_multiplier=2.5, calibration_permutations=16),
             icp=sb.IcpConfig(alpha=0.01, test="energy-permutation",
                              num_permutations=499, enumeration_budget=100))
         default = sb.ExperimentConfig()
@@ -126,7 +146,7 @@ class TestRoundTrip:
                 assert value != getattr(base, f.name), (section, f.name)
                 assert json.dumps(shown[f.name]) == json.dumps(value)
                 settable += 1
-        assert settable == 27
+        assert settable == 19
         assert read_config(write(tmp_path, config_to_ini(cfg))) == cfg
 
     def test_missing_keys_fall_back_to_defaults(self, tmp_path):
@@ -292,6 +312,29 @@ def numeric_field_cases():
                                    id=f"{cls.__name__}.{f.name}={value}")
 
 
+def finite_end_cases():
+    """(class, field, value, interval) just past each finite end of a field's
+    declared interval: the end itself if it is open, else the next integer
+    (or float) outside it; a tuple field gets a one-entry tuple."""
+    for cls in CONFIG_CLASSES:
+        for f in dataclasses.fields(cls):
+            interval = f.metadata.get("interval")
+            if interval is None:
+                continue
+            integer = f.type.startswith(("int", "tuple[int"))
+            lo, hi = (float(end) for end in interval[1:-1].split(","))
+            for end, open_end, outward in ((lo, interval[0] == "(", -1),
+                                           (hi, interval[-1] == ")", 1)):
+                if np.isinf(end):
+                    continue
+                value = (end if open_end else end + outward if integer
+                         else float(np.nextafter(end, outward * np.inf)))
+                value = int(value) if integer else value
+                yield pytest.param(cls, f.name, (value,) if f.type.startswith("tuple")
+                                   else value, interval,
+                                   id=f"{cls.__name__}.{f.name}={value!r}")
+
+
 class TestDeclaredRanges:
     """A numeric config field added without a declared range fails here."""
 
@@ -302,7 +345,7 @@ class TestDeclaredRanges:
             "TrainConfig", "IcpConfig", "LinearGaussianScm | None"}
 
     @pytest.mark.parametrize("cls, name", [(sb.ExperimentConfig, "num_dags"),
-                                           (sb.TrainConfig, "hidden_width")])
+                                           (sb.TrainConfig, "batch_size")])
     def test_bool_is_not_an_integer(self, cls, name):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got True$"):
             cls(**{name: True})
@@ -313,6 +356,13 @@ class TestDeclaredRanges:
     @pytest.mark.parametrize("value", [True, "0.5"])
     def test_bool_or_text_is_not_a_number(self, cls, name, value):
         with pytest.raises(ValueError, match=rf"^{name} must be a number, got {value!r}$"):
+            cls(**{name: value})
+
+    @pytest.mark.parametrize("cls, name, value, interval", finite_end_cases())
+    def test_value_past_a_finite_end_names_the_field(self, cls, name, value, interval):
+        entry = value[0] if isinstance(value, tuple) else value
+        with pytest.raises(ValueError, match=f"^{name} must lie in {re.escape(interval)}, "
+                                             f"got {re.escape(repr(entry))}$"):
             cls(**{name: value})
 
     @pytest.mark.parametrize("cls, name, value", numeric_field_cases())
@@ -336,7 +386,7 @@ class TestTextForms:
         not_keys = {"fixed_scm", *CONFIG_SECTIONS.values()}
         walked = [(cls, f) for cls in (RunRecord, *CONFIG_CLASSES)
                   for f in dataclasses.fields(cls) if f.name not in not_keys]
-        assert len(walked) == 8 + 27
+        assert len(walked) == 8 + 19
         for cls, f in walked:
             assert f.type in _TEXT_FORMS, f"{cls.__name__}.{f.name}"
 

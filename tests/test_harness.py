@@ -69,7 +69,7 @@ class TestEnvironmentsFor:
         # latent confounders get no environment: identify_parents takes ids 1..l
         gen = sb.GenConfig(nodes_min=5, nodes_max=7)
         draw = np.random.default_rng(30 + confounders)
-        scm = sb.add_confounders(sb.random_scm(gen, draw), confounders, draw, gen)
+        scm = sb.add_confounders(sb.random_scm(gen, draw), confounders, draw)
         envs = sb.environments_for(scm, gen, draw)
         assert [e.id for e in envs] == list(range(1, scm.num_observed))
         assert all(e.value is not None for e in envs)

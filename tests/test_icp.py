@@ -40,7 +40,7 @@ def wide_batches(seed: int = 11, n: int = 400, nodes: int = 9):
     confounder: at the default 9 nodes, 8 candidates, so 256 subsets."""
     gen = sb.GenConfig(nodes_min=nodes, nodes_max=nodes)
     rng = np.random.default_rng(seed)
-    scm = sb.add_confounders(sb.random_scm(gen, rng), 1, rng, gen)
+    scm = sb.add_confounders(sb.random_scm(gen, rng), 1, rng)
     envs = sb.environments_for(scm, gen, rng)
     return [sb.sample(scm, env, n, rng) for env in envs]
 
@@ -215,7 +215,7 @@ def _twelve_node_batches():
     2,048 subsets."""
     gen = sb.GenConfig(nodes_min=12, nodes_max=12)
     rng = np.random.default_rng(12)
-    scm = sb.add_confounders(sb.random_scm(gen, rng), 1, rng, gen)
+    scm = sb.add_confounders(sb.random_scm(gen, rng), 1, rng)
     return [sb.sample(scm, env, 2000, rng) for env in sb.environments_for(scm, gen, rng)]
 
 
@@ -497,7 +497,7 @@ class TestIcpIdentify:
         for seed in (3, 5, 7, 15):
             for level in (0, 1, 2):
                 rng = np.random.default_rng(seed)
-                scm = sb.add_confounders(sb.random_scm(gen, rng), level, rng, gen)
+                scm = sb.add_confounders(sb.random_scm(gen, rng), level, rng)
                 batches = [sb.sample(scm, env, 500, rng)
                            for env in sb.environments_for(scm, gen, rng)]
                 result = sb.icp_identify(batches, sb.IcpConfig(test="energy-permutation"),

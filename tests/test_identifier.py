@@ -51,7 +51,7 @@ def _reference_train_regressor(batches, mask, cfg, rng):
     x_raw = data[:, 1:] * mask
     y_raw = data[:, 0]
     n, l = x_raw.shape
-    h = cfg.hidden_width
+    h = 16
 
     x_mu = x_raw.mean(axis=0)
     x_sd = x_raw.std(axis=0)
@@ -257,7 +257,6 @@ class TestTrainRegressor:
         pytest.param((), {}, 700, id="all-active"),
         pytest.param((2, 4), {}, 700, id="some-masked"),
         pytest.param((1, 2, 3, 4, 5), {}, 700, id="all-masked"),
-        pytest.param((3,), dict(hidden_width=1), 700, id="hidden-width-1"),
         pytest.param((), dict(epochs_per_round=1), 700, id="one-step"),
         pytest.param((5,), dict(batch_size=256, epochs_per_round=40), 9,
                      id="batch-larger-than-rows"),
@@ -276,6 +275,18 @@ class TestTrainRegressor:
                 assert np.array_equal(getattr(got, field), getattr(ref, field)), field
                 assert np.asarray(getattr(got, field)).dtype == np.float64, field
             assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("batches", [
+        pytest.param(lambda: chain_batches(seed=8, n_train=50, n_eval=1)[:1], id="1-candidate"),
+        pytest.param(lambda: five_candidate_batches(seed=8, n=50), id="5-candidates"),
+    ])
+    def test_hidden_layer_has_sixteen_units(self, batches):
+        batches = batches()
+        l = batches[0].data.shape[1] - 1
+        reg = identifier.train_regressor(batches, np.ones(l), sb.TrainConfig(epochs_per_round=1),
+                                         np.random.default_rng(0))
+        assert reg.w1.shape == (l, 16) and reg.b1.shape == reg.w2.shape == (16,)
+        assert reg.ws.shape == (l,)
 
     def test_rejects_mismatched_width(self):
         train, _ = chain_batches(seed=6, n_train=100, n_eval=10)
@@ -514,6 +525,35 @@ class TestIdentifyParents:
         assert np.array_equal(result.fid_trace, np.array(rows), equal_nan=True)
         assert_traces_explain(result, 5)
 
+    @pytest.mark.parametrize("n, n_hold", [(3, 2), (5, 2), (10, 3), (700, 210)])
+    def test_each_environment_holds_out_its_last_three_tenths(self, monkeypatch, n, n_hold):
+        # round(0.3 n) tail rows, at least 2 and leaving at least 1 to train on
+        batches = five_candidate_batches(seed=3, n=n)
+        trained, scored = [], []
+
+        def zero(train, mask, cfg, rng):
+            trained.append(train)
+            return identifier.Regressor(w1=np.zeros((5, 1)), b1=np.zeros(1), w2=np.zeros(1),
+                                        b2=0.0, ws=np.zeros(5))
+
+        def scores(n, s, q):
+            scored.append((n, s))
+            return np.zeros(n.size)
+
+        monkeypatch.setattr(identifier, "train_regressor", zero)
+        monkeypatch.setattr(identifier, "_scores", scores)
+        fix_tau(monkeypatch, 0.1)
+        result = sb.identify_parents(batches, sb.TrainConfig(), np.random.default_rng(0))
+        assert result.rounds_run == 1
+        [train] = trained
+        assert [t.env for t in train] == [b.env for b in batches]
+        for t, b in zip(train, batches):
+            assert np.array_equal(t.data, b.data[:n - n_hold])
+        # the zero regressor leaves |x0| as each holdout row's residual
+        [(sizes, sums)] = scored
+        assert list(sizes) == [n_hold] * 5
+        assert np.array_equal(sums, [np.abs(b.data[n - n_hold:, 0]).sum() for b in batches])
+
     def test_a_score_equal_to_tau_is_kept(self, demo_batches, monkeypatch):
         # round one's scores do not depend on tau; eviction needs a larger score
         first, _ = pinned_result(demo_batches, monkeypatch, "tau=inf")
@@ -603,16 +643,12 @@ class TestIdentifyParents:
 
 class TestTrainConfigValidation:
     @pytest.mark.parametrize("overrides", [
-        dict(hidden_width=0),
         dict(learning_rate=0.0),
         dict(epochs_per_round=0),
         dict(batch_size=0),
-        dict(holdout_fraction=0.0),
-        dict(holdout_fraction=1.0),
         dict(tau_multiplier=0.0),
         dict(calibration_permutations=0),
         dict(learning_rate=-0.001),
-        dict(holdout_fraction=-0.25),
         dict(tau_multiplier=-1.0),
     ])
     def test_rejects_bad_values(self, overrides):

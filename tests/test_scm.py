@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import scmbench as sb
+from scmbench import scm as scm_module
 
 OBS = sb.Environment(id=0)
 
@@ -30,6 +31,13 @@ def _reference_sample(scm, env, n: int, rng) -> np.ndarray:
     for j in applied.topo_order:
         values[:, j] = values @ applied.weights[j] + noise[:, j]
     return values[:, :scm.num_observed]
+
+
+def replay_weight(twin) -> float:
+    """The fixed edge-weight law drawn from ``twin``: a magnitude U[0.5, 2],
+    then a sign flip with probability 1/2."""
+    w = twin.uniform(0.5, 2.0)
+    return float(-w if twin.random() < 0.5 else w)
 
 
 def reachable_from(scm, start: int) -> set[int]:
@@ -188,10 +196,32 @@ class TestRandomScm:
         assert scm != (scm.weights, scm.noise_means, scm.noise_stds)
 
     def test_min_parents_floor_is_enforced(self):
-        cfg = sb.GenConfig(edge_prob=0.05, min_parents=2)
+        cfg = sb.GenConfig(edge_prob=0.05)
         for seed in range(20):
             scm = sb.random_scm(cfg, np.random.default_rng(seed))
             assert len(sb.parents(scm, 0)) >= 2
+
+    @pytest.mark.parametrize("nodes", [3, 4, 5])
+    def test_outcome_parent_floor_is_two(self, nodes):
+        # with 3 candidates, a floor of 1 would let a 2-link chain leave 1 parent
+        cfg = sb.GenConfig(nodes_min=nodes, nodes_max=nodes, edge_prob=0.5)
+        counts = [len(sb.parents(sb.random_scm(cfg, np.random.default_rng(seed)), 0))
+                  for seed in range(50)]
+        assert min(counts) == 2
+
+    def test_draw_weight_is_a_magnitude_then_a_sign_flip(self):
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(200):
+            assert scm_module._draw_weight(rng) == replay_weight(twin)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_half_the_weights_are_negative(self):
+        weights = np.concatenate([
+            sb.random_scm(sb.GenConfig(), np.random.default_rng(seed)).weights.ravel()
+            for seed in range(200)])
+        nonzero = weights[weights != 0.0]
+        assert nonzero.size > 1000
+        assert np.mean(nonzero < 0) == pytest.approx(0.5, abs=0.05)
 
     def test_generation_error_when_floor_unreachable(self):
         with pytest.raises(sb.GenerationError):
@@ -239,7 +269,7 @@ class TestSample:
         gen = sb.GenConfig()
         draw = np.random.default_rng(20 + confounders)
         for _ in range(3):
-            scm = sb.add_confounders(sb.random_scm(gen, draw), confounders, draw, gen)
+            scm = sb.add_confounders(sb.random_scm(gen, draw), confounders, draw)
             envs = [OBS] + sb.environments_for(scm, gen, draw)
             assert len(envs) == scm.num_observed
             for env in envs:
@@ -281,6 +311,21 @@ class TestAddConfounders:
             assert 1 <= other < k, "second target is another observed node"
             assert scm.noise_stds[lat] == 1.0
             assert scm.noise_means[lat] == 0.0
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_latent_edges_follow_the_fixed_law(self, count):
+        # per latent: its second target, then the weight into node 0, then
+        # the weight into that target
+        base = sb.random_scm(sb.GenConfig(), np.random.default_rng(40))
+        rng, twin = np.random.default_rng(41), np.random.default_rng(41)
+        scm = sb.add_confounders(base, count, rng)
+        for lat in range(base.p, base.p + count):
+            other = int(twin.integers(1, base.num_observed))
+            expected = np.zeros(scm.p)
+            expected[0] = replay_weight(twin)
+            expected[other] = replay_weight(twin)
+            assert np.array_equal(scm.weights[:, lat], expected)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_observed_parent_set_is_unchanged(self):
         base = sb.four_node_demo_scm()
@@ -400,13 +445,7 @@ class TestValidation:
         dict(nodes_min=1),
         dict(nodes_min=5, nodes_max=4),
         dict(edge_prob=1.5),
-        dict(weight_min=0.0),
-        dict(weight_min=2.0, weight_max=1.0),
-        dict(noise_std_min=0.0),
         dict(intervention_value_min=5.0, intervention_value_max=4.0),
-        dict(min_parents=0),
-        dict(sign_flip_prob=-0.1),
-        dict(noise_std_min=2.0, noise_std_max=1.0),
     ])
     def test_genconfig_rejects_bad_values(self, overrides):
         *_, field = overrides  # the last key names the field to blame

@@ -99,3 +99,19 @@ def test_a_rerun_replaces_the_records_of_its_seeds(tmp_path):
                             "--out", str(tmp_path / "seeds.json"),
                             "--records", str(records)]) == 0
     assert [r.method for r in harness.read_records_csv(stale)] == ["icp"]
+
+
+@pytest.mark.parametrize("entry", ["seed-1", "seed-00", "seed-x"])
+def test_records_of_another_seed_stop_the_run(tmp_path, capsys, entry):
+    config = one_dag_config(tmp_path)
+    records = tmp_path / "records"
+    (records / entry).mkdir(parents=True)
+    with pytest.raises(SystemExit) as info:
+        seed_sweep.main(["--config", str(config), "--seeds", "0", "--threads", "1",
+                         "--out", str(tmp_path / "seeds.json"),
+                         "--records", str(records)])
+    assert info.value.code == 2
+    assert (f"{records / entry} is not one of --seeds; a --records directory holds "
+            f"one run") in capsys.readouterr().err
+    assert not (tmp_path / "seeds.json").exists()
+    assert [p.name for p in records.iterdir()] == [entry]

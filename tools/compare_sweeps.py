@@ -11,8 +11,10 @@ them, one ``seed-<seed>/records.csv`` per master seed, each read with
 the DAGs that violate on one side only, in each direction, with the exact
 two-sided McNemar p of that split; and how many DAGs' estimated sets differ.
 The last line totals the changed estimates. A key found on one side only, a
-key found twice on one side, or a pair whose true parent sets differ is
-refused: the script names it and exits 1.
+key found twice on one side, a pair whose true parent sets differ, a
+directory ``seed-<n>`` whose n is not an integer >= 0, or a row
+``read_records_csv`` refuses is refused: the script names it (with the file
+or directory it came from) and exits 1.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from scmbench.harness import RunRecord, _parse_int, read_records_csv  # noqa: E402
+from scmbench.harness import RunRecord, _blaming, read_records_csv  # noqa: E402
 
 KEY = "(seed, dag, level, method)"
 COLUMNS = ("method", "level", "dags", "js_base", "js_head", "viol_base", "viol_head",
@@ -34,18 +36,25 @@ COLUMNS = ("method", "level", "dags", "js_base", "js_head", "viol_base", "viol_h
 
 
 def read_tree(root: Path) -> dict[tuple, RunRecord]:
-    """Every record under ``root/seed-*/records.csv``, keyed as KEY."""
+    """Every record under ``root/seed-*/records.csv``, keyed as KEY; each
+    error names the directory or file it came from."""
     paths = sorted(root.glob("seed-*/records.csv"))
     if not paths:
         raise ValueError(f"no seed-*/records.csv under {root}")
     rows: dict[tuple, RunRecord] = {}
     for path in paths:
-        seed = _parse_int(path.parent.name.removeprefix("seed-"))
-        for r in read_records_csv(path):
-            key = (seed, r.dag_id, r.confounders, r.method)
-            if key in rows:
-                raise ValueError(f"{KEY} = {key} appears twice under {root}")
-            rows[key] = r
+        digits = path.parent.name.removeprefix("seed-")
+        # the digits _parse_int reads, without its '-'
+        if not (digits.isascii() and digits.isdecimal()):
+            raise ValueError(f"{path.parent}: a seed directory must be seed-<n>, "
+                             f"n an integer >= 0")
+        seed = int(digits)
+        with _blaming(path):
+            for r in read_records_csv(path):
+                key = (seed, r.dag_id, r.confounders, r.method)
+                if key in rows:
+                    raise ValueError(f"{KEY} = {key} appears twice under {root}")
+                rows[key] = r
     return rows
 
 

@@ -14,7 +14,9 @@ the wall time. It also pools the level-0 iid records of all seeds into one
 FWER with its exact (Clopper-Pearson) 95 % confidence interval. The criteria
 pin seed 0 only; this shows how far the other seeds sit from their bounds.
 With ``--records DIR``, each seed's records also go to
-``DIR/seed-<seed>/records.csv``, written as ``scmbench run`` writes them.
+``DIR/seed-<seed>/records.csv``, written as ``scmbench run`` writes them, and
+DIR holds one run: a ``seed-*`` entry there that is not one of ``--seeds``
+stops the script before it runs any seed.
 """
 
 from __future__ import annotations
@@ -101,6 +103,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--records", type=Path,
                         help="directory to write each seed's records.csv under")
     args = parser.parse_args(argv)
+    if args.records is not None:
+        ours = {f"seed-{seed}" for seed in args.seeds}
+        if stale := sorted(p for p in args.records.glob("seed-*") if p.name not in ours):
+            parser.error(f"{stale[0]} is not one of --seeds; a --records "
+                         f"directory holds one run")
 
     cfg = read_config(args.config) if args.config else ExperimentConfig()
     per_seed = []
