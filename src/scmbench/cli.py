@@ -11,7 +11,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .configfile import ConfigError, read_config, write_default_config
+from .configfile import ConfigError, config_to_ini, read_config
 from .harness import (ExperimentConfig, Report, _blaming, _check_threads,
                       _parse_int, aggregate_cells, read_records_csv,
                       run_experiment, write_records_csv, write_report_json)
@@ -57,9 +57,13 @@ def _resolve_seed(cfg: ExperimentConfig, flag: str | None) -> ExperimentConfig:
         return dataclasses.replace(cfg, master_seed=_parse_int(flag))
 
 
-def render_table(cells: dict, methods: list[str], levels: list[int]) -> str:
-    """Fixed-width table of 'mean_js (fwer)' cells, one column per level in
-    the given order."""
+def render_table(records) -> str:
+    """Fixed-width table of 'mean_js (fwer)' cells: a row per method in the
+    order the records first name them, a column per level they hold from most
+    to fewest confounders, and '-' for a pair with no record."""
+    methods = tuple(dict.fromkeys(r.method for r in records))
+    levels = tuple(sorted({r.confounders for r in records}, reverse=True))
+    cells = aggregate_cells(records, methods, levels)
 
     def fmt(stats: dict) -> str:
         if stats["n"] == 0:
@@ -80,9 +84,7 @@ def render_table(cells: dict, methods: list[str], levels: list[int]) -> str:
 def _emit(report: Report, files: dict[str, Path]) -> str:
     write_records_csv(report.records, files["records.csv"])
     write_report_json(report, files["report.json"])
-    table = render_table(report.cells,
-                         methods=list(report.config["methods"]),
-                         levels=sorted(report.config["confounder_levels"], reverse=True))
+    table = render_table(report.records)
     files["table.txt"].write_text(table + "\n")
     return table
 
@@ -113,7 +115,7 @@ def _cmd_init(args: argparse.Namespace) -> int:
     path = Path(args.out)
     if path.exists() and not args.force:
         raise ConfigError(f"{path} exists (use --force)")
-    write_default_config(path)
+    path.write_text(config_to_ini(ExperimentConfig()))
     print(f"wrote {path}")
     return 0
 
@@ -129,10 +131,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     records = read_records_csv(args.csv)
     if not records:
         raise ValueError("no records in CSV")
-    methods = list(dict.fromkeys(r.method for r in records))
-    levels = sorted({r.confounders for r in records}, reverse=True)
-    cells = aggregate_cells(records, tuple(methods), tuple(levels))
-    table = render_table(cells, methods, levels)
+    table = render_table(records)
     out_path = Path(args.out) if args.out else Path(args.csv).parent / "table.txt"
     out_path.write_text(table + "\n")
     print(table)

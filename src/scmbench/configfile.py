@@ -3,26 +3,13 @@
 from __future__ import annotations
 
 import configparser
-import dataclasses
-from typing import Any, Callable
+from typing import Any
 
-from .harness import CONFIG_SECTIONS, ExperimentConfig, _blaming, _text_form
+from .harness import CONFIG_SECTIONS, ExperimentConfig, _forms, _from_text, _to_text
 
 
 class ConfigError(ValueError):
     """Unreadable or invalid configuration file."""
-
-
-# ExperimentConfig fields that are not [experiment] keys: the nested sections,
-# and the fixed model, which only code can set
-_SKIPPED_FIELDS = {"fixed_scm", *filter(None, CONFIG_SECTIONS.values())}
-
-
-def _section_schema(cls: type) -> dict[str, tuple[Callable, Callable]]:
-    """INI key (the field's name) -> (format, parse) for the settable fields
-    of ``cls``."""
-    return {f.name: _text_form(cls, f)
-            for f in dataclasses.fields(cls) if f.name not in _SKIPPED_FIELDS}
 
 
 def _sections(cfg: ExperimentConfig) -> dict[str, Any]:
@@ -33,8 +20,6 @@ def _sections(cfg: ExperimentConfig) -> dict[str, Any]:
 
 _CLASSES = {section: type(obj)
             for section, obj in _sections(ExperimentConfig()).items()}
-# section -> key -> (format, parse)
-_SCHEMA = {section: _section_schema(cls) for section, cls in _CLASSES.items()}
 
 # comment lines written above a key; the dataclasses hold every default
 _HEADER = "# scmbench experiment configuration"
@@ -42,17 +27,6 @@ _COMMENTS = {
     ("experiment", "confounder_levels"): ("benchmark cells; records follow this order, "
                                           "the table runs from most to fewest confounders"),
 }
-
-
-def write_default_config(path) -> None:
-    with open(path, "w") as fh:
-        fh.write(config_to_ini(ExperimentConfig()))
-
-
-def _build(section: str, values: dict[str, Any]) -> Any:
-    """A section's config; its ValueError gains the section and blamed key."""
-    with _blaming(lambda name: f"[{section}] {name}", ConfigError):
-        return _CLASSES[section](**values)
 
 
 def read_config(path) -> ExperimentConfig:
@@ -75,24 +49,25 @@ def read_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
 
-    values: dict[str, dict[str, Any]] = {section: {} for section in _SCHEMA}
+    texts: dict[str, dict[str, str]] = {section: {} for section in _CLASSES}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in texts:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
-            entry = _SCHEMA[section].get(key)
-            if entry is None:
+            if key not in _forms(_CLASSES[section]):
                 raise ConfigError(f"unknown key '{key}' in [{section}]")
-            _, parse = entry
-            with _blaming(f"[{section}] {key}", ConfigError):
-                # configparser joins an indented line onto the value above
-                if "\n" in raw:
-                    raise ValueError(f"expected a value on one line, got {raw!r}")
-                values[section][key] = parse(raw)
+            # configparser joins an indented line onto the value above
+            if "\n" in raw:
+                raise ConfigError(f"[{section}] {key}: expected a value on one "
+                                  f"line, got {raw!r}")
+            texts[section][key] = raw
 
-    nested = {attr: _build(section, values[section])
-              for section, attr in CONFIG_SECTIONS.items() if attr}
-    return _build("experiment", {**values["experiment"], **nested})
+    def build(section: str, **given: Any) -> Any:
+        return _from_text(_CLASSES[section], texts[section],
+                          lambda key: f"[{section}] {key}", ConfigError, **given)
+
+    return build("experiment", **{attr: build(section)
+                                  for section, attr in CONFIG_SECTIONS.items() if attr})
 
 
 def config_to_ini(cfg: ExperimentConfig) -> str:
@@ -100,10 +75,10 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
     lines = [_HEADER, ""]
     for section, obj in _sections(cfg).items():
         lines.append(f"[{section}]")
-        for key, (fmt, _) in _SCHEMA[section].items():
+        for key, text in _to_text(obj).items():
             if (section, key) in _COMMENTS:
                 lines.append(f"# {_COMMENTS[section, key]}")
-            lines.append(f"{key} = {fmt(getattr(obj, key))}")
+            lines.append(f"{key} = {text}")
         lines.append("")
     return "\n".join(lines)
 

@@ -9,10 +9,12 @@ read-only.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import re
 import time
+from types import MappingProxyType
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field
@@ -254,14 +256,11 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> Report:
 
 
 @contextmanager
-def _blaming(where, error: type[ValueError] = ValueError):
-    """Re-raise a ValueError as ``error`` with ``where`` in front, or with
-    where(field) for the field blamed by the message's first word."""
+def _blaming(where: str, error: type[ValueError] = ValueError):
+    """Re-raise a ValueError as ``error`` with ``where`` in front."""
     try:
         yield
     except ValueError as exc:
-        if callable(where):
-            where = where(str(exc).split(" ", 1)[0])
         raise error(f"{where}: {exc}") from exc
 
 
@@ -316,23 +315,48 @@ _TEXT_FORMS = {
 }
 
 
-def _text_form(cls: type, f: dataclasses.Field) -> tuple:
-    """(format, parse) of the text form of field ``f`` of ``cls``."""
-    form = _TEXT_FORMS.get(f.type)
-    if form is None:
-        raise TypeError(f"{cls.__name__}.{f.name}: no text form for {f.type!r}")
-    return form
+@functools.cache
+def _forms(cls: type) -> MappingProxyType:
+    """Field name -> (format, parse) of the text form of each field of
+    ``cls`` but the fixed model and the nested config sections, which have
+    none; read-only, as every caller shares it."""
+    skipped = {"fixed_scm", *filter(None, CONFIG_SECTIONS.values())}
+    forms = {}
+    for f in dataclasses.fields(cls):
+        if f.name in skipped:
+            continue
+        if f.type not in _TEXT_FORMS:
+            raise TypeError(f"{cls.__name__}.{f.name}: no text form for {f.type!r}")
+        forms[f.name] = _TEXT_FORMS[f.type]
+    return MappingProxyType(forms)
 
 
-# RunRecord field -> (format, parse) of its records.csv column
-_RECORD_FORMS = {f.name: _text_form(RunRecord, f)
-                 for f in dataclasses.fields(RunRecord)}
-CSV_HEADER = ",".join(_RECORD_FORMS)
+def _to_text(obj) -> dict[str, str]:
+    """Field name -> the text of its value, for every field with a text form."""
+    return {name: fmt(getattr(obj, name)) for name, (fmt, _) in _forms(type(obj)).items()}
+
+
+def _from_text(cls: type, texts: dict[str, str], where, error: type[ValueError] = ValueError,
+               **given):
+    """cls(**given, **parsed texts). A ValueError from parsing a text, or from
+    the constructor about the field its message starts with, is re-raised as
+    ``error`` with where(field) in front."""
+    forms = _forms(cls)
+    values = {}
+    for name, text in texts.items():
+        with _blaming(where(name), error):
+            values[name] = forms[name][1](text)
+    try:
+        return cls(**given, **values)
+    except ValueError as exc:
+        raise error(f"{where(str(exc).split(' ', 1)[0])}: {exc}") from exc
+
+
+CSV_HEADER = ",".join(_forms(RunRecord))
 
 
 def write_records_csv(records, path) -> None:
-    rows = [",".join(fmt(getattr(r, name)) for name, (fmt, _) in _RECORD_FORMS.items())
-            for r in records]
+    rows = [",".join(_to_text(r).values()) for r in records]
     with open(path, "w") as fh:
         fh.write("\n".join([CSV_HEADER, *rows]) + "\n")
 
@@ -360,12 +384,8 @@ def read_records_csv(path) -> list[RunRecord]:
         parts = ln.split(",")
         if len(parts) != len(want):
             raise ValueError(f"line {no}: malformed record line: {ln!r}")
-        fields = {}
-        for (name, (_, parse)), text in zip(_RECORD_FORMS.items(), parts):
-            with _blaming(f"line {no}, column '{name}'"):
-                fields[name] = parse(text)
-        with _blaming(lambda name: f"line {no}, column '{name}'"):
-            record = RunRecord(**fields)
+        record = _from_text(RunRecord, dict(zip(want, parts)),
+                            lambda name: f"line {no}, column '{name}'")
         first = cells.setdefault((record.dag_id, record.method, record.confounders), no)
         if first != no:
             raise ValueError(f"line {no}: dag_id, method and confounders "

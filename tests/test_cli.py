@@ -279,6 +279,29 @@ class TestReport:
         assert main(["report", str(tmp_path / "absent.csv")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["clean", "icp over budget", "level 1 fails"])
+    def test_rewrites_the_runs_table_byte_for_byte(self, tmp_path, monkeypatch, case):
+        # a configured method or level with no record has no row or column in
+        # either table
+        icp = sb.IcpConfig(enumeration_budget=1 if case == "icp over budget" else 4096)
+        cfg_path = small_config(tmp_path, num_dags=1, confounder_levels=(0, 1),
+                                methods=("iid", "icp"), icp=icp)
+        if case == "level 1 fails":
+            real = harness.add_confounders
+
+            def failing(scm, count, rng):
+                if count == 1:
+                    raise RuntimeError("no model at one confounder")
+                return real(scm, count, rng)
+
+            monkeypatch.setattr(harness, "add_confounders", failing)
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == (
+            0 if case == "clean" else 2)
+        table = (out / "table.txt").read_bytes()
+        assert main(["report", str(out / "records.csv")]) == 0
+        assert (out / "table.txt").read_bytes() == table
+
 
 class TestDemo:
     def test_demo_recovers_the_known_answer(self, tmp_path, capsys):
@@ -347,19 +370,24 @@ class TestImport:
         assert proc.stdout.strip() == "False"
 
 
+def record(dag_id, method, level, z, pa0):
+    z, pa0 = frozenset(z), frozenset(pa0)
+    return harness.RunRecord(dag_id=dag_id, method=method, confounders=level, z=z,
+                             pa0=pa0, js=harness.jaccard(z, pa0),
+                             violated=not z <= pa0, wall_time=0.5)
+
+
 class TestRenderTable:
     def test_layout_and_values(self):
-        cells = {
-            "iid": {0: {"mean_js": 1.0, "sd_js": 0.0, "fwer": 0.0, "n": 50},
-                    1: {"mean_js": 0.917, "sd_js": 0.1, "fwer": 0.02, "n": 50}},
-            "icp": {0: {"mean_js": 0.96, "sd_js": 0.1, "fwer": 0.0, "n": 50},
-                    1: {"mean_js": None, "sd_js": None, "fwer": None, "n": 0}},
-        }
-        table = render_table(cells, methods=["iid", "icp"], levels=[1, 0])
-        lines = table.splitlines()
-        assert lines[0].split() == ["method", "1", "confounder", "0", "confounders"]
-        assert "0.917 (0.02)" in lines[1]
-        assert "1.000 (0.00)" in lines[1]
-        assert lines[2].startswith("icp")
-        assert "-" in lines[2]
-        assert "0.960 (0.00)" in lines[2]
+        records = [record(0, "iid", 0, {1}, {1}), record(0, "icp", 0, (), {1}),
+                   record(0, "iid", 1, {1, 3}, {1, 2}), record(1, "iid", 1, {1, 2}, {1, 2})]
+        assert render_table(records) == (
+            "method  1 confounder  0 confounders\n"
+            "iid     0.667 (0.50)  1.000 (0.00)\n"
+            "icp     -             0.000 (0.00)")
+
+    def test_methods_follow_the_records_and_no_records_give_the_header(self):
+        records = [record(0, "icp", 2, {1}, {1}), record(0, "iid", 2, {1}, {1})]
+        assert [ln.split()[0] for ln in render_table(records).splitlines()] == [
+            "method", "icp", "iid"]
+        assert render_table([]) == "method"

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import scmbench as sb
-from scmbench.configfile import (ConfigError, _section_schema, config_to_ini,
-                                 read_config, write_default_config)
-from scmbench.harness import _TEXT_FORMS, CONFIG_SECTIONS, RunRecord, _config_echo
+from scmbench.configfile import ConfigError, config_to_ini, read_config
+from scmbench.harness import (_TEXT_FORMS, CONFIG_SECTIONS, RunRecord, _config_echo,
+                              _forms)
 
 
 def write(tmp_path, text: str):
@@ -22,8 +22,7 @@ def write(tmp_path, text: str):
 
 class TestDefaults:
     def test_default_file_round_trips_to_default_config(self, tmp_path):
-        path = tmp_path / "scmbench.ini"
-        write_default_config(path)
+        path = write(tmp_path, config_to_ini(sb.ExperimentConfig()))
         assert read_config(path) == sb.ExperimentConfig()
 
     def test_unsupported_annotation_is_a_type_error(self):
@@ -32,12 +31,10 @@ class TestDefaults:
             ratio: complex = 1j
 
         with pytest.raises(TypeError, match=r"Odd\.ratio"):
-            _section_schema(Odd)
+            _forms(Odd)
 
-    def test_default_text_starts_with_the_header(self, tmp_path):
-        path = tmp_path / "scmbench.ini"
-        write_default_config(path)
-        text = path.read_text()
+    def test_default_text_starts_with_the_header(self):
+        text = config_to_ini(sb.ExperimentConfig())
         assert text.startswith("# scmbench experiment configuration\n")
         assert ("# benchmark cells; records follow this order, the table runs from "
                 "most to fewest confounders\nconfounder_levels = 0, 1, 2\n") in text

@@ -115,3 +115,29 @@ def test_records_of_another_seed_stop_the_run(tmp_path, capsys, entry):
             f"one run") in capsys.readouterr().err
     assert not (tmp_path / "seeds.json").exists()
     assert [p.name for p in records.iterdir()] == [entry]
+
+
+@pytest.mark.parametrize("flag, path, message", [
+    ("--records", "taken", "--records {}: expected a directory"),
+    ("--records", "taken/records", "--records {}: expected a directory"),
+    ("--out", "records", "--out {}: expected a file in an existing directory"),
+    ("--out", "absent/seeds.json", "--out {}: expected a file in an existing directory"),
+])
+def test_a_bad_output_path_stops_the_run_before_any_seed(tmp_path, capsys, monkeypatch,
+                                                         flag, path, message):
+    def never(*args):
+        raise AssertionError("a seed ran")
+
+    monkeypatch.setattr(seed_sweep, "run_experiment", never)
+    (tmp_path / "taken").write_text("keep me\n")
+    (tmp_path / "records").mkdir()
+    paths = {"--out": str(tmp_path / "seeds.json"), "--records": str(tmp_path / "records"),
+             flag: str(tmp_path / path)}
+    with pytest.raises(SystemExit) as info:
+        seed_sweep.main(["--config", str(one_dag_config(tmp_path)), "--seeds", "0",
+                         "--threads", "1", *(x for item in paths.items() for x in item)])
+    assert info.value.code == 2
+    assert message.format(tmp_path / path) in capsys.readouterr().err
+    assert (tmp_path / "taken").read_text() == "keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.ini", "records", "taken"]
+    assert list((tmp_path / "records").iterdir()) == []

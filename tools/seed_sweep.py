@@ -16,7 +16,8 @@ pin seed 0 only; this shows how far the other seeds sit from their bounds.
 With ``--records DIR``, each seed's records also go to
 ``DIR/seed-<seed>/records.csv``, written as ``scmbench run`` writes them, and
 DIR holds one run: a ``seed-*`` entry there that is not one of ``--seeds``
-stops the script before it runs any seed.
+stops the script before it runs any seed, as does an ``--out`` or
+``--records`` path that could not be written.
 """
 
 from __future__ import annotations
@@ -99,11 +100,17 @@ def main(argv: list[str] | None = None) -> int:
                         help="master seeds, e.g. 0-10 or 0,4-6 (default 0-10)")
     parser.add_argument("--threads", type=parse_threads, default=2,
                         help="worker processes (default 2)")
-    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
     parser.add_argument("--records", type=Path,
                         help="directory to write each seed's records.csv under")
     args = parser.parse_args(argv)
+    # checked before the first seed, so a bad path loses no results
+    if args.out.is_dir() or not args.out.parent.is_dir():
+        parser.error(f"--out {args.out}: expected a file in an existing directory")
     if args.records is not None:
+        # the path, or the nearest of its parents that exists, must be a directory
+        if not next(p for p in (args.records, *args.records.parents) if p.exists()).is_dir():
+            parser.error(f"--records {args.records}: expected a directory")
         ours = {f"seed-{seed}" for seed in args.seeds}
         if stale := sorted(p for p in args.records.glob("seed-*") if p.name not in ours):
             parser.error(f"{stale[0]} is not one of --seeds; a --records "
@@ -139,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
     summary = {"config": args.config or "default", "threads": args.threads,
                "seeds": per_seed, "pooled_level_0_iid_fwer": pooled,
                "wall_s": round(time.perf_counter() - start, 1)}
-    Path(args.out).write_text(json.dumps(summary, indent=2) + "\n")
+    args.out.write_text(json.dumps(summary, indent=2) + "\n")
     print(json.dumps(pooled))
     return 0
 
