@@ -21,25 +21,22 @@ from .distmetrics import _moments
 from .scm import SampleBatch, _bounded, _check_batches, _check_bounds
 
 
+# training recipe and null draws; a Python float step keeps the steps float32
+_STEP_SIZE, _UPDATES, _BATCH_ROWS, _NULL_DRAWS = 0.01, 600, 256, 64
+
+
 class TrainingDivergedError(RuntimeError):
     """Loss became non-finite during gradient descent."""
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Settings for one training call and for the penalty loop.
+    """The penalty loop's one setting. Each round's threshold is tau =
+    max(tau_multiplier * 95th percentile, max) over ``_NULL_DRAWS``
+    label-permuted null scores; training runs the fixed recipe of
+    ``_UPDATES`` updates of ``_BATCH_ROWS`` rows at ``_STEP_SIZE``."""
 
-    ``epochs_per_round`` counts mini-batch updates. Each round recalibrates
-    the elimination threshold from label-permuted null scores: tau =
-    max(tau_multiplier * 95th percentile, max) over
-    ``calibration_permutations`` null draws.
-    """
-
-    learning_rate: float = _bounded(1e-2, "(0, inf)")
-    epochs_per_round: int = _bounded(600, "[1, inf)")
-    batch_size: int = _bounded(256, "[1, inf)")
     tau_multiplier: float = _bounded(3.0, "(0, inf)")
-    calibration_permutations: int = _bounded(64, "[1, inf)")
 
     def __post_init__(self) -> None:
         _check_bounds(self)
@@ -75,16 +72,16 @@ def _param_views(buf: np.ndarray, l: int, h: int) -> tuple[np.ndarray, ...]:
 
 
 def train_regressor(batches: list[SampleBatch], mask: np.ndarray,
-                    cfg: TrainConfig, rng: np.random.Generator) -> Regressor:
+                    rng: np.random.Generator) -> Regressor:
     """Fit the regressor to pooled rows by mini-batch gradient descent, using
     the candidates that ``mask`` (0/1 or boolean, one per x_1..x_l) keeps.
 
     Inputs and target are standardized on the pooled rows and the affine maps
     are folded back into the returned parameters, so ``predict`` works in raw
-    units. Updates use Adam-style per-parameter step scaling at
-    ``learning_rate``; the step size stays flat for the first 70 percent of
-    updates and then decays linearly to 2 percent so the parameters settle at
-    the optimum instead of hovering around it (leftover hover noise on a
+    units. _UPDATES updates of _BATCH_ROWS rows use Adam-style per-parameter
+    step scaling at _STEP_SIZE, held flat for the first 70 percent of updates
+    and then decayed linearly to 2 percent so the parameters settle at the
+    optimum instead of hovering around it (leftover hover noise on a
     coefficient shows up as a spurious residual shift in whichever environment
     clamps that input far from its pooled mean). The five parameters, their
     gradients and the Adam moments are views into one flat buffer each, and
@@ -93,7 +90,7 @@ def train_regressor(batches: list[SampleBatch], mask: np.ndarray,
     and step size); the standardization, the least-squares start and the
     folded parameters stay in float64. Raises TrainingDivergedError on
     non-finite loss, which float32 reaches once the batch's summed squared
-    error, or the learning rate, passes its maximum of about 3.4e38.
+    error, or the step size, passes its maximum of about 3.4e38.
     """
     width = _check_batches(batches, min_batches=1, min_rows=1)
     mask = np.asarray(mask)
@@ -138,16 +135,15 @@ def train_regressor(batches: list[SampleBatch], mask: np.ndarray,
     v_state = np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    total = cfg.epochs_per_round
-    flat = int(0.7 * total)
+    flat = int(0.7 * _UPDATES)
     # one draw of shape (steps, batch) gives the same stream as a draw per step
-    batch_idx = rng.integers(0, n, size=(total, cfg.batch_size))
-    for step in range(1, total + 1):
+    batch_idx = rng.integers(0, n, size=(_UPDATES, _BATCH_ROWS))
+    for step in range(1, _UPDATES + 1):
         if step <= flat:
-            lr = cfg.learning_rate
+            lr = _STEP_SIZE
         else:
-            frac = (step - flat) / (total - flat)
-            lr = cfg.learning_rate * (1.0 - 0.98 * frac)
+            frac = (step - flat) / (_UPDATES - flat)
+            lr = _STEP_SIZE * (1.0 - 0.98 * frac)
         idx = batch_idx[step - 1]
         xb = np.take(x, idx, axis=0)
         yb = np.take(y, idx)
@@ -212,13 +208,13 @@ def _null_tau(pooled: np.ndarray, own_size: int, cfg: TrainConfig,
 
     Under a perfect fit every candidate's observed score is itself one draw
     from this null, so thresholding at the plain null maximum would evict a
-    true parent about once per calibration_permutations rounds. Inflating a
-    robust upper quantile by tau_multiplier pushes that probability to the
-    permille range while staying far below genuine distortion scores. Each
-    draw's own part is rng.permutation(N)[:own_size]; NaN if any draw is not finite.
+    true parent about once per _NULL_DRAWS rounds. Inflating a robust upper
+    quantile by tau_multiplier pushes that probability to the permille range
+    while staying far below genuine distortion scores. Each of the _NULL_DRAWS
+    draws' own part is rng.permutation(N)[:own_size]; NaN if any is not finite.
     """
     own = np.stack([pooled[rng.permutation(pooled.size)[:own_size]]
-                    for _ in range(cfg.calibration_permutations)])
+                    for _ in range(_NULL_DRAWS)])
     s, q = own.sum(axis=1), np.einsum("ij,ij->i", own, own)
     fids = _scores(np.array([own_size, pooled.size - own_size]),
                    np.column_stack([s, pooled.sum() - s]),
@@ -266,7 +262,7 @@ def identify_parents(batches: list[SampleBatch], cfg: TrainConfig,
     while len(split) >= 2:
         mask = np.isin(candidates, list(split))
         rng_train, rng_cal = rng.spawn(2)
-        reg = train_regressor([t for t, _ in split.values()], mask, cfg, rng_train)
+        reg = train_regressor([t for t, _ in split.values()], mask, rng_train)
         residuals = [np.abs(reg.predict(h[:, 1:] * mask) - h[:, 0]) for _, h in split.values()]
         scores = _scores(*np.array([(r.size, r.sum(), r @ r) for r in residuals]).T)
         if scores.size == 2:  # each is the other's rest: equal but for rounding, so tie them

@@ -249,17 +249,21 @@ def random_scm(cfg: GenConfig, rng: np.random.Generator) -> LinearGaussianScm:
 def intervene(scm: LinearGaussianScm, env: Environment) -> LinearGaussianScm:
     """Return a copy with the environment's clamp applied: the incoming
     weights of x_id zeroed, its noise mean set to the value and its noise std
-    to zero. Rejects clamps on node 0, on latent nodes and on unknown nodes.
+    to zero. Rejects clamps on node 0, on latent nodes and on unknown nodes,
+    and a bool target or value, a non-integer target or a non-number value.
     """
     if env.value is None:
         return scm
     j = env.id
+    _check_bound("intervention target", j, "(-inf, inf)", integer=True)
     if not 0 <= j < scm.p:
         raise ValueError(f"intervention target {j} is not a node")
     if j == 0:
         raise ValueError("cannot intervene on the outcome node")
     if j >= scm.num_observed:
         raise ValueError("cannot intervene on a latent node")
+    if isinstance(env.value, bool) or not isinstance(env.value, Real):
+        raise ValueError(f"intervention value must be a number, got {env.value!r}")
     if not np.isfinite(env.value):
         raise ValueError("intervention value must be finite")
     weights = scm.weights.copy()

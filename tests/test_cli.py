@@ -129,7 +129,7 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, field", [
-        ("[train]\nlearning_rate = nan\n", "learning_rate"),
+        ("[train]\ntau_multiplier = nan\n", "tau_multiplier"),
         ("[generation]\nintervention_value_max = inf\n", "intervention_value_max"),
         ("[experiment]\nnum_dags = -1\n", "num_dags"),
     ])
@@ -200,19 +200,17 @@ class TestRun:
             assert len(bodies["1"]) == 1 + 2 * 2 * methods  # header, dags x levels x methods
             assert bodies["1"] == bodies["2"]
 
-    @pytest.mark.parametrize("batch_size", [1024, 8192])
-    def test_trainer_bits_do_not_depend_on_blas_threads(self, batch_size):
-        # 12 candidates; OpenBLAS 0.3.31 splits the float32 step's (batch x 12)
-        # by (12 x 16) products over a second thread from about 6,000 rows on,
-        # so only the 8,192-row batches run them on two threads
+    def test_trainer_bits_do_not_depend_on_blas_threads(self):
+        # 12 candidates pooled over 60,000 rows: OpenBLAS 0.3.31 splits the
+        # least-squares start's (12 x rows) by (rows) product over a second
+        # thread from about 40,000 rows on; the 256-row steps stay on one
         script = "\n".join([
             "import hashlib, numpy as np, scmbench as sb",
             "from scmbench.identifier import train_regressor",
             "rng = np.random.default_rng(3)",
-            "data = rng.standard_normal((3000, 13))",
+            "data = rng.standard_normal((60000, 13))",
             "data[:, 0] = np.tanh(data[:, 1:] @ rng.normal(size=12)) + data[:, 1:4].sum(axis=1)",
-            "reg = train_regressor([sb.SampleBatch(env=0, data=data)], np.ones(12),",
-            f"                      sb.TrainConfig(batch_size={batch_size}), rng)",
+            "reg = train_regressor([sb.SampleBatch(env=0, data=data)], np.ones(12), rng)",
             "parts = (reg.w1, reg.b1, reg.w2, np.float64(reg.b2), reg.ws)",
             "print(hashlib.sha256(b''.join(p.tobytes() for p in parts)).hexdigest())",
         ])

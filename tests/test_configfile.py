@@ -59,8 +59,7 @@ class TestDefaults:
                            "master_seed"],
             "generation": ["nodes_min", "nodes_max", "edge_prob", "intervention_value_min",
                            "intervention_value_max"],
-            "train": ["learning_rate", "epochs_per_round", "batch_size", "tau_multiplier",
-                      "calibration_permutations"],
+            "train": ["tau_multiplier"],
             "icp": ["alpha", "test", "num_permutations", "enumeration_budget"],
         }
 
@@ -84,9 +83,14 @@ class TestDefaults:
         ("generation", "min_parents", "2"),
         ("train", "hidden_width", "16"),
         ("train", "holdout_fraction", "0.3"),
+        ("train", "learning_rate", "0.01"),
+        ("train", "epochs_per_round", "600"),
+        ("train", "batch_size", "256"),
+        ("train", "calibration_permutations", "64"),
     ], ids=["tau_auto", "rounds", "tau", "include_observational", "max_subset_size",
             "lr", "weight_min", "weight_max", "sign_flip_prob", "noise_std_min",
-            "noise_std_max", "min_parents", "hidden_width", "holdout_fraction"])
+            "noise_std_max", "min_parents", "hidden_width", "holdout_fraction",
+            "learning_rate", "epochs_per_round", "batch_size", "calibration_permutations"])
     def test_removed_key_is_rejected(self, tmp_path, section, key, value):
         path = write(tmp_path, f"[{section}]\n{key} = {value}\n")
         with pytest.raises(ConfigError) as info:
@@ -100,7 +104,7 @@ class TestRoundTrip:
             num_dags=7, samples_per_env=321, confounder_levels=(2, 0),
             methods=("icp",), master_seed=99,
             gen=sb.GenConfig(nodes_min=4, nodes_max=6, edge_prob=0.7),
-            train=sb.TrainConfig(batch_size=8, tau_multiplier=2.5),
+            train=sb.TrainConfig(tau_multiplier=2.5),
             icp=sb.IcpConfig(alpha=0.01, test="energy-permutation"))
         path = write(tmp_path, config_to_ini(cfg))
         assert read_config(path) == cfg
@@ -121,9 +125,7 @@ class TestRoundTrip:
             gen=sb.GenConfig(
                 nodes_min=4, nodes_max=6, edge_prob=0.7, intervention_value_min=-1.5,
                 intervention_value_max=2.25),
-            train=sb.TrainConfig(
-                learning_rate=0.003, epochs_per_round=50, batch_size=64,
-                tau_multiplier=2.5, calibration_permutations=16),
+            train=sb.TrainConfig(tau_multiplier=2.5),
             icp=sb.IcpConfig(alpha=0.01, test="energy-permutation",
                              num_permutations=499, enumeration_budget=100))
         default = sb.ExperimentConfig()
@@ -143,7 +145,7 @@ class TestRoundTrip:
                 assert value != getattr(base, f.name), (section, f.name)
                 assert json.dumps(shown[f.name]) == json.dumps(value)
                 settable += 1
-        assert settable == 19
+        assert settable == 15
         assert read_config(write(tmp_path, config_to_ini(cfg))) == cfg
 
     def test_missing_keys_fall_back_to_defaults(self, tmp_path):
@@ -159,11 +161,11 @@ class TestRoundTrip:
     def test_floats_may_be_written_as_integers(self, tmp_path):
         path = write(tmp_path, "[generation]\nintervention_value_min = -3\n"
                                "intervention_value_max = 1e+1\n"
-                               "[train]\nlearning_rate = 1e-05\n")
+                               "[train]\ntau_multiplier = 1e-05\n")
         cfg = read_config(path)
         assert cfg.gen.intervention_value_min == -3.0
         assert cfg.gen.intervention_value_max == 10.0
-        assert cfg.train.learning_rate == 1e-05
+        assert cfg.train.tau_multiplier == 1e-05
 
 
 class TestErrors:
@@ -173,13 +175,13 @@ class TestErrors:
             read_config(path)
 
     def test_unknown_key(self, tmp_path):
-        path = write(tmp_path, "[train]\nlearningrate = 0.1\n")
-        with pytest.raises(ConfigError, match="unknown key 'learningrate'"):
+        path = write(tmp_path, "[train]\ntau_multipler = 3.0\n")
+        with pytest.raises(ConfigError, match="unknown key 'tau_multipler'"):
             read_config(path)
 
     def test_malformed_value_names_section_and_key(self, tmp_path):
-        path = write(tmp_path, "[train]\nlearning_rate = fast\n")
-        with pytest.raises(ConfigError, match=r"\[train\] learning_rate"):
+        path = write(tmp_path, "[train]\ntau_multiplier = fast\n")
+        with pytest.raises(ConfigError, match=r"\[train\] tau_multiplier"):
             read_config(path)
 
     @pytest.mark.parametrize("text, where, message", [
@@ -205,18 +207,18 @@ class TestErrors:
          "num_dags must lie in [1, inf), got -1"),
         ("[experiment]\nmaster_seed = -1\n", "[experiment] master_seed",
          "master_seed must lie in [0, inf), got -1"),
-        ("[train]\nlearning_rate = nan\n", "[train] learning_rate",
-         "learning_rate must lie in (0, inf), got nan"),
+        ("[train]\ntau_multiplier = nan\n", "[train] tau_multiplier",
+         "tau_multiplier must lie in (0, inf), got nan"),
         ("[generation]\nnodes_min = 13\n", "[generation] nodes_max",
          "nodes_max must be >= nodes_min"),
         # floats are the forms str and repr of a float write, and integers
-        ("[train]\nlearning_rate = 0_0.5\n", "[train] learning_rate",
+        ("[train]\ntau_multiplier = 0_0.5\n", "[train] tau_multiplier",
          "expected a number, got '0_0.5'"),
-        ("[train]\nlearning_rate = +1\n", "[train] learning_rate",
+        ("[train]\ntau_multiplier = +1\n", "[train] tau_multiplier",
          "expected a number, got '+1'"),
-        ("[train]\nlearning_rate = infinity\n", "[train] learning_rate",
+        ("[train]\ntau_multiplier = infinity\n", "[train] tau_multiplier",
          "expected a number, got 'infinity'"),
-        ("[train]\nlearning_rate = 1E-3\n", "[train] learning_rate",
+        ("[train]\ntau_multiplier = 1E-3\n", "[train] tau_multiplier",
          "expected a number, got '1E-3'"),
         ("[generation]\nedge_prob = .5\n", "[generation] edge_prob",
          "expected a number, got '.5'"),
@@ -232,8 +234,8 @@ class TestErrors:
     ], ids=["num_dags=1_0", "samples_per_env=+500", "confounder_levels=arabic-1",
             "enumeration_budget=1_0", "master_seed=blank", "master_seed=1_0",
             "master_seed=+1", "num_dags=-1", "master_seed=-1",
-            "learning_rate=nan", "nodes_min=13", "learning_rate=0_0.5",
-            "learning_rate=+1", "learning_rate=infinity", "learning_rate=1E-3",
+            "tau_multiplier=nan", "nodes_min=13", "tau_multiplier=0_0.5",
+            "tau_multiplier=+1", "tau_multiplier=infinity", "tau_multiplier=1E-3",
             "edge_prob=.5", "alpha=fullwidth-1.0", "methods=iid-comma",
             "confounder_levels=empty-item", "methods=blank"])
     def test_bad_value_names_section_and_key(self, tmp_path, text, where,
@@ -256,9 +258,9 @@ class TestErrors:
             read_config(write(tmp_path, text))
 
     @pytest.mark.parametrize("text, message", [
-        ("[train]\nLEARNING_RATE = 0.5\n", "unknown key 'LEARNING_RATE' in [train]"),
+        ("[train]\nTAU_MULTIPLIER = 0.5\n", "unknown key 'TAU_MULTIPLIER' in [train]"),
         ("[experiment]\nNUM_DAGS = 3\n", "unknown key 'NUM_DAGS' in [experiment]"),
-    ], ids=["LEARNING_RATE", "NUM_DAGS"])
+    ], ids=["TAU_MULTIPLIER", "NUM_DAGS"])
     def test_keys_are_case_sensitive(self, tmp_path, text, message):
         with pytest.raises(ConfigError) as info:
             read_config(write(tmp_path, text))
@@ -342,7 +344,7 @@ class TestDeclaredRanges:
             "TrainConfig", "IcpConfig", "LinearGaussianScm | None"}
 
     @pytest.mark.parametrize("cls, name", [(sb.ExperimentConfig, "num_dags"),
-                                           (sb.TrainConfig, "batch_size")])
+                                           (sb.IcpConfig, "num_permutations")])
     def test_bool_is_not_an_integer(self, cls, name):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got True$"):
             cls(**{name: True})
@@ -383,7 +385,7 @@ class TestTextForms:
         not_keys = {"fixed_scm", *CONFIG_SECTIONS.values()}
         walked = [(cls, f) for cls in (RunRecord, *CONFIG_CLASSES)
                   for f in dataclasses.fields(cls) if f.name not in not_keys]
-        assert len(walked) == 8 + 19
+        assert len(walked) == 8 + 15
         for cls, f in walked:
             assert f.type in _TEXT_FORMS, f"{cls.__name__}.{f.name}"
 

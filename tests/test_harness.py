@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import scmbench as sb
-from scmbench import harness
+from scmbench import harness, identifier
 
 node_sets = st.frozensets(st.integers(0, 8), max_size=6)
 
@@ -184,13 +184,13 @@ class TestRunExperiment:
         assert keys == [(d, lvl, m) for d in range(2) for lvl in (0, 1)
                         for m in ("iid", "icp")]
 
-    def test_a_diverged_training_names_its_exception_type(self):
-        # learning_rate = 1e200 is inf in the float32 step, so the second
+    def test_a_diverged_training_names_its_exception_type(self, monkeypatch):
+        # a step size of 1e200 is inf in the float32 step, so the second
         # update's loss is not finite
+        monkeypatch.setattr(identifier, "_STEP_SIZE", 1e200)
         cfg = sb.ExperimentConfig(num_dags=1, samples_per_env=400,
                                   confounder_levels=(0,), methods=("iid", "icp"),
-                                  fixed_scm=sb.four_node_demo_scm(),
-                                  train=sb.TrainConfig(learning_rate=1e200))
+                                  fixed_scm=sb.four_node_demo_scm())
         with np.errstate(over="ignore", invalid="ignore"):
             report = sb.run_experiment(cfg)
         assert report.errors == ({"dag_id": 0, "method": "iid", "confounders": 0,

@@ -1,5 +1,6 @@
 """Tests for the invariance-penalty parent identifier."""
 
+import dataclasses
 import hashlib
 import re
 
@@ -36,10 +37,11 @@ def all_parents_scm():
         topo_order=(1, 2, 3, 4, 5, 0))
 
 
-def _reference_train_regressor(batches, mask, cfg, rng):
+def _reference_train_regressor(batches, mask, rng):
     """Per-parameter trainer oracle: one array and one Adam update per
     parameter and one index draw per step, with the steps in float32 and the
-    standardization, least-squares start and fold in float64.
+    standardization, least-squares start and fold in float64, run for the
+    identifier's recipe constants as they stand when called.
     train_regressor must return the same bits and leave rng in the same
     state."""
     if not batches:
@@ -79,15 +81,15 @@ def _reference_train_regressor(batches, mask, cfg, rng):
     v_state = [np.zeros_like(p) for p in params]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    total = cfg.epochs_per_round
+    total = identifier._UPDATES
     flat = int(0.7 * total)
     for step in range(1, total + 1):
-        if step <= flat or total == flat:
-            lr = cfg.learning_rate
+        if step <= flat:
+            lr = identifier._STEP_SIZE
         else:
             frac = (step - flat) / (total - flat)
-            lr = cfg.learning_rate * (1.0 - 0.98 * frac)
-        idx = rng.integers(0, n, size=cfg.batch_size)
+            lr = identifier._STEP_SIZE * (1.0 - 0.98 * frac)
+        idx = rng.integers(0, n, size=identifier._BATCH_ROWS)
         xb = x[idx]
         yb = y[idx]
         hidden = np.tanh(xb @ params[0] + params[1])
@@ -204,8 +206,7 @@ class TestTrainRegressor:
         train = sb.sample(scm, OBS, 6000, rng)
         hold = sb.sample(scm, OBS, 4000, rng)
         mask = np.zeros(3)
-        reg = identifier.train_regressor([train], mask, sb.TrainConfig(),
-                                         np.random.default_rng(1))
+        reg = identifier.train_regressor([train], mask, np.random.default_rng(1))
         x = hold.data[:, 1:] * mask
         mse = float(np.mean((reg.predict(x) - hold.data[:, 0]) ** 2))
         # Var(x0) = 2^2 + 1.5^2 + 1 = 7.25; a constant predictor can do no better
@@ -217,13 +218,12 @@ class TestTrainRegressor:
         data = train.data.copy()
         data[:, 0] = 3.5
         reg = identifier.train_regressor([sb.SampleBatch(env=0, data=data)], np.ones(1),
-                                         sb.TrainConfig(), np.random.default_rng(1))
+                                         np.random.default_rng(1))
         assert np.max(np.abs(reg.predict(hold.data[:, 1:]) - 3.5)) < 0.01
 
     def test_chain_reaches_the_noise_floor(self):
         train, hold = chain_batches(seed=2)
-        reg = identifier.train_regressor([train], np.ones(1), sb.TrainConfig(),
-                                         np.random.default_rng(3))
+        reg = identifier.train_regressor([train], np.ones(1), np.random.default_rng(3))
         mse = float(np.mean((reg.predict(hold.data[:, 1:])
                              - hold.data[:, 0]) ** 2))
         assert mse == pytest.approx(1.0, rel=0.10)
@@ -231,46 +231,47 @@ class TestTrainRegressor:
     def test_determinism(self):
         train, _ = chain_batches(seed=4, n_train=1500, n_eval=10)
         mask = np.ones(1)
-        cfg = sb.TrainConfig(epochs_per_round=50)
-        a = identifier.train_regressor([train], mask, cfg, np.random.default_rng(9))
-        b = identifier.train_regressor([train], mask, cfg, np.random.default_rng(9))
+        a = identifier.train_regressor([train], mask, np.random.default_rng(9))
+        b = identifier.train_regressor([train], mask, np.random.default_rng(9))
         for field in ("w1", "b1", "w2", "b2", "ws"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
 
-    @pytest.mark.parametrize("learning_rate", [1e200, 1e39],
+    @pytest.mark.parametrize("step_size", [1e200, 1e39],
                              ids=["1e200", "past-float32-max"])
-    def test_divergence_is_reported(self, learning_rate):
-        # both rates lie in (0, inf) but are inf in the float32 step, so the
-        # first update makes the parameters non-finite; a float64 step takes
-        # 1e39 and returns coefficients near 1e39 instead
+    def test_divergence_is_reported(self, monkeypatch, step_size):
+        # both step sizes are finite floats but inf in the float32 step, so
+        # the first update makes the parameters non-finite; a float64 step
+        # takes 1e39 and returns coefficients near 1e39 instead
+        monkeypatch.setattr(identifier, "_STEP_SIZE", step_size)
         train, _ = chain_batches(seed=5, n_train=500, n_eval=10)
-        cfg = sb.TrainConfig(learning_rate=learning_rate, epochs_per_round=5)
         mask = np.ones(1)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(sb.TrainingDivergedError) as expected:
-                _reference_train_regressor([train], mask, cfg, np.random.default_rng(0))
+                _reference_train_regressor([train], mask, np.random.default_rng(0))
             with pytest.raises(sb.TrainingDivergedError) as got:
-                identifier.train_regressor([train], mask, cfg, np.random.default_rng(0))
+                identifier.train_regressor([train], mask, np.random.default_rng(0))
         assert str(got.value) == str(expected.value) == "non-finite loss at step 2"
 
-    @pytest.mark.parametrize("masked, overrides, n", [
-        pytest.param((), {}, 700, id="all-active"),
-        pytest.param((2, 4), {}, 700, id="some-masked"),
-        pytest.param((1, 2, 3, 4, 5), {}, 700, id="all-masked"),
-        pytest.param((), dict(epochs_per_round=1), 700, id="one-step"),
-        pytest.param((5,), dict(batch_size=256, epochs_per_round=40), 9,
-                     id="batch-larger-than-rows"),
+    @pytest.mark.parametrize("masked, n, updates", [
+        pytest.param((), 700, None, id="all-active"),
+        pytest.param((2, 4), 700, None, id="some-masked"),
+        pytest.param((1, 2, 3, 4, 5), 700, None, id="all-masked"),
+        # a single update lies past the flat 70 percent: it takes the decayed step
+        pytest.param((), 700, 1, id="one-step"),
+        # 45 pooled rows, fewer than a batch's 256
+        pytest.param((5,), 9, None, id="batch-larger-than-rows"),
     ])
-    def test_matches_the_per_parameter_oracle(self, masked, overrides, n):
+    def test_matches_the_per_parameter_oracle(self, monkeypatch, masked, n, updates):
+        if updates is not None:
+            monkeypatch.setattr(identifier, "_UPDATES", updates)
         batches = five_candidate_batches(seed=11, n=n)
         active = ~np.isin(np.arange(1, 6), masked)
-        cfg = sb.TrainConfig(**overrides)
         rng_ref = np.random.default_rng(12)
-        ref = _reference_train_regressor(batches, active.astype(float), cfg, rng_ref)
+        ref = _reference_train_regressor(batches, active.astype(float), rng_ref)
         # identify_parents passes a boolean mask; a 0/1 integer one is the same
         for mask in (active, active.astype(np.int8)):
             rng_new = np.random.default_rng(12)
-            got = identifier.train_regressor(batches, mask, cfg, rng_new)
+            got = identifier.train_regressor(batches, mask, rng_new)
             for field in ("w1", "b1", "w2", "b2", "ws"):
                 assert np.array_equal(getattr(got, field), getattr(ref, field)), field
                 assert np.asarray(getattr(got, field)).dtype == np.float64, field
@@ -283,27 +284,23 @@ class TestTrainRegressor:
     def test_hidden_layer_has_sixteen_units(self, batches):
         batches = batches()
         l = batches[0].data.shape[1] - 1
-        reg = identifier.train_regressor(batches, np.ones(l), sb.TrainConfig(epochs_per_round=1),
-                                         np.random.default_rng(0))
+        reg = identifier.train_regressor(batches, np.ones(l), np.random.default_rng(0))
         assert reg.w1.shape == (l, 16) and reg.b1.shape == reg.w2.shape == (16,)
         assert reg.ws.shape == (l,)
 
     def test_rejects_mismatched_width(self):
         train, _ = chain_batches(seed=6, n_train=100, n_eval=10)
         with pytest.raises(ValueError, match="width"):
-            identifier.train_regressor([train], np.ones(3), sb.TrainConfig(),
-                                       np.random.default_rng(0))
+            identifier.train_regressor([train], np.ones(3), np.random.default_rng(0))
         with pytest.raises(ValueError, match="at least 1 batch"):
-            identifier.train_regressor([], np.ones(1), sb.TrainConfig(),
-                                       np.random.default_rng(0))
+            identifier.train_regressor([], np.ones(1), np.random.default_rng(0))
 
     def test_rejects_batches_of_mixed_width(self):
         train = sb.sample(sb.four_node_demo_scm(), OBS, 50, np.random.default_rng(0))
         narrow = sb.SampleBatch(env=1, data=train.data[:, :3])
         message = r"^all batches must have the same width, got \[3, 4\]$"
         with pytest.raises(ValueError, match=message):
-            identifier.train_regressor([train, narrow], np.ones(3), sb.TrainConfig(),
-                                       np.random.default_rng(0))
+            identifier.train_regressor([train, narrow], np.ones(3), np.random.default_rng(0))
 
     @pytest.mark.parametrize("mask, message", [
         pytest.param([1, 2, 0], "mask must be a 1-D binary vector", id="non-binary"),
@@ -316,8 +313,7 @@ class TestTrainRegressor:
     def test_rejects_a_bad_mask(self, mask, message):
         train = sb.sample(sb.four_node_demo_scm(), OBS, 50, np.random.default_rng(0))
         with pytest.raises(ValueError) as info:
-            identifier.train_regressor([train], np.array(mask), sb.TrainConfig(),
-                                       np.random.default_rng(0))
+            identifier.train_regressor([train], np.array(mask), np.random.default_rng(0))
         assert str(info.value) == message
 
 
@@ -327,8 +323,7 @@ class TestResidualScores:
     def test_magnitudes_match_folded_gaussian_mean(self):
         train, hold = chain_batches(seed=7)
         mask = np.ones(1)
-        reg = identifier.train_regressor([train], mask, sb.TrainConfig(),
-                                         np.random.default_rng(8))
+        reg = identifier.train_regressor([train], mask, np.random.default_rng(8))
         scores = np.abs(reg.predict(hold.data[:, 1:] * mask) - hold.data[:, 0])
         assert np.all(scores >= 0.0)
         expected = np.sqrt(2.0 / np.pi)  # E|N(0, 1)|
@@ -360,7 +355,7 @@ def _reference_scores(parts):
 def _reference_null_tau(pooled, own_size, cfg, rng):
     """_null_tau with a two-pass fit of both halves of every permutation."""
     fids = []
-    for _ in range(cfg.calibration_permutations):
+    for _ in range(identifier._NULL_DRAWS):
         p = rng.permutation(pooled.size)
         fids.append(_reference_scores([pooled[p[:own_size]], pooled[p[own_size:]]])[0])
     fids = np.array(fids)
@@ -403,6 +398,20 @@ class TestScores:
         want = _reference_null_tau(pooled, min(sizes), cfg, rng_ref)
         assert abs(got - want) <= 1e-12 * want
         assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("draws", [1, 7])
+    def test_null_tau_takes_one_permutation_per_draw(self, monkeypatch, draws):
+        monkeypatch.setattr(identifier, "_NULL_DRAWS", draws)
+        pooled = np.abs(np.random.default_rng(2).normal(size=50))
+        cfg = sb.TrainConfig()
+        rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
+        got = identifier._null_tau(pooled, 10, cfg, rng)
+        assert got == pytest.approx(_reference_null_tau(pooled, 10, cfg, rng_ref), rel=1e-12)
+        # the draws are the only use of rng: one permutation each
+        after = np.random.default_rng(3)
+        for _ in range(draws):
+            after.permutation(pooled.size)
+        assert rng.bit_generator.state == after.bit_generator.state
 
     def test_null_tau_is_nan_when_a_draw_is_not_finite(self, monkeypatch):
         pooled = np.full(20, 1e156)  # squares overflow
@@ -512,7 +521,7 @@ class TestIdentifyParents:
             assert n.size == np.count_nonzero(~np.isnan(row))
             return row[~np.isnan(row)]
 
-        def zero(batches, mask, cfg, rng):
+        def zero(batches, mask, rng):
             return identifier.Regressor(w1=np.zeros((5, 1)), b1=np.zeros(1), w2=np.zeros(1),
                                         b2=0.0, ws=np.zeros(5))
 
@@ -531,7 +540,7 @@ class TestIdentifyParents:
         batches = five_candidate_batches(seed=3, n=n)
         trained, scored = [], []
 
-        def zero(train, mask, cfg, rng):
+        def zero(train, mask, rng):
             trained.append(train)
             return identifier.Regressor(w1=np.zeros((5, 1)), b1=np.zeros(1), w2=np.zeros(1),
                                         b2=0.0, ws=np.zeros(5))
@@ -566,7 +575,7 @@ class TestIdentifyParents:
                              ids=["residuals-near-1e300", "residuals-near-1e156", "nan-tau"])
     def test_non_finite_scores_name_the_round(self, demo_batches, monkeypatch, weight, tau):
         # squares of residuals near 1e156 and beyond overflow
-        def stub(batches, mask, cfg, rng):
+        def stub(batches, mask, rng):
             return identifier.Regressor(w1=np.zeros((3, 1)), b1=np.zeros(1), w2=np.zeros(1),
                                         b2=0.0, ws=np.array([weight, 0.0, 0.0]))
 
@@ -643,15 +652,24 @@ class TestIdentifyParents:
 
 class TestTrainConfigValidation:
     @pytest.mark.parametrize("overrides", [
-        dict(learning_rate=0.0),
-        dict(epochs_per_round=0),
-        dict(batch_size=0),
         dict(tau_multiplier=0.0),
-        dict(calibration_permutations=0),
-        dict(learning_rate=-0.001),
         dict(tau_multiplier=-1.0),
     ])
     def test_rejects_bad_values(self, overrides):
         (field,) = overrides
         with pytest.raises(ValueError, match=f"^{field} must"):
             sb.TrainConfig(**overrides)
+
+    @pytest.mark.parametrize("name", ["learning_rate", "epochs_per_round", "batch_size",
+                                      "calibration_permutations"])
+    def test_recipe_values_are_not_settings(self, name):
+        assert [f.name for f in dataclasses.fields(sb.TrainConfig)] == ["tau_multiplier"]
+        with pytest.raises(TypeError, match=name):
+            sb.TrainConfig(**{name: 1})
+
+    @pytest.mark.parametrize("name, value", [
+        ("_STEP_SIZE", 0.01), ("_UPDATES", 600), ("_BATCH_ROWS", 256), ("_NULL_DRAWS", 64)])
+    def test_recipe_constants_keep_the_former_defaults(self, name, value):
+        # a numpy float64 step would promote the float32 steps to float64
+        got = getattr(identifier, name)
+        assert got == value and type(got) is type(value)

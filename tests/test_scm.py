@@ -145,10 +145,27 @@ class TestIntervene:
         (sb.Environment(id=1, value=float("nan")), "finite"),
         (sb.Environment(id=1, value=float("inf")), "finite"),
         (sb.Environment(id=1, value=float("-inf")), "finite"),
+        # numpy would read weights[True, :] as a mask and clamp every node
+        (sb.Environment(id=True, value=5.0), "^intervention target must be an integer, got True$"),
+        (sb.Environment(id=1.0, value=5.0), "^intervention target must be an integer, got 1.0$"),
+        (sb.Environment(id=1, value=True), "^intervention value must be a number, got True$"),
+        (sb.Environment(id=np.True_, value=5.0),
+         "^intervention target must be an integer, got np.True_$"),
+        (sb.Environment(id="1", value=5.0), "^intervention target must be an integer, got '1'$"),
+        (sb.Environment(id=1, value=np.True_), "^intervention value must be a number, got np.True_$"),
+        (sb.Environment(id=1, value="5.0"), "^intervention value must be a number, got '5.0'$"),
     ])
     def test_rejects_bad_clamps(self, env, message):
         with pytest.raises(ValueError, match=message):
             sb.intervene(chain_scm(), env)
+
+    @pytest.mark.parametrize("target, value", [
+        (np.int64(1), np.float64(2.5)), (np.int32(1), np.float32(2.5)), (1, 2)],
+        ids=["int64-float64", "int32-float32", "int-int"])
+    def test_numpy_numbers_are_accepted(self, target, value):
+        applied = sb.intervene(chain_scm(), sb.Environment(id=target, value=value))
+        assert applied.noise_means[1] == value and applied.noise_stds[1] == 0.0
+        assert np.all(applied.weights[1] == 0.0)
 
     def test_rejects_latent_target(self):
         scm = sb.add_confounders(chain_scm(), 1, np.random.default_rng(0))

@@ -141,3 +141,25 @@ def test_a_bad_output_path_stops_the_run_before_any_seed(tmp_path, capsys, monke
     assert (tmp_path / "taken").read_text() == "keep me\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.ini", "records", "taken"]
     assert list((tmp_path / "records").iterdir()) == []
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read config: "),
+    ("[train]\nlearning_rate = 0.01\n", "unknown key 'learning_rate' in [train]"),
+], ids=["missing", "removed-key"])
+def test_a_bad_config_stops_the_run_before_any_seed(tmp_path, capsys, monkeypatch, text,
+                                                   message):
+    def never(*args):
+        raise AssertionError("a seed ran")
+
+    monkeypatch.setattr(seed_sweep, "run_experiment", never)
+    config = tmp_path / "config.ini"
+    if text is not None:
+        config.write_text(text)
+    with pytest.raises(SystemExit) as info:
+        seed_sweep.main(["--config", str(config), "--seeds", "0", "--threads", "1",
+                         "--out", str(tmp_path / "seeds.json")])
+    assert info.value.code == 2
+    [line] = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert f"error: --config {config}: {message}" in line
+    assert not (tmp_path / "seeds.json").exists()

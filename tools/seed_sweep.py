@@ -16,8 +16,9 @@ pin seed 0 only; this shows how far the other seeds sit from their bounds.
 With ``--records DIR``, each seed's records also go to
 ``DIR/seed-<seed>/records.csv``, written as ``scmbench run`` writes them, and
 DIR holds one run: a ``seed-*`` entry there that is not one of ``--seeds``
-stops the script before it runs any seed, as does an ``--out`` or
-``--records`` path that could not be written.
+stops the script before it runs any seed, as do an ``--out`` or
+``--records`` path that could not be written and a ``--config`` file that
+cannot be read.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from scipy import stats
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from scmbench.configfile import read_config  # noqa: E402
+from scmbench.configfile import ConfigError, read_config  # noqa: E402
 from scmbench.harness import (ExperimentConfig, _check_threads, _parse_int,  # noqa: E402
                               run_experiment, write_records_csv)
 
@@ -116,7 +117,10 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"{stale[0]} is not one of --seeds; a --records "
                          f"directory holds one run")
 
-    cfg = read_config(args.config) if args.config else ExperimentConfig()
+    try:
+        cfg = read_config(args.config) if args.config else ExperimentConfig()
+    except ConfigError as exc:
+        parser.error(f"--config {args.config}: {exc}")
     per_seed = []
     violations = dags = 0
     start = time.perf_counter()
