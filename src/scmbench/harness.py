@@ -362,9 +362,10 @@ def write_records_csv(records, path) -> None:
 
 
 def read_records_csv(path) -> list[RunRecord]:
-    """Parse a records CSV. A blank line, a value it cannot parse, a row
-    RunRecord refuses, or a second row for one (dag_id, method, confounders)
-    cell raises ValueError naming the line (and the column)."""
+    """Parse a records CSV. A blank line, a value it cannot parse or that
+    write_records_csv would spell otherwise, a row RunRecord refuses, or a
+    second row for one (dag_id, method, confounders) cell raises ValueError
+    naming the line (and the column)."""
     with open(path) as fh:
         lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1)]
     if not lines:
@@ -386,6 +387,10 @@ def read_records_csv(path) -> list[RunRecord]:
             raise ValueError(f"line {no}: malformed record line: {ln!r}")
         record = _from_text(RunRecord, dict(zip(want, parts)),
                             lambda name: f"line {no}, column '{name}'")
+        for name, text, written in zip(want, parts, _to_text(record).values()):
+            if text != written:
+                raise ValueError(f"line {no}, column '{name}': expected {written!r}, "
+                                 f"as the writer spells it, got {text!r}")
         first = cells.setdefault((record.dag_id, record.method, record.confounders), no)
         if first != no:
             raise ValueError(f"line {no}: dag_id, method and confounders "

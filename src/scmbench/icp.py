@@ -23,21 +23,26 @@ from .scm import SampleBatch, _bounded, _check_batches, _check_bound, _check_bou
 
 _RIDGE = 1e-10
 _TESTS = ("mean-variance", "energy-permutation")
+_PERMUTATIONS = 199  # label permutations per energy-permutation test
+# the most subsets icp_identify tests: 2^12, so at most 12 candidates
+_SUBSET_BUDGET = 4096
 # candidate counts whose subset layout a process keeps (see _layout); the
 # default sweep's five, 7 to 11, keep about 4 MB
 _LAYOUTS_KEPT = 8
 
 
 class EnumerationBudgetError(RuntimeError):
-    """The subset count exceeds the configured budget."""
+    """The subset count exceeds the budget of _SUBSET_BUDGET subsets."""
 
 
 @dataclass(frozen=True)
 class IcpConfig:
+    """The level a subset's p-value must exceed to be accepted, and the
+    invariance test; the energy-permutation test draws _PERMUTATIONS label
+    permutations."""
+
     alpha: float = _bounded(0.05, "(0, 1)")
     test: str = "mean-variance"
-    num_permutations: int = _bounded(199, "[99, inf)")
-    enumeration_budget: int = _bounded(4096, "[1, inf)")
 
     def __post_init__(self) -> None:
         _check_bounds(self)
@@ -125,7 +130,7 @@ def invariance_pvalue(residuals_by_env: list[EmpiricalSample], cfg: IcpConfig,
                                            np.array([[v @ v for v in values]]))[0])
     if rng is None:
         raise ValueError("the energy-permutation test needs an rng")
-    return ksample_equality_test(residuals_by_env, cfg.num_permutations, rng)[1]
+    return ksample_equality_test(residuals_by_env, _PERMUTATIONS, rng)[1]
 
 
 def _subsets(n_candidates: int) -> list[tuple[int, ...]]:
@@ -188,9 +193,9 @@ def icp_identify(batches: list[SampleBatch], cfg: IcpConfig,
     if n_cand < 1:
         raise ValueError("need at least one candidate column")
     total = 2 ** n_cand
-    if total > cfg.enumeration_budget:
+    if total > _SUBSET_BUDGET:
         raise EnumerationBudgetError(
-            f"{total} subsets exceed the budget of {cfg.enumeration_budget}")
+            f"{total} subsets exceed the budget of {_SUBSET_BUDGET}")
     keys, blocks = _layout(n_cand)
 
     width = n_cand + 1  # candidate columns plus intercept; x_0 sits at index width
@@ -218,7 +223,7 @@ def icp_identify(batches: list[SampleBatch], cfg: IcpConfig,
         for a, part in zip(designs, np.split(resid, np.cumsum(sizes)[:-1], axis=1)):
             np.matmul(a, -coef[:, :, None], out=part)  # one a @ -coef[i] per subset
         rng = np.random.default_rng(np.random.SeedSequence([seed]))
-        p_all = _ksample_tests(resid[:, :, 0], sizes, cfg.num_permutations, rng)[1].tolist()
+        p_all = _ksample_tests(resid[:, :, 0], sizes, _PERMUTATIONS, rng)[1].tolist()
 
     p_values = dict(zip(keys, p_all))
     accepted = [key for key, p in p_values.items() if p > cfg.alpha]

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import scmbench as sb
-from scmbench import harness
+from scmbench import harness, icp
+from scmbench import scm as scm_module
 from scmbench.cli import main, render_table
 from scmbench.configfile import config_to_ini, read_config
 
@@ -145,8 +146,10 @@ class TestRun:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    def test_failing_cells_exit_two_with_partial_outputs(self, tmp_path, capsys):
-        cfg_path = small_config(tmp_path, gen=sb.GenConfig(edge_prob=0.0))
+    def test_failing_cells_exit_two_with_partial_outputs(self, tmp_path, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr(scm_module, "_EDGE_PROB", 0.0)
+        cfg_path = small_config(tmp_path)
         out = tmp_path / "results"
         assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert "warning: 2 cell(s) failed; see report.json\n" in capsys.readouterr().err
@@ -281,9 +284,10 @@ class TestReport:
     def test_rewrites_the_runs_table_byte_for_byte(self, tmp_path, monkeypatch, case):
         # a configured method or level with no record has no row or column in
         # either table
-        icp = sb.IcpConfig(enumeration_budget=1 if case == "icp over budget" else 4096)
+        if case == "icp over budget":
+            monkeypatch.setattr(icp, "_SUBSET_BUDGET", 1)
         cfg_path = small_config(tmp_path, num_dags=1, confounder_levels=(0, 1),
-                                methods=("iid", "icp"), icp=icp)
+                                methods=("iid", "icp"))
         if case == "level 1 fails":
             real = harness.add_confounders
 

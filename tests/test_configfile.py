@@ -57,10 +57,10 @@ class TestDefaults:
         assert {section: list(parser[section]) for section in parser.sections()} == {
             "experiment": ["num_dags", "samples_per_env", "confounder_levels", "methods",
                            "master_seed"],
-            "generation": ["nodes_min", "nodes_max", "edge_prob", "intervention_value_min",
+            "generation": ["nodes_min", "nodes_max", "intervention_value_min",
                            "intervention_value_max"],
             "train": ["tau_multiplier"],
-            "icp": ["alpha", "test", "num_permutations", "enumeration_budget"],
+            "icp": ["alpha", "test"],
         }
 
     def test_generation_seed_is_rejected(self, tmp_path):
@@ -87,10 +87,14 @@ class TestDefaults:
         ("train", "epochs_per_round", "600"),
         ("train", "batch_size", "256"),
         ("train", "calibration_permutations", "64"),
+        ("generation", "edge_prob", "0.3"),
+        ("icp", "num_permutations", "199"),
+        ("icp", "enumeration_budget", "4096"),
     ], ids=["tau_auto", "rounds", "tau", "include_observational", "max_subset_size",
             "lr", "weight_min", "weight_max", "sign_flip_prob", "noise_std_min",
             "noise_std_max", "min_parents", "hidden_width", "holdout_fraction",
-            "learning_rate", "epochs_per_round", "batch_size", "calibration_permutations"])
+            "learning_rate", "epochs_per_round", "batch_size", "calibration_permutations",
+            "edge_prob", "num_permutations", "enumeration_budget"])
     def test_removed_key_is_rejected(self, tmp_path, section, key, value):
         path = write(tmp_path, f"[{section}]\n{key} = {value}\n")
         with pytest.raises(ConfigError) as info:
@@ -103,7 +107,7 @@ class TestRoundTrip:
         cfg = sb.ExperimentConfig(
             num_dags=7, samples_per_env=321, confounder_levels=(2, 0),
             methods=("icp",), master_seed=99,
-            gen=sb.GenConfig(nodes_min=4, nodes_max=6, edge_prob=0.7),
+            gen=sb.GenConfig(nodes_min=4, nodes_max=6),
             train=sb.TrainConfig(tau_multiplier=2.5),
             icp=sb.IcpConfig(alpha=0.01, test="energy-permutation"))
         path = write(tmp_path, config_to_ini(cfg))
@@ -123,11 +127,10 @@ class TestRoundTrip:
             num_dags=7, samples_per_env=321, confounder_levels=(2, 0),
             methods=("icp",), master_seed=99,
             gen=sb.GenConfig(
-                nodes_min=4, nodes_max=6, edge_prob=0.7, intervention_value_min=-1.5,
+                nodes_min=4, nodes_max=6, intervention_value_min=-1.5,
                 intervention_value_max=2.25),
             train=sb.TrainConfig(tau_multiplier=2.5),
-            icp=sb.IcpConfig(alpha=0.01, test="energy-permutation",
-                             num_permutations=499, enumeration_budget=100))
+            icp=sb.IcpConfig(alpha=0.01, test="energy-permutation"))
         default = sb.ExperimentConfig()
         echo = _config_echo(cfg)
         not_keys = {"fixed_scm", *CONFIG_SECTIONS.values()}
@@ -145,7 +148,7 @@ class TestRoundTrip:
                 assert value != getattr(base, f.name), (section, f.name)
                 assert json.dumps(shown[f.name]) == json.dumps(value)
                 settable += 1
-        assert settable == 15
+        assert settable == 12
         assert read_config(write(tmp_path, config_to_ini(cfg))) == cfg
 
     def test_missing_keys_fall_back_to_defaults(self, tmp_path):
@@ -192,7 +195,7 @@ class TestErrors:
          "expected an integer, got '+500'"),
         ("[experiment]\nconfounder_levels = 0, \u0661\n",
          "[experiment] confounder_levels", "expected an integer, got '\u0661'"),
-        ("[icp]\nenumeration_budget = 1_0\n", "[icp] enumeration_budget",
+        ("[generation]\nnodes_max = 1_0\n", "[generation] nodes_max",
          "expected an integer, got '1_0'"),
         # master_seed is omitted, not left blank, to take its default
         ("[experiment]\nmaster_seed =\n", "[experiment] master_seed",
@@ -211,6 +214,9 @@ class TestErrors:
          "tau_multiplier must lie in (0, inf), got nan"),
         ("[generation]\nnodes_min = 13\n", "[generation] nodes_max",
          "nodes_max must be >= nodes_min"),
+        # every model needs two candidates to be its outcome parents
+        ("[generation]\nnodes_min = 2\n", "[generation] nodes_min",
+         "nodes_min must lie in [3, inf), got 2"),
         # floats are the forms str and repr of a float write, and integers
         ("[train]\ntau_multiplier = 0_0.5\n", "[train] tau_multiplier",
          "expected a number, got '0_0.5'"),
@@ -220,8 +226,8 @@ class TestErrors:
          "expected a number, got 'infinity'"),
         ("[train]\ntau_multiplier = 1E-3\n", "[train] tau_multiplier",
          "expected a number, got '1E-3'"),
-        ("[generation]\nedge_prob = .5\n", "[generation] edge_prob",
-         "expected a number, got '.5'"),
+        ("[generation]\nintervention_value_min = .5\n",
+         "[generation] intervention_value_min", "expected a number, got '.5'"),
         ("[icp]\nalpha = \uff11.0\n", "[icp] alpha",
          "expected a number, got '\uff11.0'"),
         # list values are the items config_to_ini joins, none of them empty
@@ -232,11 +238,11 @@ class TestErrors:
         ("[experiment]\nmethods =\n", "[experiment] methods",
          "expected a comma-separated list, got ''"),
     ], ids=["num_dags=1_0", "samples_per_env=+500", "confounder_levels=arabic-1",
-            "enumeration_budget=1_0", "master_seed=blank", "master_seed=1_0",
+            "nodes_max=1_0", "master_seed=blank", "master_seed=1_0",
             "master_seed=+1", "num_dags=-1", "master_seed=-1",
-            "tau_multiplier=nan", "nodes_min=13", "tau_multiplier=0_0.5",
+            "tau_multiplier=nan", "nodes_min=13", "nodes_min=2", "tau_multiplier=0_0.5",
             "tau_multiplier=+1", "tau_multiplier=infinity", "tau_multiplier=1E-3",
-            "edge_prob=.5", "alpha=fullwidth-1.0", "methods=iid-comma",
+            "intervention_value_min=.5", "alpha=fullwidth-1.0", "methods=iid-comma",
             "confounder_levels=empty-item", "methods=blank"])
     def test_bad_value_names_section_and_key(self, tmp_path, text, where,
                                              message):
@@ -344,7 +350,7 @@ class TestDeclaredRanges:
             "TrainConfig", "IcpConfig", "LinearGaussianScm | None"}
 
     @pytest.mark.parametrize("cls, name", [(sb.ExperimentConfig, "num_dags"),
-                                           (sb.IcpConfig, "num_permutations")])
+                                           (sb.GenConfig, "nodes_min")])
     def test_bool_is_not_an_integer(self, cls, name):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got True$"):
             cls(**{name: True})
@@ -385,7 +391,7 @@ class TestTextForms:
         not_keys = {"fixed_scm", *CONFIG_SECTIONS.values()}
         walked = [(cls, f) for cls in (RunRecord, *CONFIG_CLASSES)
                   for f in dataclasses.fields(cls) if f.name not in not_keys]
-        assert len(walked) == 8 + 15
+        assert len(walked) == 8 + 12
         for cls, f in walked:
             assert f.type in _TEXT_FORMS, f"{cls.__name__}.{f.name}"
 

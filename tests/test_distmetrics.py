@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -268,6 +269,22 @@ class TestKSampleTest:
             with pytest.raises(ValueError, match="^num_permutations must"):
                 sb.ksample_equality_test([sample, sample], count,
                                          np.random.default_rng(0))
+
+    @pytest.mark.parametrize("count, message", [
+        (98, "lie in [99, inf), got 98"),
+        (0, "lie in [99, inf), got 0"),
+        (-199, "lie in [99, inf), got -199"),
+        (199.0, "be an integer, got 199.0"),
+        (np.nan, "be an integer, got nan"),
+        (np.inf, "be an integer, got inf"),
+        (True, "be an integer, got True"),
+    ], ids=["98", "0", "-199", "199.0", "nan", "inf", "True"])
+    def test_permutation_count_outside_its_bound_names_it(self, count, message):
+        # the bound the energy test's fixed count of 199 must meet
+        sample = sb.EmpiricalSample(np.arange(5.0))
+        with pytest.raises(ValueError,
+                           match=f"^num_permutations must {re.escape(message)}$"):
+            sb.ksample_equality_test([sample, sample], count, np.random.default_rng(0))
 
 
 def _normal_groups(seed, sizes, shift=0.0):

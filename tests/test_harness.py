@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import scmbench as sb
 from scmbench import harness, identifier
+from scmbench import scm as scm_module
 
 node_sets = st.frozensets(st.integers(0, 8), max_size=6)
 
@@ -165,9 +166,9 @@ class TestRunExperiment:
         assert a.config_hash != b.config_hash
         assert self.body(a) != self.body(b)
 
-    def test_failed_cells_are_collected_not_raised(self):
-        cfg = self.small_config(gen=sb.GenConfig(edge_prob=0.0),
-                                confounder_levels=(0, 1))
+    def test_failed_cells_are_collected_not_raised(self, monkeypatch):
+        monkeypatch.setattr(scm_module, "_EDGE_PROB", 0.0)
+        cfg = self.small_config(confounder_levels=(0, 1))
         report = sb.run_experiment(cfg)
         assert report.records == ()
         assert len(report.errors) == 8  # 2 dags x 2 levels x 2 methods
@@ -176,9 +177,11 @@ class TestRunExperiment:
             assert err["error"].startswith("generation: GenerationError: ")
         assert report.cells["iid"][0]["n"] == 0
 
-    def test_errors_come_in_dag_level_method_order_from_workers(self):
-        cfg = self.small_config(gen=sb.GenConfig(edge_prob=0.0),
-                                confounder_levels=(0, 1))
+    def test_errors_come_in_dag_level_method_order_from_workers(self, monkeypatch):
+        # the workers see the patch because Python 3.11 on Linux starts them with
+        # fork, which copies this process's modules
+        monkeypatch.setattr(scm_module, "_EDGE_PROB", 0.0)
+        cfg = self.small_config(confounder_levels=(0, 1))
         report = sb.run_experiment(cfg, threads=2)
         keys = [(e["dag_id"], e["confounders"], e["method"]) for e in report.errors]
         assert keys == [(d, lvl, m) for d in range(2) for lvl in (0, 1)
@@ -423,7 +426,14 @@ class TestCsvRoundTrip:
         ("0,iid,0,1,1,1.0,false,inf", "wall_time"),
         ("0,iid,0,1,1,1.0,false,-3", "wall_time"),
         ("0,iid,0,1,1,1.0,false,nan", "wall_time"),
-        # floats must be spelled as repr writes them
+        # every value must be spelled as write_records_csv writes it
+        ("0,iid,0,2|1,1|2,1.0,false,0.5", "z"),
+        ("0,iid,0,1|1,1,1.0,false,0.5", "z"),
+        ("0,iid,0,01|2,1|2,1.0,false,0.5", "z"),
+        ("00,iid,0,1,1,1.0,false,0.5", "dag_id"),
+        ("0,iid,0,1,1,1.00,false,0.5", "js"),
+        ("0,iid,0,1,1,1,false,0.5", "js"),
+        ("0,iid,0,1,1,1.0,false,0.50", "wall_time"),
         ("0,iid,0,1,1,1.0,false,1_0.5", "wall_time"),
         ("0,iid,0,1,1,1.0,false,.5", "wall_time"),
         ("0,iid,0,1,1,1.0,false,5E-1", "wall_time"),

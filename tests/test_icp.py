@@ -124,8 +124,9 @@ class TestInvariancePvalue:
             rejections += invariance_pvalue(groups, sb.IcpConfig()) < 0.05
         assert rejections <= 5  # expected 1.5 under exact calibration
 
-    def test_energy_permutation_variant(self):
-        cfg = sb.IcpConfig(test="energy-permutation", num_permutations=99)
+    def test_energy_permutation_variant(self, monkeypatch):
+        monkeypatch.setattr(icp, "_PERMUTATIONS", 99)
+        cfg = sb.IcpConfig(test="energy-permutation")
         rng = np.random.default_rng(4)
         shifted = [sb.EmpiricalSample(rng.normal(size=150), label=0),
                    sb.EmpiricalSample(rng.normal(8.0, size=150), label=1)]
@@ -138,17 +139,18 @@ class TestInvariancePvalue:
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_energy_permutation_is_one_k_sample_test(self, k):
-        cfg = sb.IcpConfig(test="energy-permutation", num_permutations=99)
+        cfg = sb.IcpConfig(test="energy-permutation")
         data = np.random.default_rng(20 + k)
         groups = [sb.EmpiricalSample(data.normal(0.1 * i, size=40 + 10 * i), label=i)
                   for i in range(k)]
         p = invariance_pvalue(groups, cfg, np.random.default_rng(k))
-        assert p == sb.ksample_equality_test(groups, 99, np.random.default_rng(k))[1]
+        assert p == sb.ksample_equality_test(groups, 199, np.random.default_rng(k))[1]
         with pytest.raises(ValueError, match="needs an rng"):
             invariance_pvalue(groups, cfg)
 
-    def test_energy_null_acceptance_rate_is_plausible(self):
-        cfg = sb.IcpConfig(test="energy-permutation", num_permutations=99)
+    def test_energy_null_acceptance_rate_is_plausible(self, monkeypatch):
+        monkeypatch.setattr(icp, "_PERMUTATIONS", 99)
+        cfg = sb.IcpConfig(test="energy-permutation")
         rejections = 0
         for seed in range(30):
             rng = np.random.default_rng(seed)
@@ -435,14 +437,14 @@ class TestIcpIdentify:
     def test_subsets_follow_the_enumeration_order(self, test):
         # every subset, by size, then in combinations order
         result = sb.icp_identify(wide_batches(5, n=100),
-                                 sb.IcpConfig(test=test, num_permutations=99), seed=0)
+                                 sb.IcpConfig(test=test), seed=0)
         keys = [frozenset(s) for s in _subsets(8)]
         assert len(keys) == 256 and keys[:3] == [frozenset(), {1}, {2}]
         assert keys[9] == {1, 2} and keys[-1] == frozenset(range(1, 9))
         assert list(result.p_values) == keys
 
     def test_energy_permutation_matches_per_subset_oracle(self, demo_batches):
-        cfg = sb.IcpConfig(test="energy-permutation", num_permutations=99)
+        cfg = sb.IcpConfig(test="energy-permutation")
         seed = 3
         for batches in (demo_batches(8, n=120), unequal_batches()):
             result = sb.icp_identify(batches, cfg, seed=seed)
@@ -470,8 +472,7 @@ class TestIcpIdentify:
         rng = np.random.default_rng(len(sizes))
         batches = [sb.SampleBatch(env=e, data=rng.normal(size=(n, 4)))
                    for e, n in enumerate(sizes, 1)]
-        sb.icp_identify(batches, sb.IcpConfig(test="energy-permutation",
-                                              num_permutations=99), seed=0)
+        sb.icp_identify(batches, sb.IcpConfig(test="energy-permutation"), seed=0)
         (resid,) = captured
         assert resid.shape == (8, sum(sizes))
         for row, subset in zip(resid, _subsets(3)):
@@ -527,7 +528,7 @@ class TestIcpIdentify:
         assert a.p_values == b.p_values
 
     def test_energy_permutation_variant_agrees_on_the_demo(self, demo_batches):
-        cfg = sb.IcpConfig(test="energy-permutation", num_permutations=99)
+        cfg = sb.IcpConfig(test="energy-permutation")
         batches = demo_batches(4, n=600)
         result = sb.icp_identify(batches, cfg, seed=7)
         assert result.estimated_set == {1, 2}
@@ -551,23 +552,39 @@ class TestIcpIdentify:
         with pytest.raises(ValueError, match="sums of squares overflow"):
             identify(1e160)
 
-    def test_enumeration_budget(self, demo_batches):
-        cfg = sb.IcpConfig(enumeration_budget=3)
-        with pytest.raises(sb.EnumerationBudgetError, match="8 subsets"):
-            sb.icp_identify(demo_batches(6, n=200), cfg, seed=0)
+    def test_enumeration_budget(self, demo_batches, monkeypatch):
+        monkeypatch.setattr(icp, "_SUBSET_BUDGET", 3)
+        with pytest.raises(sb.EnumerationBudgetError,
+                           match="^8 subsets exceed the budget of 3$"):
+            sb.icp_identify(demo_batches(6, n=200), sb.IcpConfig(), seed=0)
 
-    def test_rejected_enumeration_caches_nothing(self, demo_batches):
+    def test_rejected_enumeration_caches_nothing(self, demo_batches, monkeypatch):
         icp._layout.cache_clear()
-        cfg = sb.IcpConfig(enumeration_budget=3)
+        monkeypatch.setattr(icp, "_SUBSET_BUDGET", 3)
         with pytest.raises(sb.EnumerationBudgetError):
-            sb.icp_identify(demo_batches(6, n=200), cfg, seed=0)
+            sb.icp_identify(demo_batches(6, n=200), sb.IcpConfig(), seed=0)
         assert icp._layout.cache_info().currsize == 0
+        monkeypatch.setattr(icp, "_SUBSET_BUDGET", 255)
         sb.icp_identify(demo_batches(6, n=200), sb.IcpConfig(), seed=0)
         sb.icp_identify(wide_batches(n=100, nodes=6), sb.IcpConfig(), seed=0)
         assert icp._layout.cache_info().currsize == 2
         with pytest.raises(sb.EnumerationBudgetError):
-            sb.icp_identify(wide_batches(), sb.IcpConfig(enumeration_budget=255), seed=0)
+            sb.icp_identify(wide_batches(), sb.IcpConfig(), seed=0)
         assert icp._layout.cache_info().currsize == 2
+
+    @pytest.mark.parametrize("name, value", [("_PERMUTATIONS", 199), ("_SUBSET_BUDGET", 4096)])
+    def test_constants_keep_the_former_defaults(self, name, value):
+        got = getattr(icp, name)
+        assert got == value and type(got) is type(value)
+
+    def test_default_budget_admits_twelve_candidates(self):
+        result = sb.icp_identify(wide_batches(n=60, nodes=13), sb.IcpConfig(), seed=0)
+        assert len(result.p_values) == 4096
+
+    def test_default_budget_refuses_thirteen_candidates(self):
+        with pytest.raises(sb.EnumerationBudgetError,
+                           match="^8192 subsets exceed the budget of 4096$"):
+            sb.icp_identify(wide_batches(n=60, nodes=14), sb.IcpConfig(), seed=0)
 
     def test_layout_cache_keeps_every_default_candidate_count(self):
         gen = sb.GenConfig()
@@ -580,7 +597,7 @@ class TestIcpIdentify:
                  (wide_batches(n=200, nodes=6), sb.IcpConfig()),
                  (demo_batches(2, n=300), sb.IcpConfig()),
                  (wide_batches(5, n=100, nodes=7),
-                  sb.IcpConfig(test="energy-permutation", num_permutations=99))]
+                  sb.IcpConfig(test="energy-permutation"))]
 
         def run(batches, cfg):
             result = sb.icp_identify(batches, cfg, seed=1)
@@ -634,10 +651,6 @@ class TestIcpConfigValidation:
         dict(alpha=0.0),
         dict(alpha=1.0),
         dict(test="anderson"),
-        dict(num_permutations=50),
-        dict(enumeration_budget=0),
-        dict(num_permutations=98),
-        dict(enumeration_budget=-1),
     ])
     def test_rejects_bad_values(self, overrides):
         (field,) = overrides

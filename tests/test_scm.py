@@ -212,16 +212,18 @@ class TestRandomScm:
         assert (scm == 1) is False
         assert scm != (scm.weights, scm.noise_means, scm.noise_stds)
 
-    def test_min_parents_floor_is_enforced(self):
-        cfg = sb.GenConfig(edge_prob=0.05)
+    def test_min_parents_floor_is_enforced(self, monkeypatch):
+        monkeypatch.setattr(scm_module, "_EDGE_PROB", 0.05)
+        cfg = sb.GenConfig()
         for seed in range(20):
             scm = sb.random_scm(cfg, np.random.default_rng(seed))
             assert len(sb.parents(scm, 0)) >= 2
 
     @pytest.mark.parametrize("nodes", [3, 4, 5])
-    def test_outcome_parent_floor_is_two(self, nodes):
+    def test_outcome_parent_floor_is_two(self, monkeypatch, nodes):
         # with 3 candidates, a floor of 1 would let a 2-link chain leave 1 parent
-        cfg = sb.GenConfig(nodes_min=nodes, nodes_max=nodes, edge_prob=0.5)
+        monkeypatch.setattr(scm_module, "_EDGE_PROB", 0.5)
+        cfg = sb.GenConfig(nodes_min=nodes, nodes_max=nodes)
         counts = [len(sb.parents(sb.random_scm(cfg, np.random.default_rng(seed)), 0))
                   for seed in range(50)]
         assert min(counts) == 2
@@ -240,15 +242,21 @@ class TestRandomScm:
         assert nonzero.size > 1000
         assert np.mean(nonzero < 0) == pytest.approx(0.5, abs=0.05)
 
-    def test_generation_error_when_floor_unreachable(self):
+    def test_generation_error_when_floor_unreachable(self, monkeypatch):
+        monkeypatch.setattr(scm_module, "_EDGE_PROB", 0.0)
         with pytest.raises(sb.GenerationError):
-            sb.random_scm(sb.GenConfig(edge_prob=0.0), np.random.default_rng(0))
+            sb.random_scm(sb.GenConfig(), np.random.default_rng(0))
 
-    def test_two_node_model_is_single_parent(self):
-        cfg = sb.GenConfig(nodes_min=2, nodes_max=2, edge_prob=1.0)
-        scm = sb.random_scm(cfg, np.random.default_rng(0))
-        assert scm.num_observed == 2
-        assert sb.parents(scm, 0) == {1}
+    def test_edge_prob_keeps_the_former_default(self):
+        got = scm_module._EDGE_PROB
+        assert got == 0.3 and type(got) is float
+
+    def test_first_pass_draw_reads_the_constant(self, monkeypatch):
+        # every candidate drawn as a parent leaves none for the chain
+        monkeypatch.setattr(scm_module, "_EDGE_PROB", 1.0)
+        scm = sb.random_scm(sb.GenConfig(), np.random.default_rng(0))
+        assert sb.parents(scm, 0) == set(range(1, scm.num_observed))
+        assert scm.topo_order[-1] == 0
 
 
 class TestSample:
@@ -459,9 +467,8 @@ class TestValidation:
                 noise_means=np.array([np.inf, 0.0])))
 
     @pytest.mark.parametrize("overrides", [
-        dict(nodes_min=1),
+        dict(nodes_min=2),
         dict(nodes_min=5, nodes_max=4),
-        dict(edge_prob=1.5),
         dict(intervention_value_min=5.0, intervention_value_max=4.0),
     ])
     def test_genconfig_rejects_bad_values(self, overrides):
