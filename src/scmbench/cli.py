@@ -11,7 +11,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .configfile import ConfigError, config_to_ini, read_config
+from .configfile import config_to_ini, read_config
 from .harness import (ExperimentConfig, Report, _blaming, _check_threads,
                       _parse_int, aggregate_cells, read_records_csv,
                       run_experiment, write_records_csv, write_report_json)
@@ -53,7 +53,7 @@ def _resolve_seed(cfg: ExperimentConfig, flag: str | None) -> ExperimentConfig:
     config has it; ExperimentConfig checks the bound."""
     if flag is None:
         return cfg
-    with _blaming("--seed", ConfigError):
+    with _blaming("--seed"):
         return dataclasses.replace(cfg, master_seed=_parse_int(flag))
 
 
@@ -99,7 +99,7 @@ def _sweep(cfg: ExperimentConfig, args: argparse.Namespace, threads: int = 1,
              for name in ("records.csv", "report.json", "table.txt")}
     clashes = [str(p) for p in files.values() if p.exists()]
     if clashes and not args.force:
-        raise ConfigError("outputs exist (use --force): " + ", ".join(clashes))
+        raise ValueError("outputs exist (use --force): " + ", ".join(clashes))
     out_dir.mkdir(parents=True, exist_ok=True)
     report = run_experiment(cfg, threads=threads)
     table = _emit(report, files)
@@ -114,14 +114,14 @@ def _sweep(cfg: ExperimentConfig, args: argparse.Namespace, threads: int = 1,
 def _cmd_init(args: argparse.Namespace) -> int:
     path = Path(args.out)
     if path.exists() and not args.force:
-        raise ConfigError(f"{path} exists (use --force)")
+        raise ValueError(f"{path} exists (use --force)")
     path.write_text(config_to_ini(ExperimentConfig()))
     print(f"wrote {path}")
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    with _blaming("--threads", ConfigError):
+    with _blaming("--threads"):
         threads = _parse_int(args.threads)
         _check_threads(threads)
     return _sweep(_resolve_seed(read_config(args.config), args.seed), args, threads)
@@ -166,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return _COMMANDS[args.command](args)
-    except (OSError, ValueError) as exc:  # ConfigError is a ValueError
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

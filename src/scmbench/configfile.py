@@ -8,10 +8,6 @@ from typing import Any
 from .harness import CONFIG_SECTIONS, ExperimentConfig, _forms, _from_text, _to_text
 
 
-class ConfigError(ValueError):
-    """Unreadable or invalid configuration file."""
-
-
 def _sections(cfg: ExperimentConfig) -> dict[str, Any]:
     """INI section -> the config object that holds its values."""
     return {section: cfg if attr is None else getattr(cfg, attr)
@@ -35,7 +31,7 @@ def read_config(path) -> ExperimentConfig:
     Missing sections or keys fall back to defaults. Unknown sections (no
     header names "", so [DEFAULT] is one), unknown keys (case-sensitive, set
     with '='), values continued on an indented line and malformed values
-    raise ConfigError naming the offender.
+    raise ValueError naming the offender.
     """
     parser = configparser.ConfigParser(interpolation=None, delimiters=("=",),
                                        inline_comment_prefixes=("#",),
@@ -44,27 +40,25 @@ def read_config(path) -> ExperimentConfig:
     try:
         with open(path) as fh:
             parser.read_file(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config: {exc}") from exc
+    except configparser.Error as exc:  # not a ValueError
+        raise ValueError(f"cannot parse config: {exc}") from exc
 
     texts: dict[str, dict[str, str]] = {section: {} for section in _CLASSES}
     for section in parser.sections():
         if section not in texts:
-            raise ConfigError(f"unknown section [{section}]")
+            raise ValueError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
             if key not in _forms(_CLASSES[section]):
-                raise ConfigError(f"unknown key '{key}' in [{section}]")
+                raise ValueError(f"unknown key '{key}' in [{section}]")
             # configparser joins an indented line onto the value above
             if "\n" in raw:
-                raise ConfigError(f"[{section}] {key}: expected a value on one "
-                                  f"line, got {raw!r}")
+                raise ValueError(f"[{section}] {key}: expected a value on one "
+                                 f"line, got {raw!r}")
             texts[section][key] = raw
 
     def build(section: str, **given: Any) -> Any:
         return _from_text(_CLASSES[section], texts[section],
-                          lambda key: f"[{section}] {key}", ConfigError, **given)
+                          lambda key: f"[{section}] {key}", **given)
 
     return build("experiment", **{attr: build(section)
                                   for section, attr in CONFIG_SECTIONS.items() if attr})

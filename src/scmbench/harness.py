@@ -22,6 +22,7 @@ from itertools import zip_longest
 
 import numpy as np
 
+from . import icp as _icp
 from .icp import IcpConfig, icp_identify
 from .identifier import TrainConfig, identify_parents
 from .scm import (Environment, GenConfig, LinearGaussianScm, SampleBatch,
@@ -65,6 +66,12 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"methods must be among {KNOWN_METHODS}, "
                              f"got {sorted(unknown)}")
+        # the most candidates whose 2^n subsets fit icp's budget, as it stands now
+        most = _icp._SUBSET_BUDGET.bit_length() - 1
+        if "icp" in self.methods and self.gen.nodes_max - 1 > most:
+            raise ValueError(f"methods include icp, which admits at most {most} candidates "
+                             f"(a budget of {_icp._SUBSET_BUDGET} subsets), so nodes_max "
+                             f"must be at most {most + 1}, got {self.gen.nodes_max}")
 
 
 @dataclass(frozen=True)
@@ -256,12 +263,12 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> Report:
 
 
 @contextmanager
-def _blaming(where: str, error: type[ValueError] = ValueError):
-    """Re-raise a ValueError as ``error`` with ``where`` in front."""
+def _blaming(where: str):
+    """Re-raise a ValueError with ``where`` in front."""
     try:
         yield
     except ValueError as exc:
-        raise error(f"{where}: {exc}") from exc
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def _parse_int(text: str) -> int:
@@ -336,20 +343,19 @@ def _to_text(obj) -> dict[str, str]:
     return {name: fmt(getattr(obj, name)) for name, (fmt, _) in _forms(type(obj)).items()}
 
 
-def _from_text(cls: type, texts: dict[str, str], where, error: type[ValueError] = ValueError,
-               **given):
+def _from_text(cls: type, texts: dict[str, str], where, **given):
     """cls(**given, **parsed texts). A ValueError from parsing a text, or from
-    the constructor about the field its message starts with, is re-raised as
-    ``error`` with where(field) in front."""
+    the constructor about the field its message starts with, is re-raised
+    with where(field) in front."""
     forms = _forms(cls)
     values = {}
     for name, text in texts.items():
-        with _blaming(where(name), error):
+        with _blaming(where(name)):
             values[name] = forms[name][1](text)
     try:
         return cls(**given, **values)
     except ValueError as exc:
-        raise error(f"{where(str(exc).split(' ', 1)[0])}: {exc}") from exc
+        raise ValueError(f"{where(str(exc).split(' ', 1)[0])}: {exc}") from exc
 
 
 CSV_HEADER = ",".join(_forms(RunRecord))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -24,11 +24,8 @@ from .scm import SampleBatch, _bounded, _check_batches, _check_bound, _check_bou
 _RIDGE = 1e-10
 _TESTS = ("mean-variance", "energy-permutation")
 _PERMUTATIONS = 199  # label permutations per energy-permutation test
-# the most subsets icp_identify tests: 2^12, so at most 12 candidates
+# the most subsets icp_identify tests: 2^12, so at most 12 candidates and 12 _layout entries
 _SUBSET_BUDGET = 4096
-# candidate counts whose subset layout a process keeps (see _layout); the
-# default sweep's five, 7 to 11, keep about 4 MB
-_LAYOUTS_KEPT = 8
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -138,7 +135,7 @@ def _subsets(n_candidates: int) -> list[tuple[int, ...]]:
             for subset in combinations(range(1, n_candidates + 1), size)]
 
 
-@lru_cache(maxsize=_LAYOUTS_KEPT)
+@cache
 def _layout(n_cand: int) -> tuple[tuple[frozenset[int], ...],
                                   tuple[tuple[np.ndarray, ...], ...]]:
     """Where each subset's numbers sit, a pure function of n_cand that every

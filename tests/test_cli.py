@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import scmbench as sb
-from scmbench import harness, icp
+from scmbench import harness
 from scmbench import scm as scm_module
 from scmbench.cli import main, render_table
 from scmbench.configfile import config_to_ini, read_config
@@ -285,7 +285,10 @@ class TestReport:
         # a configured method or level with no record has no row or column in
         # either table
         if case == "icp over budget":
-            monkeypatch.setattr(icp, "_SUBSET_BUDGET", 1)
+            def over_budget(batches, cfg, seed):
+                raise sb.EnumerationBudgetError("8192 subsets exceed the budget of 4096")
+
+            monkeypatch.setattr(harness, "icp_identify", over_budget)
         cfg_path = small_config(tmp_path, num_dags=1, confounder_levels=(0, 1),
                                 methods=("iid", "icp"))
         if case == "level 1 fails":

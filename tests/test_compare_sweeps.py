@@ -121,6 +121,13 @@ def test_refuses_an_empty_tree(tmp_path, capsys):
             f"no seed-*/records.csv under {tmp_path / 'empty'}")
 
 
+def test_refuses_trees_with_no_rows(tmp_path, capsys):
+    # as a sweep whose every cell failed writes them: header lines only
+    base = write_tree(tmp_path / "base", {0: [], 1: []})
+    head = write_tree(tmp_path / "head", {0: [], 1: []})
+    refused(tmp_path, capsys, base, head, f"no records under {base}")
+
+
 # each edits a records.csv's lines in place and returns what read_records_csv says
 def bad_method(lines):
     lines[2] = lines[2].replace(",icp,", ",xyz,")

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import scmbench as sb
-from scmbench import harness, identifier
+from scmbench import harness, icp, identifier
 from scmbench import scm as scm_module
 
 node_sets = st.frozensets(st.integers(0, 8), max_size=6)
@@ -305,6 +305,29 @@ class TestExperimentConfigValidation:
         (field,) = overrides
         with pytest.raises(ValueError, match=f"^{field} must"):
             sb.ExperimentConfig(**overrides)
+
+    @pytest.mark.parametrize("methods, nodes_max", [
+        (("iid", "icp"), 13), (("icp",), 13), (("iid",), 14)],
+        ids=["iid+icp-13", "icp-13", "iid-14"])
+    def test_accepts_models_icp_can_enumerate(self, methods, nodes_max):
+        gen = sb.GenConfig(nodes_min=3, nodes_max=nodes_max)
+        assert sb.ExperimentConfig(methods=methods, gen=gen).gen.nodes_max == nodes_max
+
+    @pytest.mark.parametrize("budget, nodes_max, message", [
+        (4096, 14, "at most 12 candidates (a budget of 4096 subsets), so nodes_max "
+                   "must be at most 13, got 14"),
+        (255, 9, "at most 7 candidates (a budget of 255 subsets), so nodes_max "
+                 "must be at most 8, got 9"),
+    ], ids=["budget-4096", "budget-255"])
+    def test_refuses_models_icp_cannot_enumerate(self, monkeypatch, budget, nodes_max,
+                                                 message):
+        # the budget is read when the check runs, as icp_identify reads it
+        monkeypatch.setattr(icp, "_SUBSET_BUDGET", budget)
+        gen = sb.GenConfig(nodes_min=3, nodes_max=nodes_max)
+        for methods in (("icp",), ("iid", "icp")):
+            with pytest.raises(ValueError) as info:
+                sb.ExperimentConfig(methods=methods, gen=gen)
+            assert str(info.value) == f"methods include icp, which admits {message}"
 
 
 class TestRunRecordValidation:

@@ -587,9 +587,8 @@ class TestIcpIdentify:
             sb.icp_identify(wide_batches(n=60, nodes=14), sb.IcpConfig(), seed=0)
 
     def test_layout_cache_keeps_every_default_candidate_count(self):
-        gen = sb.GenConfig()
-        assert icp._layout.cache_info().maxsize == icp._LAYOUTS_KEPT
-        assert gen.nodes_max - gen.nodes_min + 1 <= icp._LAYOUTS_KEPT
+        # unbounded: the budget admits at most 12 candidate counts
+        assert icp._layout.cache_info().maxsize is None
 
     def test_results_do_not_depend_on_call_order(self, demo_batches):
         # 8, 5, 3 and 6 candidates: four layouts in the cache at once

@@ -4,7 +4,7 @@ Run from the root of a checkout:
 
     python3 tools/compare_sweeps.py BASE HEAD
 
-BASE and HEAD are directories as ``tools/seed_sweep.py --records`` writes
+BASE and HEAD are directories as ``tools/seed_sweep.py --out`` writes
 them, one ``seed-<seed>/records.csv`` per master seed, each read with
 ``read_records_csv``. Rows pair by (seed, dag, level, method). For each
 (method, level) the report gives both mean Jaccards; both violation counts;
@@ -12,9 +12,9 @@ the DAGs that violate on one side only, in each direction, with the exact
 two-sided McNemar p of that split; and how many DAGs' estimated sets differ.
 The last line totals the changed estimates. A key found on one side only, a
 key found twice on one side, a pair whose true parent sets differ, a
-directory ``seed-<n>`` whose n is not an integer >= 0, or a row
-``read_records_csv`` refuses is refused: the script names it (with the file
-or directory it came from) and exits 1.
+directory ``seed-<n>`` whose n is not an integer >= 0, a row
+``read_records_csv`` refuses, or a tree with no rows at all is refused: the
+script names it (with the file or directory it came from) and exits 1.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from scmbench.harness import RunRecord, _blaming, read_records_csv  # noqa: E402
+from scmbench.harness import RunRecord, _blaming, _parse_int, read_records_csv  # noqa: E402
 
 KEY = "(seed, dag, level, method)"
 COLUMNS = ("method", "level", "dags", "js_base", "js_head", "viol_base", "viol_head",
@@ -43,18 +43,22 @@ def read_tree(root: Path) -> dict[tuple, RunRecord]:
         raise ValueError(f"no seed-*/records.csv under {root}")
     rows: dict[tuple, RunRecord] = {}
     for path in paths:
-        digits = path.parent.name.removeprefix("seed-")
-        # the digits _parse_int reads, without its '-'
-        if not (digits.isascii() and digits.isdecimal()):
-            raise ValueError(f"{path.parent}: a seed directory must be seed-<n>, "
-                             f"n an integer >= 0")
-        seed = int(digits)
+        error = ValueError(f"{path.parent}: a seed directory must be seed-<n>, "
+                           f"n an integer >= 0")
+        try:
+            seed = _parse_int(path.parent.name.removeprefix("seed-"))
+        except ValueError:
+            raise error from None
+        if seed < 0:
+            raise error
         with _blaming(path):
             for r in read_records_csv(path):
                 key = (seed, r.dag_id, r.confounders, r.method)
                 if key in rows:
                     raise ValueError(f"{KEY} = {key} appears twice under {root}")
                 rows[key] = r
+    if not rows:
+        raise ValueError(f"no records under {root}")
     return rows
 
 

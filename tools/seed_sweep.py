@@ -2,23 +2,23 @@
 
 Run from the root of a checkout:
 
-    python3 tools/seed_sweep.py --seeds 0-10 --threads 2 --out seeds.json \
-        [--records records/]
+    python3 tools/seed_sweep.py --seeds 0-10 --threads 2 --out sweep/
 
 Every seed runs the sweep of ``--config`` (an ``scmbench init`` file; the
-default config when omitted) with that master seed. The JSON written to
-``--out`` holds, per seed, every (method, level) cell's mean_js, fwer and n,
-the margins of acceptance criteria 1 and 2 (value minus bound, so a negative
-margin fails; null where the config lacks the cell), the failed-cell count and
-the wall time. It also pools the level-0 iid records of all seeds into one
-FWER with its exact (Clopper-Pearson) 95 % confidence interval. The criteria
-pin seed 0 only; this shows how far the other seeds sit from their bounds.
-With ``--records DIR``, each seed's records also go to
-``DIR/seed-<seed>/records.csv``, written as ``scmbench run`` writes them, and
-DIR holds one run: a ``seed-*`` entry there that is not one of ``--seeds``
-stops the script before it runs any seed, as do an ``--out`` or
-``--records`` path that could not be written and a ``--config`` file that
-cannot be read.
+default config when omitted) with that master seed, and its records go to
+``DIR/seed-<seed>/records.csv`` under the ``--out`` directory DIR, written as
+``scmbench run`` writes them. ``DIR/seeds.json`` holds, per seed, every
+(method, level) cell's mean_js, fwer and n, the margins of acceptance
+criteria 1 and 2 (value minus bound, so a negative margin fails; null where
+the config lacks the cell), the failed-cell count and the wall time. It also
+pools the level-0 iid records of all seeds into one FWER with its exact
+(Clopper-Pearson) 95 % confidence interval. The criteria pin seed 0 only;
+this shows how far the other seeds sit from their bounds. DIR holds one run:
+a ``seed-*`` entry there that is not one of ``--seeds`` stops the script
+before it runs any seed, as do a DIR that is a file or lies below one and
+a ``--config`` file that cannot be read. Exit codes: 0 success, 2 a usage
+error (an ``error:`` line) or, after every output is written, failed cells
+(a ``warning:`` line), as ``scmbench run`` exits 2 for them.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from scipy import stats
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from scmbench.configfile import ConfigError, read_config  # noqa: E402
+from scmbench.configfile import read_config  # noqa: E402
 from scmbench.harness import (ExperimentConfig, _check_threads, _parse_int,  # noqa: E402
                               run_experiment, write_records_csv)
 
@@ -101,25 +101,20 @@ def main(argv: list[str] | None = None) -> int:
                         help="master seeds, e.g. 0-10 or 0,4-6 (default 0-10)")
     parser.add_argument("--threads", type=parse_threads, default=2,
                         help="worker processes (default 2)")
-    parser.add_argument("--out", type=Path, required=True, help="JSON file to write")
-    parser.add_argument("--records", type=Path,
-                        help="directory to write each seed's records.csv under")
+    parser.add_argument("--out", type=Path, required=True,
+                        help="directory to write seeds.json and each seed's records.csv under")
     args = parser.parse_args(argv)
-    # checked before the first seed, so a bad path loses no results
-    if args.out.is_dir() or not args.out.parent.is_dir():
-        parser.error(f"--out {args.out}: expected a file in an existing directory")
-    if args.records is not None:
-        # the path, or the nearest of its parents that exists, must be a directory
-        if not next(p for p in (args.records, *args.records.parents) if p.exists()).is_dir():
-            parser.error(f"--records {args.records}: expected a directory")
-        ours = {f"seed-{seed}" for seed in args.seeds}
-        if stale := sorted(p for p in args.records.glob("seed-*") if p.name not in ours):
-            parser.error(f"{stale[0]} is not one of --seeds; a --records "
-                         f"directory holds one run")
+    # checked before the first seed, so a bad path loses no results: the
+    # path, or the nearest of its parents that exists, must be a directory
+    if not next(p for p in (args.out, *args.out.parents) if p.exists()).is_dir():
+        parser.error(f"--out {args.out}: expected a directory")
+    ours = {f"seed-{seed}" for seed in args.seeds}
+    if stale := sorted(p for p in args.out.glob("seed-*") if p.name not in ours):
+        parser.error(f"{stale[0]} is not one of --seeds; an --out directory holds one run")
 
     try:
         cfg = read_config(args.config) if args.config else ExperimentConfig()
-    except ConfigError as exc:
+    except (OSError, ValueError) as exc:
         parser.error(f"--config {args.config}: {exc}")
     per_seed = []
     violations = dags = 0
@@ -128,10 +123,9 @@ def main(argv: list[str] | None = None) -> int:
         seed_start = time.perf_counter()
         report = run_experiment(dataclasses.replace(cfg, master_seed=seed), args.threads)
         wall_s = time.perf_counter() - seed_start
-        if args.records is not None:
-            seed_dir = args.records / f"seed-{seed}"
-            seed_dir.mkdir(parents=True, exist_ok=True)
-            write_records_csv(report.records, seed_dir / "records.csv")
+        seed_dir = args.out / f"seed-{seed}"
+        seed_dir.mkdir(parents=True, exist_ok=True)
+        write_records_csv(report.records, seed_dir / "records.csv")
         level_0_iid = [r for r in report.records if r.method == "iid" and r.confounders == 0]
         violations += sum(r.violated for r in level_0_iid)
         dags += len(level_0_iid)
@@ -150,8 +144,11 @@ def main(argv: list[str] | None = None) -> int:
     summary = {"config": args.config or "default", "threads": args.threads,
                "seeds": per_seed, "pooled_level_0_iid_fwer": pooled,
                "wall_s": round(time.perf_counter() - start, 1)}
-    args.out.write_text(json.dumps(summary, indent=2) + "\n")
+    (args.out / "seeds.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(json.dumps(pooled))
+    if failed := sum(s["failed_cells"] for s in per_seed):
+        print(f"warning: {failed} cell(s) failed", file=sys.stderr)
+        return 2
     return 0
 
 
