@@ -43,18 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo", help="run both methods once on the fixed 4-node model")
     p_demo.add_argument("--out", default="scmbench-demo", help="output directory")
-    p_demo.add_argument("--seed", default=None, help="master seed override")
     p_demo.add_argument("--force", action="store_true", help="overwrite existing outputs")
     return parser
-
-
-def _resolve_seed(cfg: ExperimentConfig, flag: str | None) -> ExperimentConfig:
-    """cfg with its master seed from the --seed flag when given, else as the
-    config has it; ExperimentConfig checks the bound."""
-    if flag is None:
-        return cfg
-    with _blaming("--seed"):
-        return dataclasses.replace(cfg, master_seed=_parse_int(flag))
 
 
 def render_table(records) -> str:
@@ -124,7 +114,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     with _blaming("--threads"):
         threads = _parse_int(args.threads)
         _check_threads(threads)
-    return _sweep(_resolve_seed(read_config(args.config), args.seed), args, threads)
+    cfg = read_config(args.config)
+    if args.seed is not None:  # the flag wins; ExperimentConfig checks the bound
+        with _blaming("--seed"):
+            cfg = dataclasses.replace(cfg, master_seed=_parse_int(args.seed))
+    return _sweep(cfg, args, threads)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -133,6 +127,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         raise ValueError("no records in CSV")
     table = render_table(records)
     out_path = Path(args.out) if args.out else Path(args.csv).parent / "table.txt"
+    if out_path.exists() and out_path.samefile(args.csv):
+        raise ValueError(f"--out: {out_path} is the records CSV the table is read from")
     out_path.write_text(table + "\n")
     print(table)
     return 0
@@ -151,7 +147,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         return [f"truth: {show(truth)}",
                 *(f"{r.method}:   {show(r.z)}" for r in report.records), ""]
 
-    return _sweep(_resolve_seed(demo, args.seed), args, preamble=estimates)
+    return _sweep(demo, args, preamble=estimates)
 
 
 _COMMANDS = {"init": _cmd_init, "run": _cmd_run, "report": _cmd_report, "demo": _cmd_demo}

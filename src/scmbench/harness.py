@@ -66,25 +66,29 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"methods must be among {KNOWN_METHODS}, "
                              f"got {sorted(unknown)}")
-        # the most candidates whose 2^n subsets fit icp's budget, as it stands now
+        # the most candidates whose 2^n subsets fit icp's budget, as it stands now,
+        # against the largest model the sweep runs: the fixed one, if set
         most = _icp._SUBSET_BUDGET.bit_length() - 1
-        if "icp" in self.methods and self.gen.nodes_max - 1 > most:
+        name, nodes = (("nodes_max", self.gen.nodes_max) if self.fixed_scm is None
+                       else ("fixed_scm.num_observed", self.fixed_scm.num_observed))
+        if "icp" in self.methods and nodes - 1 > most:
             raise ValueError(f"methods include icp, which admits at most {most} candidates "
-                             f"(a budget of {_icp._SUBSET_BUDGET} subsets), so nodes_max "
-                             f"must be at most {most + 1}, got {self.gen.nodes_max}")
+                             f"(a budget of {_icp._SUBSET_BUDGET} subsets), so {name} "
+                             f"must be at most {most + 1}, got {nodes}")
 
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One cell's outcome; it checks itself as records.csv rows are checked."""
+    """One cell's outcome; it checks itself as records.csv rows are checked,
+    and derives js and violated from z and pa0."""
 
     dag_id: int = _bounded(MISSING, "[0, inf)")
     method: str
     confounders: int = _bounded(MISSING, "[0, inf)")
     z: frozenset[int] = _bounded(MISSING, "[0, inf)")
     pa0: frozenset[int] = _bounded(MISSING, "[0, inf)")
-    js: float
-    violated: bool
+    js: float = field(init=False)
+    violated: bool = field(init=False)
     wall_time: float = _bounded(MISSING, "[0, inf)")
 
     def __post_init__(self) -> None:
@@ -92,14 +96,8 @@ class RunRecord:
         if self.method not in KNOWN_METHODS:
             raise ValueError(f"method must be one of {KNOWN_METHODS}, "
                              f"got {self.method!r}")
-        # repr(float) round-trips, so a row the writer made matches exactly;
-        # js=True and violated=0 compare equal but are written as 1.0 and false
-        for name, implied in (("js", jaccard(self.z, self.pa0)),
-                              ("violated", not self.z <= self.pa0)):
-            value = getattr(self, name)
-            if not isinstance(value, type(implied)) or value != implied:
-                raise ValueError(f"{name} must be {implied!r}, as z and pa0 "
-                                 f"give, got {value!r}")
+        object.__setattr__(self, "js", jaccard(self.z, self.pa0))
+        object.__setattr__(self, "violated", not self.z <= self.pa0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,8 +185,7 @@ def _dag_task(args: tuple[ExperimentConfig, int]) -> tuple[list[RunRecord], list
             wall = time.perf_counter() - start
             records.append(RunRecord(
                 dag_id=dag_id, method=method, confounders=level,
-                z=z, pa0=pa0, js=jaccard(z, pa0),
-                violated=not z <= pa0, wall_time=wall))
+                z=z, pa0=pa0, wall_time=wall))
     return records, errors
 
 
@@ -368,16 +365,15 @@ def write_records_csv(records, path) -> None:
 
 
 def read_records_csv(path) -> list[RunRecord]:
-    """Parse a records CSV. A blank line, a value it cannot parse or that
-    write_records_csv would spell otherwise, a row RunRecord refuses, or a
-    second row for one (dag_id, method, confounders) cell raises ValueError
-    naming the line (and the column)."""
+    """Parse a records CSV. A value it cannot parse or that write_records_csv
+    would spell otherwise (js and violated among them, which the record
+    derives from z and pa0), a row RunRecord refuses, or a second row for one
+    (dag_id, method, confounders) cell raises ValueError naming the line (and
+    the column)."""
     with open(path) as fh:
         lines = [(no, ln.rstrip("\n")) for no, ln in enumerate(fh, 1)]
     if not lines:
         raise ValueError("empty CSV: expected a header line")
-    if blank := [no for no, ln in lines if not ln.strip()]:
-        raise ValueError(f"line {blank[0]}: blank line")
     want = CSV_HEADER.split(",")
     got = lines[0][1].split(",")
     for i, (name, found) in enumerate(zip_longest(want, got)):
@@ -385,13 +381,15 @@ def read_records_csv(path) -> list[RunRecord]:
             name, found = ("absent" if name is None else repr(name),
                            "nothing" if found is None else repr(found))
             raise ValueError(f"header column {i} should be {name}, found {found}")
+    measured = {f.name for f in dataclasses.fields(RunRecord) if f.init}
     records = []
     cells: dict[tuple, int] = {}
     for no, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != len(want):
             raise ValueError(f"line {no}: malformed record line: {ln!r}")
-        record = _from_text(RunRecord, dict(zip(want, parts)),
+        record = _from_text(RunRecord, {name: text for name, text in zip(want, parts)
+                                        if name in measured},
                             lambda name: f"line {no}, column '{name}'")
         for name, text, written in zip(want, parts, _to_text(record).values()):
             if text != written:

@@ -41,10 +41,11 @@ def _check_bound(name: str, value, interval: str, integer: bool = False) -> None
 
 def _check_bounds(obj) -> None:
     """Check every field of a dataclass declared with _bounded; each entry of
-    a tuple or frozenset is checked."""
+    a tuple or frozenset is checked. It reads no other field, so it can run
+    before a __post_init__ sets the fields it derives."""
     for f in fields(obj):
-        value = getattr(obj, f.name)
         if "interval" in f.metadata:
+            value = getattr(obj, f.name)
             integer = f.type.startswith(("int", "tuple[int", "frozenset[int"))
             for v in value if isinstance(value, (tuple, frozenset)) else (value,):
                 _check_bound(f.name, v, f.metadata["interval"], integer)

@@ -276,6 +276,16 @@ class TestReport:
             capsys.readouterr().err)
         assert not (tmp_path / "table.txt").exists()
 
+    def test_refuses_to_write_the_table_over_its_csv(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "records.csv"
+        harness.write_records_csv([record(0, "iid", 0, {1}, {1})], path)
+        csv = path.read_bytes()
+        monkeypatch.chdir(tmp_path)  # one file, spelled two ways
+        assert main(["report", str(path), "--out", "records.csv"]) == 1
+        assert ("error: --out: records.csv is the records CSV the table is read from"
+                in capsys.readouterr().err)
+        assert path.read_bytes() == csv
+
     def test_missing_csv(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "absent.csv")]) == 1
         assert "error:" in capsys.readouterr().err
@@ -311,7 +321,7 @@ class TestReport:
 class TestDemo:
     def test_demo_recovers_the_known_answer(self, tmp_path, capsys):
         out = tmp_path / "demo"
-        assert main(["demo", "--out", str(out), "--seed", "0"]) == 0
+        assert main(["demo", "--out", str(out)]) == 0
         shown = capsys.readouterr().out
         assert "truth: {1, 2}" in shown
         assert "iid:" in shown and "icp:" in shown
@@ -326,19 +336,12 @@ class TestDemo:
 
         monkeypatch.setattr(harness, "identify_parents", diverge)
         out = tmp_path / "demo"
-        assert main(["demo", "--out", str(out), "--seed", "0"]) == 2
+        assert main(["demo", "--out", str(out)]) == 2
         shown = capsys.readouterr()
         assert "icp:   {1, 2}" in shown.out and "iid:" not in shown.out
         assert "warning: 1 cell(s) failed; see report.json\n" in shown.err
         report = json.loads((out / "report.json").read_text())
         assert [e["method"] for e in report["errors"]] == ["iid"]
-
-    def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
-        out = tmp_path / "demo"
-        assert main(["demo", "--out", str(out), "--seed", "-1"]) == 1
-        assert ("error: --seed: master_seed must lie in [0, inf), got -1"
-                in capsys.readouterr().err)
-        assert not out.exists()
 
 
 class TestUsage:
@@ -354,10 +357,11 @@ class TestUsage:
         assert ("error: --threads: threads must lie in [1, inf), got 0"
                 in capsys.readouterr().err)
 
-    def test_demo_has_no_threads_option(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", ["--threads", "--seed"])
+    def test_demo_has_no_threads_or_seed_option(self, tmp_path, capsys, flag):
         out = tmp_path / "demo"
-        assert main(["demo", "--out", str(out), "--threads", "1"]) == 1
-        assert "--threads" in capsys.readouterr().err
+        assert main(["demo", "--out", str(out), flag, "0"]) == 1
+        assert flag in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -378,8 +382,7 @@ class TestImport:
 def record(dag_id, method, level, z, pa0):
     z, pa0 = frozenset(z), frozenset(pa0)
     return harness.RunRecord(dag_id=dag_id, method=method, confounders=level, z=z,
-                             pa0=pa0, js=harness.jaccard(z, pa0),
-                             violated=not z <= pa0, wall_time=0.5)
+                             pa0=pa0, wall_time=0.5)
 
 
 class TestRenderTable:

@@ -17,7 +17,6 @@ spec.loader.exec_module(compare_sweeps)
 def record(dag, level, method, z, pa0=(1, 2)):
     z, pa0 = frozenset(z), frozenset(pa0)
     return harness.RunRecord(dag_id=dag, method=method, confounders=level, z=z, pa0=pa0,
-                             js=harness.jaccard(z, pa0), violated=not z <= pa0,
                              wall_time=0.5)
 
 
@@ -136,7 +135,7 @@ def bad_method(lines):
 
 def blank_line(lines):
     lines.insert(2, "\n")
-    return "line 3: blank line"
+    return "line 3: malformed record line: ''"
 
 
 def short_row(lines):

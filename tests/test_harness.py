@@ -18,8 +18,7 @@ node_sets = st.frozensets(st.integers(0, 8), max_size=6)
 def record(dag_id=0, method="iid", confounders=0, z=frozenset({1}),
            pa0=frozenset({1}), wall_time=0.1):
     return harness.RunRecord(dag_id=dag_id, method=method, confounders=confounders,
-                             z=z, pa0=pa0, js=harness.jaccard(z, pa0),
-                             violated=not z <= pa0, wall_time=wall_time)
+                             z=z, pa0=pa0, wall_time=wall_time)
 
 
 class TestJaccard:
@@ -306,27 +305,34 @@ class TestExperimentConfigValidation:
         with pytest.raises(ValueError, match=f"^{field} must"):
             sb.ExperimentConfig(**overrides)
 
-    @pytest.mark.parametrize("methods, nodes_max", [
-        (("iid", "icp"), 13), (("icp",), 13), (("iid",), 14)],
-        ids=["iid+icp-13", "icp-13", "iid-14"])
-    def test_accepts_models_icp_can_enumerate(self, methods, nodes_max):
+    @pytest.mark.parametrize("methods, nodes_max, fixed_scm", [
+        (("iid", "icp"), 13, None), (("icp",), 13, None), (("iid",), 14, None),
+        # a fixed model is what the sweep runs, so nodes_max goes unused
+        (("icp",), 14, sb.four_node_demo_scm())],
+        ids=["iid+icp-13", "icp-13", "iid-14", "icp-fixed-4"])
+    def test_accepts_models_icp_can_enumerate(self, methods, nodes_max, fixed_scm):
         gen = sb.GenConfig(nodes_min=3, nodes_max=nodes_max)
-        assert sb.ExperimentConfig(methods=methods, gen=gen).gen.nodes_max == nodes_max
+        cfg = sb.ExperimentConfig(methods=methods, gen=gen, fixed_scm=fixed_scm)
+        assert (cfg.gen.nodes_max, cfg.fixed_scm) == (nodes_max, fixed_scm)
 
-    @pytest.mark.parametrize("budget, nodes_max, message", [
-        (4096, 14, "at most 12 candidates (a budget of 4096 subsets), so nodes_max "
-                   "must be at most 13, got 14"),
-        (255, 9, "at most 7 candidates (a budget of 255 subsets), so nodes_max "
-                 "must be at most 8, got 9"),
-    ], ids=["budget-4096", "budget-255"])
+    @pytest.mark.parametrize("budget, nodes_max, fixed_scm, message", [
+        (4096, 14, None, "at most 12 candidates (a budget of 4096 subsets), so nodes_max "
+                         "must be at most 13, got 14"),
+        (255, 9, None, "at most 7 candidates (a budget of 255 subsets), so nodes_max "
+                       "must be at most 8, got 9"),
+        (4096, 12, sb.random_scm(sb.GenConfig(nodes_min=14, nodes_max=14),
+                                 np.random.default_rng(0)),
+         "at most 12 candidates (a budget of 4096 subsets), so fixed_scm.num_observed "
+         "must be at most 13, got 14"),
+    ], ids=["budget-4096", "budget-255", "budget-4096-fixed-14"])
     def test_refuses_models_icp_cannot_enumerate(self, monkeypatch, budget, nodes_max,
-                                                 message):
+                                                 fixed_scm, message):
         # the budget is read when the check runs, as icp_identify reads it
         monkeypatch.setattr(icp, "_SUBSET_BUDGET", budget)
         gen = sb.GenConfig(nodes_min=3, nodes_max=nodes_max)
         for methods in (("icp",), ("iid", "icp")):
             with pytest.raises(ValueError) as info:
-                sb.ExperimentConfig(methods=methods, gen=gen)
+                sb.ExperimentConfig(methods=methods, gen=gen, fixed_scm=fixed_scm)
             assert str(info.value) == f"methods include icp, which admits {message}"
 
 
@@ -334,36 +340,39 @@ class TestRunRecordValidation:
     """A record built in code is refused for what the records reader refuses."""
 
     @pytest.mark.parametrize("overrides, message", [
-        (dict(js=7.5), r"js must be 1\.0, as z and pa0 give, got 7\.5$"),
-        (dict(js=float("nan")), "js must"),
-        (dict(violated=True), "violated must be False, as z and pa0 give, got True$"),
-        # the right value of the wrong type: a bool js, an int violated
-        (dict(js=True), r"js must be 1\.0, as z and pa0 give, got True$"),
-        (dict(violated=0), "violated must be False, as z and pa0 give, got 0$"),
-        (dict(z=frozenset({1, 2}), js=0.5, violated=False), "violated must be True"),
-        (dict(z=frozenset({1, 2}), js=1.0, violated=True), "js must be 0.5"),
         (dict(dag_id=-1), r"dag_id must lie in \[0, inf\), got -1$"),
         (dict(dag_id=True), "dag_id must be an integer, got True$"),
         (dict(confounders=2.0), "confounders must be an integer, got 2.0$"),
         (dict(method="gbm"), "method must be one of \\('iid', 'icp'\\), got 'gbm'$"),
         (dict(method=" iid"), "method must"),
-        (dict(z=frozenset({-1}), js=0.0, violated=True),
-         r"z must lie in \[0, inf\), got -1$"),
-        (dict(pa0=frozenset({1, -1}), js=0.5, violated=False),
-         r"pa0 must lie in \[0, inf\), got -1$"),
+        (dict(z=frozenset({-1})), r"z must lie in \[0, inf\), got -1$"),
+        (dict(pa0=frozenset({1, -1})), r"pa0 must lie in \[0, inf\), got -1$"),
+        # refused before js and violated are derived from it
+        (dict(z=None), "z must be an integer, got None$"),
         (dict(wall_time=float("nan")), r"wall_time must lie in \[0, inf\), got nan$"),
         (dict(wall_time=float("inf")), r"wall_time must lie in \[0, inf\), got inf$"),
         (dict(wall_time=-0.5), "wall_time must"),
-    ], ids=["js=7.5", "js=nan", "violated=True", "js=True", "violated=0",
-            "violated=False", "js=1.0",
-            "dag_id=-1", "dag_id=True", "confounders=2.0", "method=gbm",
-            "method=space-iid", "z-node=-1", "pa0-node=-1", "wall_time=nan",
+    ], ids=["dag_id=-1", "dag_id=True", "confounders=2.0", "method=gbm",
+            "method=space-iid", "z-node=-1", "pa0-node=-1", "z=None", "wall_time=nan",
             "wall_time=inf", "wall_time=-0.5"])
     def test_rejects_a_record_the_reader_would_refuse(self, overrides, message):
         fields = dict(dag_id=0, method="iid", confounders=0, z=frozenset({1}),
-                      pa0=frozenset({1}), js=1.0, violated=False, wall_time=0.1)
+                      pa0=frozenset({1}), wall_time=0.1)
         with pytest.raises(ValueError, match=f"^{message}"):
             harness.RunRecord(**{**fields, **overrides})
+
+    @given(z=node_sets, pa0=node_sets)
+    def test_js_and_violated_follow_from_z_and_pa0(self, tmp_path_factory, z, pa0):
+        fields = dict(dag_id=0, method="iid", confounders=0, z=z, pa0=pa0, wall_time=0.1)
+        for derived in (dict(js=1.0), dict(violated=False)):
+            with pytest.raises(TypeError):
+                harness.RunRecord(**fields, **derived)
+        rec = harness.RunRecord(**fields)
+        assert rec.js == harness.jaccard(z, pa0)
+        assert rec.violated == (not z <= pa0)
+        path = tmp_path_factory.mktemp("records") / "records.csv"
+        harness.write_records_csv([rec], path)
+        assert harness.read_records_csv(path) == [rec]
 
 
 class TestCsvRoundTrip:
@@ -414,19 +423,20 @@ class TestCsvRoundTrip:
                                              "confounders repeat line 2$"):
             harness.read_records_csv(path)
 
-    @pytest.mark.parametrize("text, line", [
-        ("\n{header}\n{row}\n", 1),
-        ("{header}\n\n{row}\n", 2),
-        ("{header}\n{row}\n \t\n", 3),
-        ("{header}\n{row}\n\n", 3),
+    @pytest.mark.parametrize("text, message", [
+        ("\n{header}\n{row}\n", "header column 0 should be 'dag_id', found ''"),
+        ("{header}\n\n{row}\n", "line 2: malformed record line: ''"),
+        ("{header}\n{row}\n \t\n", "line 3: malformed record line: ' \\t'"),
+        ("{header}\n{row}\n\n", "line 3: malformed record line: ''"),
     ])
-    def test_blank_lines_are_rejected(self, tmp_path, text, line):
+    def test_blank_lines_are_rejected(self, tmp_path, text, message):
         # write_records_csv never writes one, so the reader does not skip them
         path = tmp_path / "records.csv"
         path.write_text(text.format(header=harness.CSV_HEADER,
                                     row="0,iid,0,1,1,1.0,false,0.5"))
-        with pytest.raises(ValueError, match=f"^line {line}: blank line$"):
+        with pytest.raises(ValueError) as info:
             harness.read_records_csv(path)
+        assert str(info.value) == message
 
     def test_malformed_record_line_is_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -476,6 +486,27 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=f"line 3, column '{column}'"):
             harness.read_records_csv(path)
 
+    @pytest.mark.parametrize("z, js, violated, column, written, text", [
+        ("1", "7.5", "false", "js", "1.0", "7.5"),
+        ("1", "nan", "false", "js", "1.0", "nan"),
+        ("1", "1.0", "true", "violated", "false", "true"),
+        # the right value in another spelling: a bool js, an int violated
+        ("1", "True", "false", "js", "1.0", "True"),
+        ("1", "1.0", "0", "violated", "false", "0"),
+        ("1|2", "0.5", "false", "violated", "true", "false"),
+        ("1|2", "1.0", "true", "js", "0.5", "1.0"),
+    ], ids=["js=7.5", "js=nan", "violated=True", "js=True", "violated=0",
+            "violated=False", "js=1.0"])
+    def test_derived_columns_must_follow_from_z_and_pa0(self, tmp_path, z, js, violated,
+                                                       column, written, text):
+        # the record derives js and violated, so the reader refuses any other text
+        path = tmp_path / "bad.csv"
+        path.write_text(harness.CSV_HEADER + f"\n0,iid,0,{z},1,{js},{violated},0.5\n")
+        with pytest.raises(ValueError) as info:
+            harness.read_records_csv(path)
+        assert str(info.value) == (f"line 2, column '{column}': expected {written!r}, "
+                                   f"as the writer spells it, got {text!r}")
+
     @pytest.mark.parametrize("text", ["maybe", "yes", "True", "1"])
     def test_malformed_boolean(self, tmp_path, text):
         # booleans are spelled as write_records_csv writes them
@@ -483,8 +514,8 @@ class TestCsvRoundTrip:
         path.write_text(harness.CSV_HEADER + f"\n0,iid,0,1,1,1.0,{text},0.5\n")
         with pytest.raises(ValueError) as info:
             harness.read_records_csv(path)
-        assert str(info.value) == ("line 2, column 'violated': expected one of "
-                                   f"['true', 'false'], got '{text}'")
+        assert str(info.value) == ("line 2, column 'violated': expected 'false', "
+                                   f"as the writer spells it, got '{text}'")
 
 
 class TestReportJson:
