@@ -65,7 +65,12 @@ def read_config(path) -> ExperimentConfig:
 
 
 def config_to_ini(cfg: ExperimentConfig) -> str:
-    """Serialize a config to the INI layout that read_config parses."""
+    """Serialize a config to the INI layout that read_config parses back
+    equal. A config with a fixed_scm raises ValueError: an INI file has no
+    key for the model, and always draws random ones."""
+    if cfg.fixed_scm is not None:
+        raise ValueError("fixed_scm cannot be written to an INI file, which "
+                         "always draws random models")
     lines = [_HEADER, ""]
     for section, obj in _sections(cfg).items():
         lines.append(f"[{section}]")

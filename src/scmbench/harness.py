@@ -286,15 +286,6 @@ def _parse_float(text: str) -> float:
     return float(text)
 
 
-_BOOLS = {"true": True, "false": False}
-
-
-def _parse_bool(text: str) -> bool:
-    if text not in _BOOLS:
-        raise ValueError(f"expected one of {list(_BOOLS)}, got {text!r}")
-    return _BOOLS[text]
-
-
 def _parse_list(text: str) -> tuple[str, ...]:
     items = tuple(part.strip() for part in text.split(","))
     if not all(items):
@@ -303,12 +294,13 @@ def _parse_list(text: str) -> tuple[str, ...]:
 
 
 # field annotation (a string: the modules postpone them) -> (format, parse):
-# the one text form of a value, in config.ini and in records.csv alike
+# the one text form of a value, in config.ini and in records.csv alike; a form
+# that no file reads back (bool: records.csv's derived violated) has no parse
 _TEXT_FORMS = {
     "int": (str, _parse_int),
     "float": (lambda v: repr(float(v)), _parse_float),
     "str": (str, str),
-    "bool": ({v: t for t, v in _BOOLS.items()}.__getitem__, _parse_bool),
+    "bool": ({True: "true", False: "false"}.__getitem__, None),
     "tuple[int, ...]": (lambda v: ", ".join(map(str, v)),
                         lambda text: tuple(map(_parse_int, _parse_list(text)))),
     "tuple[str, ...]": (", ".join, _parse_list),
