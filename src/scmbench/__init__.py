@@ -5,7 +5,7 @@ from .distmetrics import (EmpiricalSample, Gaussian1D, frechet_gaussian1d,
 from .harness import ExperimentConfig, environments_for, run_experiment
 from .icp import (EnumerationBudgetError, IcpConfig, icp_identify,
                   invariance_pvalue)
-from .identifier import TrainConfig, TrainingDivergedError, identify_parents
+from .identifier import TrainConfig, identify_parents
 from .scm import (Environment, GenConfig, GenerationError, LinearGaussianScm,
                   SampleBatch, add_confounders, analytic_moments,
                   four_node_demo_scm, intervene, parents, random_scm, sample)
@@ -18,7 +18,7 @@ __all__ = [
     "ksample_equality_test",
     "ExperimentConfig", "environments_for", "run_experiment",
     "EnumerationBudgetError", "IcpConfig", "icp_identify", "invariance_pvalue",
-    "TrainConfig", "TrainingDivergedError", "identify_parents",
+    "TrainConfig", "identify_parents",
     "Environment", "GenConfig", "GenerationError",
     "LinearGaussianScm", "SampleBatch", "add_confounders", "analytic_moments",
     "four_node_demo_scm", "intervene", "parents", "random_scm", "sample",

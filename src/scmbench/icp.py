@@ -186,7 +186,7 @@ def icp_identify(batches: list[SampleBatch], cfg: IcpConfig,
     ran before.
     """
     _check_bound("seed", seed, "[0, inf)", integer=True)
-    n_cand = _check_batches(batches, min_batches=2, min_rows=3) - 1
+    n_cand = _check_batches(batches, min_batches=2) - 1
     if n_cand < 1:
         raise ValueError("need at least one candidate column")
     total = 2 ** n_cand

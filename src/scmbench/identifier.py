@@ -25,10 +25,6 @@ from .scm import SampleBatch, _bounded, _check_batches, _check_bounds
 _STEP_SIZE, _UPDATES, _BATCH_ROWS, _NULL_DRAWS = 0.01, 600, 256, 64
 
 
-class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite during gradient descent."""
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """The penalty loop's one setting. Each round's threshold is tau =
@@ -71,10 +67,11 @@ def _param_views(buf: np.ndarray, l: int, h: int) -> tuple[np.ndarray, ...]:
     return w1.reshape(l, h), b1, w2, b2.reshape(()), ws
 
 
-def train_regressor(batches: list[SampleBatch], mask: np.ndarray,
+def train_regressor(rows: np.ndarray, mask: np.ndarray,
                     rng: np.random.Generator) -> Regressor:
-    """Fit the regressor to pooled rows by mini-batch gradient descent, using
-    the candidates that ``mask`` (0/1 or boolean, one per x_1..x_l) keeps.
+    """Fit the regressor to ``rows``, the (n, 1 + l) training matrix with x_0
+    first, by mini-batch gradient descent, using the candidates that ``mask``
+    (0/1 or boolean, one per x_1..x_l) keeps.
 
     Inputs and target are standardized on the pooled rows and the affine maps
     are folded back into the returned parameters, so ``predict`` works in raw
@@ -88,19 +85,10 @@ def train_regressor(batches: list[SampleBatch], mask: np.ndarray,
     every step's mini-batch rows are drawn at once after the weight init.
     The step loop runs in float32 (data, parameters, gradients, Adam moments
     and step size); the standardization, the least-squares start and the
-    folded parameters stay in float64. Raises TrainingDivergedError on
-    non-finite loss, which float32 reaches once the batch's summed squared
-    error, or the step size, passes its maximum of about 3.4e38.
+    folded parameters stay in float64.
     """
-    width = _check_batches(batches, min_batches=1, min_rows=1)
-    mask = np.asarray(mask)
-    if mask.ndim != 1 or not np.all(np.isin(mask, (0, 1))):
-        raise ValueError("mask must be a 1-D binary vector")
-    if width != mask.size + 1:
-        raise ValueError("batch width does not match the number of candidates")
-    data = np.vstack([b.data for b in batches])
-    x_raw = data[:, 1:] * mask
-    y_raw = data[:, 0]
+    x_raw = rows[:, 1:] * mask
+    y_raw = rows[:, 0]
     n, l = x_raw.shape
     h = 16  # hidden units
 
@@ -150,9 +138,6 @@ def train_regressor(batches: list[SampleBatch], mask: np.ndarray,
         hidden = np.tanh(xb @ w1 + b1)
         pred = xb @ ws + hidden @ w2 + b2
         err = pred - yb
-        # the mean squared error is finite exactly when the sum of squares is
-        if not np.isfinite(np.add.reduce(err * err)):
-            raise TrainingDivergedError(f"non-finite loss at step {step}")
         d_pred = 2.0 * err / err.size
         np.matmul(xb.T, d_pred, out=g_ws)
         np.matmul(hidden.T, d_pred, out=g_w2)
@@ -240,7 +225,7 @@ def identify_parents(batches: list[SampleBatch], cfg: TrainConfig,
     Each round therefore runs the same procedure on the reduced problem over
     the still-active candidates and their environments.
     """
-    l = _check_batches(batches, min_batches=1, min_rows=3) - 1
+    l = _check_batches(batches, min_batches=1) - 1
     if l < 2:
         raise ValueError("need at least two candidates: a single environment has no complement")
     ids = sorted(b.env for b in batches)
@@ -249,11 +234,10 @@ def identify_parents(batches: list[SampleBatch], cfg: TrainConfig,
 
     # env id -> (training rows, holdout rows); its candidate keys are the
     # active set, and eliminating a candidate deletes its entry
-    split: dict[int, tuple[SampleBatch, np.ndarray]] = {}
+    split: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for b in batches:
         n_hold = min(max(int(round(b.n * 0.3)), 2), b.n - 1)
-        split[b.env] = (SampleBatch(env=b.env, data=b.data[:b.n - n_hold]),
-                        b.data[b.n - n_hold:])
+        split[b.env] = (b.data[:b.n - n_hold], b.data[b.n - n_hold:])
 
     candidates = np.arange(1, l + 1)
     fid_rows: list[np.ndarray] = []
@@ -262,7 +246,7 @@ def identify_parents(batches: list[SampleBatch], cfg: TrainConfig,
     while len(split) >= 2:
         mask = np.isin(candidates, list(split))
         rng_train, rng_cal = rng.spawn(2)
-        reg = train_regressor([t for t, _ in split.values()], mask, rng_train)
+        reg = train_regressor(np.vstack([t for t, _ in split.values()]), mask, rng_train)
         residuals = [np.abs(reg.predict(h[:, 1:] * mask) - h[:, 0]) for _, h in split.values()]
         scores = _scores(*np.array([(r.size, r.sum(), r @ r) for r in residuals]).T)
         if scores.size == 2:  # each is the other's rest: equal but for rounding, so tie them

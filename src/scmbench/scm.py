@@ -51,17 +51,17 @@ def _check_bounds(obj) -> None:
                 _check_bound(f.name, v, f.metadata["interval"], integer)
 
 
-def _check_batches(batches, min_batches: int, min_rows: int) -> int:
+def _check_batches(batches, min_batches: int) -> int:
     """The width all of ``batches`` share; ValueError unless there are at
-    least ``min_batches`` of them, of one width, each with ``min_rows`` rows."""
+    least ``min_batches`` of them, of one width, each with at least 3 rows."""
     if len(batches) < min_batches:
         raise ValueError(f"need at least {min_batches} batch{'es' * (min_batches > 1)}, "
                          f"got {len(batches)}")
     widths = {b.data.shape[1] for b in batches}
     if len(widths) != 1:
         raise ValueError(f"all batches must have the same width, got {sorted(widths)}")
-    if any(b.n < min_rows for b in batches):
-        raise ValueError(f"each batch needs at least {min_rows} rows")
+    if any(b.n < 3 for b in batches):
+        raise ValueError("each batch needs at least 3 rows")
     return widths.pop()
 
 

@@ -1,5 +1,6 @@
 """Tests for the command line front end."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -203,17 +204,31 @@ class TestRun:
             assert len(bodies["1"]) == 1 + 2 * 2 * methods  # header, dags x levels x methods
             assert bodies["1"] == bodies["2"]
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_the_default_configs_first_two_dags_are_pinned(self, tmp_path, threads):
+        # the header and first 12 rows of the default 50-DAG sweep at master
+        # seed 0, without wall_time: sha256 of `cut -d, -f1-7 records.csv`
+        cfg_path = tmp_path / "two.ini"
+        cfg_path.write_text(config_to_ini(sb.ExperimentConfig(num_dags=2)))
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out),
+                     "--threads", threads]) == 0
+        cut = "".join(",".join(line.split(",")[:7]) + "\n"
+                      for line in (out / "records.csv").read_text().splitlines())
+        assert hashlib.sha256(cut.encode()).hexdigest() == (
+            "8e542e5c1c1f7f7ec3f4e5646b93d3669380172cd10b56e1c4fd4643f3483333")
+
     def test_trainer_bits_do_not_depend_on_blas_threads(self):
         # 12 candidates pooled over 60,000 rows: OpenBLAS 0.3.31 splits the
         # least-squares start's (12 x rows) by (rows) product over a second
         # thread from about 40,000 rows on; the 256-row steps stay on one
         script = "\n".join([
-            "import hashlib, numpy as np, scmbench as sb",
+            "import hashlib, numpy as np",
             "from scmbench.identifier import train_regressor",
             "rng = np.random.default_rng(3)",
             "data = rng.standard_normal((60000, 13))",
             "data[:, 0] = np.tanh(data[:, 1:] @ rng.normal(size=12)) + data[:, 1:4].sum(axis=1)",
-            "reg = train_regressor([sb.SampleBatch(env=0, data=data)], np.ones(12), rng)",
+            "reg = train_regressor(data, np.ones(12), rng)",
             "parts = (reg.w1, reg.b1, reg.w2, np.float64(reg.b2), reg.ws)",
             "print(hashlib.sha256(b''.join(p.tobytes() for p in parts)).hexdigest())",
         ])
@@ -332,7 +347,7 @@ class TestDemo:
     def test_failing_cells_exit_two_with_partial_outputs(self, tmp_path, capsys,
                                                          monkeypatch):
         def diverge(batches, cfg, rng):
-            raise sb.TrainingDivergedError("non-finite loss at step 1")
+            raise FloatingPointError("overflow encountered in multiply")
 
         monkeypatch.setattr(harness, "identify_parents", diverge)
         out = tmp_path / "demo"

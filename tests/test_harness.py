@@ -187,8 +187,8 @@ class TestRunExperiment:
                         for m in ("iid", "icp")]
 
     def test_a_diverged_training_names_its_exception_type(self, monkeypatch):
-        # a step size of 1e200 is inf in the float32 step, so the second
-        # update's loss is not finite
+        # a step size of 1e200 is inf in the float32 step, so the fit and
+        # its residuals are not finite
         monkeypatch.setattr(identifier, "_STEP_SIZE", 1e200)
         cfg = sb.ExperimentConfig(num_dags=1, samples_per_env=400,
                                   confounder_levels=(0,), methods=("iid", "icp"),
@@ -196,16 +196,16 @@ class TestRunExperiment:
         with np.errstate(over="ignore", invalid="ignore"):
             report = sb.run_experiment(cfg)
         assert report.errors == ({"dag_id": 0, "method": "iid", "confounders": 0,
-                                  "error": "TrainingDivergedError: non-finite loss at step 2"},)
+                                  "error": "ValueError: non-finite candidate or null score in round 1"},)
         assert [r.method for r in report.records] == ["icp"]
 
     @pytest.mark.parametrize("exc, error", [
         (ValueError("bad batch"), "ValueError: bad batch"),
         (np.linalg.LinAlgError("Singular matrix"), "LinAlgError: Singular matrix"),
-        (sb.TrainingDivergedError("non-finite loss"),
-         "TrainingDivergedError: non-finite loss"),
+        (FloatingPointError("overflow encountered in multiply"),
+         "FloatingPointError: overflow encountered in multiply"),
         (KeyError(3), "KeyError: 3"),
-    ], ids=["ValueError", "LinAlgError", "TrainingDivergedError", "KeyError"])
+    ], ids=["ValueError", "LinAlgError", "FloatingPointError", "KeyError"])
     def test_a_method_failure_names_its_exception_type(self, monkeypatch, exc, error):
         def failing(batches, train_cfg, rng):
             raise exc

@@ -644,6 +644,19 @@ class TestIcpIdentify:
         with pytest.raises(ValueError, match="3 rows"):
             sb.icp_identify(tiny, cfg)
 
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda b: b[:1], "need at least 2 batches, got 1", id="one-batch"),
+        pytest.param(lambda b: b[:2] + [sb.SampleBatch(env=3, data=b[2].data[:, :3])],
+                     "all batches must have the same width, got [3, 4]", id="mixed-width"),
+        pytest.param(lambda b: [sb.SampleBatch(env=x.env, data=x.data[:2]) for x in b],
+                     "each batch needs at least 3 rows", id="two-rows"),
+    ])
+    def test_batch_refusals_name_the_failed_check(self, demo_batches, make, message):
+        # the same scm._check_batches words these as identify_parents' refusals
+        with pytest.raises(ValueError) as info:
+            sb.icp_identify(make(demo_batches(7, n=100)), sb.IcpConfig())
+        assert str(info.value) == message
+
 
 class TestIcpConfigValidation:
     @pytest.mark.parametrize("overrides", [

@@ -37,21 +37,16 @@ def all_parents_scm():
         topo_order=(1, 2, 3, 4, 5, 0))
 
 
-def _reference_train_regressor(batches, mask, rng):
+def _reference_train_regressor(rows, mask, rng):
     """Per-parameter trainer oracle: one array and one Adam update per
     parameter and one index draw per step, with the steps in float32 and the
     standardization, least-squares start and fold in float64, run for the
     identifier's recipe constants as they stand when called.
     train_regressor must return the same bits and leave rng in the same
     state."""
-    if not batches:
-        raise ValueError("need at least one batch")
-    data = np.vstack([b.data for b in batches])
     mask = np.asarray(mask, dtype=float)
-    if data.shape[1] != mask.size + 1:
-        raise ValueError("batch width does not match the number of candidates")
-    x_raw = data[:, 1:] * mask
-    y_raw = data[:, 0]
+    x_raw = rows[:, 1:] * mask
+    y_raw = rows[:, 0]
     n, l = x_raw.shape
     h = 16
 
@@ -95,9 +90,6 @@ def _reference_train_regressor(batches, mask, rng):
         hidden = np.tanh(xb @ params[0] + params[1])
         pred = xb @ params[4] + hidden @ params[2] + params[3]
         err = pred - yb
-        loss = float(np.mean(err ** 2))
-        if not np.isfinite(loss):
-            raise sb.TrainingDivergedError(f"non-finite loss at step {step}")
         d_pred = 2.0 * err / err.size
         g_ws = xb.T @ d_pred
         g_w2 = hidden.T @ d_pred
@@ -123,6 +115,11 @@ def _reference_train_regressor(batches, mask, rng):
     b2_fold = (float(params[3]) - (x_mu / x_sd) @ params[4]) * y_sd + y_mu
     return identifier.Regressor(w1=w1_fold, b1=b1_fold, w2=w2_fold, b2=b2_fold,
                                 ws=ws_fold)
+
+
+def five_candidate_rows(seed: int, n: int):
+    """The rows of five_candidate_batches stacked, as identify_parents stacks them."""
+    return np.vstack([b.data for b in five_candidate_batches(seed, n)])
 
 
 def five_candidate_batches(seed: int, n: int):
@@ -206,7 +203,7 @@ class TestTrainRegressor:
         train = sb.sample(scm, OBS, 6000, rng)
         hold = sb.sample(scm, OBS, 4000, rng)
         mask = np.zeros(3)
-        reg = identifier.train_regressor([train], mask, np.random.default_rng(1))
+        reg = identifier.train_regressor(train.data, mask, np.random.default_rng(1))
         x = hold.data[:, 1:] * mask
         mse = float(np.mean((reg.predict(x) - hold.data[:, 0]) ** 2))
         # Var(x0) = 2^2 + 1.5^2 + 1 = 7.25; a constant predictor can do no better
@@ -217,13 +214,12 @@ class TestTrainRegressor:
         train, hold = chain_batches(seed=7, n_train=300, n_eval=100)
         data = train.data.copy()
         data[:, 0] = 3.5
-        reg = identifier.train_regressor([sb.SampleBatch(env=0, data=data)], np.ones(1),
-                                         np.random.default_rng(1))
+        reg = identifier.train_regressor(data, np.ones(1), np.random.default_rng(1))
         assert np.max(np.abs(reg.predict(hold.data[:, 1:]) - 3.5)) < 0.01
 
     def test_chain_reaches_the_noise_floor(self):
         train, hold = chain_batches(seed=2)
-        reg = identifier.train_regressor([train], np.ones(1), np.random.default_rng(3))
+        reg = identifier.train_regressor(train.data, np.ones(1), np.random.default_rng(3))
         mse = float(np.mean((reg.predict(hold.data[:, 1:])
                              - hold.data[:, 0]) ** 2))
         assert mse == pytest.approx(1.0, rel=0.10)
@@ -231,26 +227,24 @@ class TestTrainRegressor:
     def test_determinism(self):
         train, _ = chain_batches(seed=4, n_train=1500, n_eval=10)
         mask = np.ones(1)
-        a = identifier.train_regressor([train], mask, np.random.default_rng(9))
-        b = identifier.train_regressor([train], mask, np.random.default_rng(9))
+        a = identifier.train_regressor(train.data, mask, np.random.default_rng(9))
+        b = identifier.train_regressor(train.data, mask, np.random.default_rng(9))
         for field in ("w1", "b1", "w2", "b2", "ws"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
 
-    @pytest.mark.parametrize("step_size", [1e200, 1e39],
-                             ids=["1e200", "past-float32-max"])
-    def test_divergence_is_reported(self, monkeypatch, step_size):
-        # both step sizes are finite floats but inf in the float32 step, so
-        # the first update makes the parameters non-finite; a float64 step
-        # takes 1e39 and returns coefficients near 1e39 instead
+    @pytest.mark.parametrize("step_size, scale", [(1e200, 1.0), (1e39, 1.0), (0.01, 1e300)],
+                             ids=["1e200", "past-float32-max", "data-near-1e300"])
+    def test_divergence_is_reported(self, demo_batches, monkeypatch, step_size, scale):
+        # both step sizes are finite floats but inf in the float32 step, so the
+        # first update makes the parameters and every later residual non-finite;
+        # data near 1e300 is finite, but its residuals' squares overflow
         monkeypatch.setattr(identifier, "_STEP_SIZE", step_size)
-        train, _ = chain_batches(seed=5, n_train=500, n_eval=10)
-        mask = np.ones(1)
+        batches = [sb.SampleBatch(env=b.env, data=b.data * scale)
+                   for b in demo_batches(5, n=400)]
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(sb.TrainingDivergedError) as expected:
-                _reference_train_regressor([train], mask, np.random.default_rng(0))
-            with pytest.raises(sb.TrainingDivergedError) as got:
-                identifier.train_regressor([train], mask, np.random.default_rng(0))
-        assert str(got.value) == str(expected.value) == "non-finite loss at step 2"
+            with pytest.raises(ValueError,
+                               match="^non-finite candidate or null score in round 1$"):
+                sb.identify_parents(batches, sb.TrainConfig(), np.random.default_rng(0))
 
     @pytest.mark.parametrize("masked, n, updates", [
         pytest.param((), 700, None, id="all-active"),
@@ -264,57 +258,29 @@ class TestTrainRegressor:
     def test_matches_the_per_parameter_oracle(self, monkeypatch, masked, n, updates):
         if updates is not None:
             monkeypatch.setattr(identifier, "_UPDATES", updates)
-        batches = five_candidate_batches(seed=11, n=n)
+        rows = five_candidate_rows(seed=11, n=n)
         active = ~np.isin(np.arange(1, 6), masked)
         rng_ref = np.random.default_rng(12)
-        ref = _reference_train_regressor(batches, active.astype(float), rng_ref)
+        ref = _reference_train_regressor(rows, active.astype(float), rng_ref)
         # identify_parents passes a boolean mask; a 0/1 integer one is the same
         for mask in (active, active.astype(np.int8)):
             rng_new = np.random.default_rng(12)
-            got = identifier.train_regressor(batches, mask, rng_new)
+            got = identifier.train_regressor(rows, mask, rng_new)
             for field in ("w1", "b1", "w2", "b2", "ws"):
                 assert np.array_equal(getattr(got, field), getattr(ref, field)), field
                 assert np.asarray(getattr(got, field)).dtype == np.float64, field
             assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
-    @pytest.mark.parametrize("batches", [
-        pytest.param(lambda: chain_batches(seed=8, n_train=50, n_eval=1)[:1], id="1-candidate"),
-        pytest.param(lambda: five_candidate_batches(seed=8, n=50), id="5-candidates"),
+    @pytest.mark.parametrize("rows", [
+        pytest.param(lambda: chain_batches(seed=8, n_train=50, n_eval=1)[0].data, id="1-candidate"),
+        pytest.param(lambda: five_candidate_rows(seed=8, n=50), id="5-candidates"),
     ])
-    def test_hidden_layer_has_sixteen_units(self, batches):
-        batches = batches()
-        l = batches[0].data.shape[1] - 1
-        reg = identifier.train_regressor(batches, np.ones(l), np.random.default_rng(0))
+    def test_hidden_layer_has_sixteen_units(self, rows):
+        rows = rows()
+        l = rows.shape[1] - 1
+        reg = identifier.train_regressor(rows, np.ones(l), np.random.default_rng(0))
         assert reg.w1.shape == (l, 16) and reg.b1.shape == reg.w2.shape == (16,)
         assert reg.ws.shape == (l,)
-
-    def test_rejects_mismatched_width(self):
-        train, _ = chain_batches(seed=6, n_train=100, n_eval=10)
-        with pytest.raises(ValueError, match="width"):
-            identifier.train_regressor([train], np.ones(3), np.random.default_rng(0))
-        with pytest.raises(ValueError, match="at least 1 batch"):
-            identifier.train_regressor([], np.ones(1), np.random.default_rng(0))
-
-    def test_rejects_batches_of_mixed_width(self):
-        train = sb.sample(sb.four_node_demo_scm(), OBS, 50, np.random.default_rng(0))
-        narrow = sb.SampleBatch(env=1, data=train.data[:, :3])
-        message = r"^all batches must have the same width, got \[3, 4\]$"
-        with pytest.raises(ValueError, match=message):
-            identifier.train_regressor([train, narrow], np.ones(3), np.random.default_rng(0))
-
-    @pytest.mark.parametrize("mask, message", [
-        pytest.param([1, 2, 0], "mask must be a 1-D binary vector", id="non-binary"),
-        pytest.param([1.0, 0.5, 1.0], "mask must be a 1-D binary vector",
-                     id="fractional"),
-        pytest.param([[1, 1, 1]], "mask must be a 1-D binary vector", id="2-d"),
-        pytest.param([1, 1], "batch width does not match the number of candidates",
-                     id="wrong-length"),
-    ])
-    def test_rejects_a_bad_mask(self, mask, message):
-        train = sb.sample(sb.four_node_demo_scm(), OBS, 50, np.random.default_rng(0))
-        with pytest.raises(ValueError) as info:
-            identifier.train_regressor([train], np.array(mask), np.random.default_rng(0))
-        assert str(info.value) == message
 
 
 class TestResidualScores:
@@ -323,7 +289,7 @@ class TestResidualScores:
     def test_magnitudes_match_folded_gaussian_mean(self):
         train, hold = chain_batches(seed=7)
         mask = np.ones(1)
-        reg = identifier.train_regressor([train], mask, np.random.default_rng(8))
+        reg = identifier.train_regressor(train.data, mask, np.random.default_rng(8))
         scores = np.abs(reg.predict(hold.data[:, 1:] * mask) - hold.data[:, 0])
         assert np.all(scores >= 0.0)
         expected = np.sqrt(2.0 / np.pi)  # E|N(0, 1)|
@@ -521,7 +487,7 @@ class TestIdentifyParents:
             assert n.size == np.count_nonzero(~np.isnan(row))
             return row[~np.isnan(row)]
 
-        def zero(batches, mask, rng):
+        def zero(rows, mask, rng):
             return identifier.Regressor(w1=np.zeros((5, 1)), b1=np.zeros(1), w2=np.zeros(1),
                                         b2=0.0, ws=np.zeros(5))
 
@@ -540,8 +506,8 @@ class TestIdentifyParents:
         batches = five_candidate_batches(seed=3, n=n)
         trained, scored = [], []
 
-        def zero(train, mask, rng):
-            trained.append(train)
+        def zero(rows, mask, rng):
+            trained.append(rows)
             return identifier.Regressor(w1=np.zeros((5, 1)), b1=np.zeros(1), w2=np.zeros(1),
                                         b2=0.0, ws=np.zeros(5))
 
@@ -554,10 +520,8 @@ class TestIdentifyParents:
         fix_tau(monkeypatch, 0.1)
         result = sb.identify_parents(batches, sb.TrainConfig(), np.random.default_rng(0))
         assert result.rounds_run == 1
-        [train] = trained
-        assert [t.env for t in train] == [b.env for b in batches]
-        for t, b in zip(train, batches):
-            assert np.array_equal(t.data, b.data[:n - n_hold])
+        [rows] = trained
+        assert np.array_equal(rows, np.vstack([b.data[:n - n_hold] for b in batches]))
         # the zero regressor leaves |x0| as each holdout row's residual
         [(sizes, sums)] = scored
         assert list(sizes) == [n_hold] * 5
@@ -575,7 +539,7 @@ class TestIdentifyParents:
                              ids=["residuals-near-1e300", "residuals-near-1e156", "nan-tau"])
     def test_non_finite_scores_name_the_round(self, demo_batches, monkeypatch, weight, tau):
         # squares of residuals near 1e156 and beyond overflow
-        def stub(batches, mask, rng):
+        def stub(rows, mask, rng):
             return identifier.Regressor(w1=np.zeros((3, 1)), b1=np.zeros(1), w2=np.zeros(1),
                                         b2=0.0, ws=np.array([weight, 0.0, 0.0]))
 
@@ -648,6 +612,20 @@ class TestIdentifyParents:
             sb.identify_parents(tiny, cfg, rng)
         with pytest.raises(ValueError, match="at least 1 batch"):
             sb.identify_parents([], cfg, rng)
+
+    @pytest.mark.parametrize("make, message", [
+        pytest.param(lambda b: [], "need at least 1 batch, got 0", id="no-batches"),
+        pytest.param(lambda b: b[:2] + [sb.SampleBatch(env=3, data=b[2].data[:, :3])],
+                     "all batches must have the same width, got [3, 4]", id="mixed-width"),
+        pytest.param(lambda b: [sb.SampleBatch(env=x.env, data=x.data[:2]) for x in b],
+                     "each batch needs at least 3 rows", id="two-rows"),
+    ])
+    def test_batch_refusals_name_the_failed_check(self, demo_batches, make, message):
+        # scm._check_batches words these; its 3-row floor is not a parameter
+        with pytest.raises(ValueError) as info:
+            sb.identify_parents(make(demo_batches(10, n=100)), sb.TrainConfig(),
+                                np.random.default_rng(0))
+        assert str(info.value) == message
 
 
 class TestTrainConfigValidation:

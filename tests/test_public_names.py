@@ -12,7 +12,7 @@ PUBLIC = sorted([
     "add_confounders", "analytic_moments", "four_node_demo_scm", "intervene",
     "parents", "random_scm", "sample",
     "ExperimentConfig", "environments_for", "run_experiment",
-    "TrainConfig", "TrainingDivergedError", "identify_parents",
+    "TrainConfig", "identify_parents",
     "IcpConfig", "EnumerationBudgetError", "icp_identify", "invariance_pvalue",
     "EmpiricalSample", "Gaussian1D", "frechet_gaussian1d", "ksample_equality_test",
     "transport_adjust", "__version__",
