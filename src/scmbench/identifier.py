@@ -62,9 +62,10 @@ class Regressor:
 
 
 def _param_views(buf: np.ndarray, l: int, h: int) -> tuple[np.ndarray, ...]:
-    """w1 (l, h), b1 (h,), w2 (h,), b2 () and ws (l,) as views into ``buf``."""
-    w1, b1, w2, b2, ws = np.split(buf, np.cumsum([l * h, h, h, 1]))
-    return w1.reshape(l, h), b1, w2, b2.reshape(()), ws
+    """[w1; b1] (l + 1, h), w2 (h,), b2 () and ws (l,) as views into ``buf``;
+    b1 is the row after w1, so [x, 1] @ [w1; b1] is x @ w1 + b1."""
+    w1b, w2, b2, ws = np.split(buf, np.cumsum([(l + 1) * h, h, 1]))
+    return w1b.reshape(l + 1, h), w2, b2.reshape(()), ws
 
 
 def train_regressor(rows: np.ndarray, mask: np.ndarray,
@@ -83,9 +84,11 @@ def train_regressor(rows: np.ndarray, mask: np.ndarray,
     clamps that input far from its pooled mean). The five parameters, their
     gradients and the Adam moments are views into one flat buffer each, and
     every step's mini-batch rows are drawn at once after the weight init.
-    The step loop runs in float32 (data, parameters, gradients, Adam moments
-    and step size); the standardization, the least-squares start and the
-    folded parameters stay in float64.
+    The hidden path's bias rides in its matmuls: [w1; b1] is one (l + 1, 16)
+    view multiplied with [x, 1], and the linear path keeps its own gather of
+    x. The step loop runs in float32 (data, parameters, gradients, Adam
+    moments and step size); the standardization, the least-squares start and
+    the folded parameters stay in float64.
     """
     x_raw = rows[:, 1:] * mask
     y_raw = rows[:, 0]
@@ -104,9 +107,9 @@ def train_regressor(rows: np.ndarray, mask: np.ndarray,
 
     theta = np.zeros(l * h + 2 * h + 1 + l, dtype=np.float32)
     grad = np.zeros_like(theta)
-    w1, b1, w2, b2, ws = _param_views(theta, l, h)
-    g_w1, g_b1, g_w2, g_b2, g_ws = _param_views(grad, l, h)
-    w1[...] = rng.normal(0.0, 1.0 / np.sqrt(max(l, 1)), size=(l, h))
+    w1b, w2, b2, ws = _param_views(theta, l, h)
+    g_w1b, g_w2, g_b2, g_ws = _param_views(grad, l, h)
+    w1b[:l] = rng.normal(0.0, 1.0 / np.sqrt(max(l, 1)), size=(l, h))
     w2[...] = rng.normal(0.0, 0.1 / np.sqrt(h), size=h)
     # start the linear path at the pooled least-squares solution over active
     # columns; gradient descent then fine-tunes instead of dragging the
@@ -119,6 +122,7 @@ def train_regressor(rows: np.ndarray, mask: np.ndarray,
         ws[act] = np.linalg.solve(gram, xa.T @ y)
     # Python scalars take the arrays' dtype, so every step below stays float32
     x, y = x.astype(np.float32), y.astype(np.float32)
+    x1 = np.column_stack([x, np.ones(n, dtype=np.float32)])
     m_state = np.zeros_like(theta)
     v_state = np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -133,9 +137,15 @@ def train_regressor(rows: np.ndarray, mask: np.ndarray,
             frac = (step - flat) / (_UPDATES - flat)
             lr = _STEP_SIZE * (1.0 - 0.98 * frac)
         idx = batch_idx[step - 1]
-        xb = np.take(x, idx, axis=0)
-        yb = np.take(y, idx)
-        hidden = np.tanh(xb @ w1 + b1)
+        xb = x.take(idx, axis=0)
+        x1b = x1.take(idx, axis=0)
+        yb = y.take(idx)
+        # gemm sums each element over k in order, so the ones column adds b1
+        # last and sums d_hidden's rows in order: the bits of "+ b1" and
+        # ".sum(axis=0)", except with one candidate (which identify_parents
+        # never trains), where numpy runs a separate (1, n) product as a gemv.
+        # xb is its own gather: the strided view x1b[:, :l] moves gemv bits
+        hidden = np.tanh(x1b @ w1b)
         pred = xb @ ws + hidden @ w2 + b2
         err = pred - yb
         d_pred = 2.0 * err / err.size
@@ -144,8 +154,7 @@ def train_regressor(rows: np.ndarray, mask: np.ndarray,
         d_pred.sum(out=g_b2)
         d_hidden = d_pred[:, None] * w2
         d_hidden *= 1.0 - hidden ** 2
-        np.matmul(xb.T, d_hidden, out=g_w1)
-        d_hidden.sum(axis=0, out=g_b1)
+        np.matmul(x1b.T, d_hidden, out=g_w1b)
         m_state *= beta1
         m_state += (1 - beta1) * grad
         v_state *= beta2
@@ -155,7 +164,8 @@ def train_regressor(rows: np.ndarray, mask: np.ndarray,
         theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
     # fold standardization into the parameters: raw units in, raw units out
-    w1, b1, w2, b2, ws = _param_views(theta.astype(float), l, h)
+    w1b, w2, b2, ws = _param_views(theta.astype(float), l, h)
+    w1, b1 = w1b[:l], w1b[l]
     w1_fold = w1 / x_sd[:, None]
     b1_fold = b1 - (x_mu / x_sd) @ w1
     w2_fold = w2 * y_sd

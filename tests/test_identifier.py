@@ -122,6 +122,16 @@ def five_candidate_rows(seed: int, n: int):
     return np.vstack([b.data for b in five_candidate_batches(seed, n)])
 
 
+def random_model_rows(seed: int, nodes: int, n: int):
+    """Rows of a random model with ``nodes`` nodes, n per clamp environment,
+    stacked as identify_parents stacks them."""
+    rng = np.random.default_rng(seed)
+    gen = sb.GenConfig(nodes_min=nodes, nodes_max=nodes)
+    scm = sb.random_scm(gen, rng)
+    envs = sb.environments_for(scm, gen, rng)
+    return np.vstack([sb.sample(scm, env, n, rng).data for env in envs])
+
+
 def five_candidate_batches(seed: int, n: int):
     """One clamp batch per candidate of all_parents_scm, n rows each."""
     scm = all_parents_scm()
@@ -246,20 +256,34 @@ class TestTrainRegressor:
                                match="^non-finite candidate or null score in round 1$"):
                 sb.identify_parents(batches, sb.TrainConfig(), np.random.default_rng(0))
 
-    @pytest.mark.parametrize("masked, n, updates", [
-        pytest.param((), 700, None, id="all-active"),
-        pytest.param((2, 4), 700, None, id="some-masked"),
-        pytest.param((1, 2, 3, 4, 5), 700, None, id="all-masked"),
+    @pytest.mark.parametrize("rows, masked, updates", [
+        pytest.param(lambda: five_candidate_rows(seed=11, n=700), (), None, id="all-active"),
+        pytest.param(lambda: five_candidate_rows(seed=11, n=700), (2, 4), None,
+                     id="some-masked"),
+        pytest.param(lambda: five_candidate_rows(seed=11, n=700), (1, 2, 3, 4, 5), None,
+                     id="all-masked"),
         # a single update lies past the flat 70 percent: it takes the decayed step
-        pytest.param((), 700, 1, id="one-step"),
+        pytest.param(lambda: five_candidate_rows(seed=11, n=700), (), 1, id="one-step"),
         # 45 pooled rows, fewer than a batch's 256
-        pytest.param((5,), 9, None, id="batch-larger-than-rows"),
+        pytest.param(lambda: five_candidate_rows(seed=11, n=9), (5,), None,
+                     id="batch-larger-than-rows"),
+        # the narrowest problem identify_parents trains (2 candidates) and the
+        # widest of the default sweep (12 nodes), at the sweep's 1,400 training
+        # rows per environment; 2 candidates also catch a strided linear-path
+        # batch that the 11 do not
+        pytest.param(lambda: random_model_rows(seed=12, nodes=3, n=1400), (), None,
+                     id="2-candidates"),
+        pytest.param(lambda: random_model_rows(seed=14, nodes=12, n=1400), (), None,
+                     id="11-candidates"),
+        pytest.param(lambda: random_model_rows(seed=14, nodes=12, n=1400), (1, 6, 7, 11), None,
+                     id="11-candidates-some-masked"),
     ])
-    def test_matches_the_per_parameter_oracle(self, monkeypatch, masked, n, updates):
+    def test_matches_the_per_parameter_oracle(self, monkeypatch, rows, masked, updates):
         if updates is not None:
             monkeypatch.setattr(identifier, "_UPDATES", updates)
-        rows = five_candidate_rows(seed=11, n=n)
-        active = ~np.isin(np.arange(1, 6), masked)
+        rows = rows()
+        l = rows.shape[1] - 1
+        active = ~np.isin(np.arange(1, l + 1), masked)
         rng_ref = np.random.default_rng(12)
         ref = _reference_train_regressor(rows, active.astype(float), rng_ref)
         # identify_parents passes a boolean mask; a 0/1 integer one is the same
